@@ -1,5 +1,6 @@
 # Tier-1 verification in one command.
-.PHONY: all check build test bench bench-json bench-json-quick trace-smoke cluster-smoke \
+.PHONY: all check build test bench bench-json bench-json-quick bench-e2e bench-e2e-compare \
+	trace-smoke cluster-smoke \
 	verify-probes-smoke policy-smoke hedge-smoke raft-smoke par-smoke model-smoke lint clean
 
 all: build
@@ -126,6 +127,22 @@ bench-json:
 
 bench-json-quick:
 	dune exec bench/main.exe -- --json _build/bench-core-quick.json --quick
+
+# End-to-end benchmark (bench/e2e/README.md): host time per simulated
+# request, set-up time, peak memory and the per-layer split on all six
+# workloads, each in a fresh child process (~2.5 min), written as a suite
+# JSON to E2E_JSON. Extra flags go in E2E_ARGS, e.g. E2E_ARGS="--seed 7".
+E2E_JSON ?= _build/bench-e2e.json
+bench-e2e:
+	sh bench/e2e/run.sh $(E2E_ARGS) --json $(E2E_JSON)
+
+# Label each (workload, end-to-end metric) of suite file B against suite
+# file A: better, worse, within bound or unresolved; MODEL CHANGED on a
+# fingerprint drift. Exits non-zero if any metric is worse.
+bench-e2e-compare:
+	@if [ -z "$(A)" ] || [ -z "$(B)" ]; then \
+		echo "usage: make bench-e2e-compare A=old.json B=new.json" >&2; exit 2; fi
+	sh bench/e2e/run.sh --compare $(A) $(B)
 
 clean:
 	dune clean

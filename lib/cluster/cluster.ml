@@ -148,7 +148,11 @@ let run_seq ~cluster ~mix ~arrival ~n_requests ~warmup_frac ~drain_cap_ns ~seed 
      at the end of the run still counts as wasted work. *)
   let zombies : (int, Request.t) Hashtbl.t = Hashtbl.create 64 in
   (* leg id -> instance currently responsible for it (updated on dispatch
-     and on steal-forwarding), so a revocation can chase a moved leg. *)
+     and on steal-forwarding), so a revocation can chase a moved leg. A leg
+     leaves the table when it completes or is discarded: revoking it then
+     would be a no-op ([Server.Instance.cancel] ignores requests no longer
+     live), so the table holds only legs in flight instead of every leg of
+     the run. *)
   let leg_inst : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let steal_pending = Array.make n_inst false in
   let rec do_credit i =
@@ -219,6 +223,7 @@ let run_seq ~cluster ~mix ~arrival ~n_requests ~warmup_frac ~drain_cap_ns ~seed 
   in
   let on_complete i (req : Request.t) =
     if hedge_on then begin
+      Hashtbl.remove leg_inst req.Request.id;
       Hedge.observe estimator ~sojourn_ns:(Request.sojourn_ns req)
         ~service_ns:req.Request.service_ns;
       match Hashtbl.find_opt hedged (Request.origin_id req) with
@@ -246,6 +251,7 @@ let run_seq ~cluster ~mix ~arrival ~n_requests ~warmup_frac ~drain_cap_ns ~seed 
   in
   let on_cancelled i (req : Request.t) =
     Hashtbl.remove zombies req.Request.id;
+    Hashtbl.remove leg_inst req.Request.id;
     hedge_wasted_ns := !hedge_wasted_ns + req.Request.done_ns;
     (* A discarded leg never completes, so its send must be balanced by an
        explicit credit. Always scheduled (even at zero RTT): the discard

@@ -2,7 +2,14 @@
 
     Entries with equal keys are returned in insertion order, which makes the
     event queue of {!Sim} deterministic: two events scheduled for the same
-    simulated instant fire in the order they were scheduled. *)
+    simulated instant fire in the order they were scheduled.
+
+    The heap is slot-indexed: the heap order is kept in plain [int] arrays
+    (key, insertion sequence, payload slot), and each payload is written
+    once, into its own slot, when it is added. Sifting therefore moves no
+    pointers, and an entry costs one GC write barrier however deep it
+    sifts. A popped payload stays reachable from the heap until its slot is
+    reused by a later {!add}. *)
 
 type 'a t
 (** A min-heap holding values of type ['a]. *)

@@ -10,12 +10,18 @@ let create ?(capacity = 1024) () =
 
 let now t = t.now
 
+(* [max_int] is the "no next event" sentinel of [next_time], so no event
+   may be scheduled there: under [Par_sim] it would never be run. *)
 let schedule_at t ~time e =
   if time < t.now then invalid_arg "Sim.schedule_at: time is in the past";
+  if time = max_int then invalid_arg "Sim.schedule_at: time max_int is out of range";
   Heap.add t.events ~key:time e
 
+(* [t.now >= 0], so [max_int - t.now] cannot overflow; comparing against it
+   catches a [t.now + delay] that would wrap negative. *)
 let schedule_after t ~delay e =
   if delay < 0 then invalid_arg "Sim.schedule_after: negative delay";
+  if delay >= max_int - t.now then invalid_arg "Sim.schedule_after: time overflows max_int";
   Heap.add t.events ~key:(t.now + delay) e
 
 let pending t = Heap.length t.events

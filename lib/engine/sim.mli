@@ -17,10 +17,12 @@ val now : 'e t -> int
 
 val schedule_at : 'e t -> time:int -> 'e -> unit
 (** Enqueue an event for absolute [time]. Raises [Invalid_argument] if
-    [time] is in the past. *)
+    [time] is in the past or is [max_int] (the empty-queue sentinel of
+    {!next_time}). *)
 
 val schedule_after : 'e t -> delay:int -> 'e -> unit
-(** Enqueue an event [delay] ns from now ([delay] >= 0). *)
+(** Enqueue an event [delay] ns from now ([delay] >= 0). Raises
+    [Invalid_argument] if [now + delay] would reach [max_int] or overflow. *)
 
 val pending : 'e t -> int
 (** Number of events not yet fired. *)

@@ -3,7 +3,8 @@
    engine/runtime "optimisation" that perturbs simulation behaviour —
    event order, RNG draws, float arithmetic — fails loudly rather than
    silently shifting results; (2) allocation regression tests holding the
-   Sim.run/Heap event loop at zero words per event. *)
+   Sim.run/Heap event loop at zero words per event, and the heap's churn
+   free of minor collections forced by the remembered set. *)
 
 module Sim = Repro_engine.Sim
 module Heap = Repro_engine.Heap
@@ -132,6 +133,49 @@ let test_heap_churn_zero_alloc () =
     Alcotest.failf "Heap churn allocated %.0f bytes over %d add+pop pairs; expected 0" net
       iters
 
+(* Write-barrier pin. The sifts move only [int] arrays and each add stores
+   its payload once, so a churn of freshly boxed payloads fills the
+   remembered set with one entry per add, not one per sift level. Minor
+   collections must then come only from the minor heap filling up: at most
+   ceil(allocated words / minor-heap words), plus slack for the collections
+   at either edge of the measured region. A heap that moves payloads
+   through a pointer array at every level records about four entries per
+   pending payload in each minor cycle; the remembered set holds an eighth
+   of the minor heap's words (32k entries at the default 256k), so at 16k
+   pending such a heap forces a collection every ~10k adds (17-19 here
+   against a budget of 4). The slot heap records at most one entry per
+   slot per cycle. *)
+let test_heap_churn_no_forced_minor_gc () =
+  let pending = 16_384 and iters = 200_000 in
+  let h = Heap.create ~capacity:pending () in
+  let st = ref 12345 in
+  let gap () =
+    st := ((!st * 1103515245) + 12345) land 0x3fffffff;
+    !st land 4095
+  in
+  for i = 1 to pending do
+    Heap.add h ~key:(gap ()) (ref i)
+  done;
+  Gc.minor ();
+  (* [Gc.minor_words], unlike [quick_stat]'s field, counts the words in the
+     current minor heap too. *)
+  let w0 = Gc.minor_words () and c0 = (Gc.quick_stat ()).Gc.minor_collections in
+  for i = 1 to iters do
+    let now = Heap.unsafe_min_key h in
+    ignore (Sys.opaque_identity (Heap.pop_unsafe h));
+    Heap.add h ~key:(now + gap ()) (ref i)
+  done;
+  let c1 = (Gc.quick_stat ()).Gc.minor_collections and w1 = Gc.minor_words () in
+  let words = w1 -. w0 in
+  let minor_heap_words = float_of_int (Gc.get ()).Gc.minor_heap_size in
+  let budget = int_of_float (Float.ceil (words /. minor_heap_words)) + 2 in
+  let got = c1 - c0 in
+  if got > budget then
+    Alcotest.failf
+      "Heap churn ran %d minor collections for %.0f allocated words (minor heap %.0f words, \
+       budget %d): the remembered set is forcing collections"
+      got words minor_heap_words budget
+
 (* Discrete sampling must cost O(log n) time and O(1) allocation in the
    entry count: the per-sample bytes at 4096 entries may not exceed the
    4-entry figure plus slack. The pre-fix implementation rebuilt the
@@ -203,6 +247,8 @@ let suite =
     Alcotest.test_case "Sim.run allocates zero words/event" `Quick test_sim_run_zero_alloc;
     Alcotest.test_case "Heap add+pop allocates zero words/op" `Quick
       test_heap_churn_zero_alloc;
+    Alcotest.test_case "Heap churn forces no minor collections" `Quick
+      test_heap_churn_no_forced_minor_gc;
     Alcotest.test_case "Discrete sampling allocation independent of entry count" `Quick
       test_discrete_sample_alloc_size_independent;
   ]

@@ -114,6 +114,83 @@ let prop_conserves_elements =
       in
       List.sort compare (drain []) = List.init (List.length keys) (fun i -> i))
 
+(* Model test: random scripts run against a reference list kept sorted by
+   (key, insertion order). Keys come from a small range so ties are common,
+   and the heap starts at capacity 1, so it grows after pops have already
+   permuted its slot array. Every popped (key, value) must match the model,
+   and after every step [iter] must visit exactly the model's multiset. *)
+type op = Add of int | Pop | Pop_unsafe | Clear | Iter
+
+let show_op = function
+  | Add k -> Printf.sprintf "add %d" k
+  | Pop -> "pop"
+  | Pop_unsafe -> "pop_unsafe"
+  | Clear -> "clear"
+  | Iter -> "iter"
+
+let arb_script =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun k -> Add k) (int_bound 7));
+          (3, return Pop);
+          (2, return Pop_unsafe);
+          (1, return Iter);
+          (1, return Clear);
+        ])
+  in
+  QCheck.make ~print:QCheck.Print.(list show_op) QCheck.Gen.(list_size (int_range 0 300) op)
+
+let prop_matches_sorted_model =
+  QCheck.Test.make ~count:500 ~name:"heap matches a sorted-list model over random scripts"
+    arb_script (fun script ->
+      let h = Heap.create ~capacity:1 () in
+      let model = ref [] and next = ref 0 in
+      (* after every entry with a smaller or equal key: FIFO among ties *)
+      let rec insert k v = function
+        | ((k', _) as e) :: rest when k' <= k -> e :: insert k v rest
+        | rest -> (k, v) :: rest
+      in
+      let pop_model () =
+        match !model with
+        | [] -> None
+        | e :: rest ->
+          model := rest;
+          Some e
+      in
+      let visited () =
+        let acc = ref [] in
+        Heap.iter h ~f:(fun ~key v -> acc := (key, v) :: !acc);
+        List.sort compare !acc
+      in
+      let step = function
+        | Add k ->
+          let v = !next in
+          incr next;
+          Heap.add h ~key:k v;
+          model := insert k v !model;
+          true
+        | Pop -> Heap.pop h = pop_model ()
+        | Pop_unsafe -> (
+          match pop_model () with
+          | None -> (
+            match Heap.pop_unsafe h with _ -> false | exception Invalid_argument _ -> true)
+          | Some (k, v) -> Heap.unsafe_min_key h = k && Heap.pop_unsafe h = v)
+        | Clear ->
+          Heap.clear h;
+          model := [];
+          true
+        | Iter -> List.length (visited ()) = Heap.length h
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Heap.length h = List.length !model
+          && Heap.min_key h = (match !model with [] -> None | (k, _) :: _ -> Some k)
+          && visited () = List.sort compare !model)
+        script)
+
 let suite =
   [
     Alcotest.test_case "empty heap" `Quick test_empty;
@@ -127,4 +204,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_unsafe_matches_pop;
     QCheck_alcotest.to_alcotest prop_pop_sorted;
     QCheck_alcotest.to_alcotest prop_conserves_elements;
+    QCheck_alcotest.to_alcotest prop_matches_sorted_model;
   ]

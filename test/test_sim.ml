@@ -71,6 +71,32 @@ let test_past_scheduling_rejected () =
           Sim.schedule_after s ~delay:(-1) ()))
     ()
 
+(* A wrapped [now + delay] would fire first and run time backwards, and an
+   event at [max_int] would be dropped under [Par_sim], whose "no next
+   event" sentinel it equals. Both must fail loudly, and a rejected call
+   must leave the queue untouched. *)
+let test_out_of_range_time_rejected () =
+  let sim = Sim.create () in
+  Sim.schedule_at sim ~time:10 ();
+  Sim.run sim
+    ~handler:(fun s () ->
+      Alcotest.check_raises "max_int time rejected"
+        (Invalid_argument "Sim.schedule_at: time max_int is out of range") (fun () ->
+          Sim.schedule_at s ~time:max_int ());
+      Alcotest.check_raises "delay reaching max_int rejected"
+        (Invalid_argument "Sim.schedule_after: time overflows max_int") (fun () ->
+          Sim.schedule_after s ~delay:(max_int - 10) ());
+      Alcotest.check_raises "wrapping delay rejected"
+        (Invalid_argument "Sim.schedule_after: time overflows max_int") (fun () ->
+          Sim.schedule_after s ~delay:max_int ());
+      Sim.schedule_at s ~time:(max_int - 1) ();
+      Sim.schedule_after s ~delay:(max_int - 12) ();
+      Alcotest.(check int) "nothing enqueued by the rejected calls" 2 (Sim.pending s);
+      Alcotest.(check int) "legal times just below max_int still order" (max_int - 2)
+        (Sim.next_time s);
+      Sim.stop s)
+    ()
+
 let test_capacity_and_events_processed () =
   (* A tiny pre-sized queue must still absorb a much larger event burst, and
      the processed counter must accumulate across separate [run]s. *)
@@ -106,6 +132,8 @@ let suite =
     Alcotest.test_case "until horizon" `Quick test_until_horizon;
     Alcotest.test_case "stop" `Quick test_stop;
     Alcotest.test_case "scheduling in the past is rejected" `Quick test_past_scheduling_rejected;
+    Alcotest.test_case "out-of-range event times are rejected" `Quick
+      test_out_of_range_time_rejected;
     Alcotest.test_case "capacity hint and events_processed" `Quick
       test_capacity_and_events_processed;
     QCheck_alcotest.to_alcotest prop_trace_is_time_sorted;
