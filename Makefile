@@ -1,5 +1,6 @@
 # Tier-1 verification in one command.
 .PHONY: all check build test bench bench-json bench-json-quick bench-e2e bench-e2e-compare \
+	bench-e2e-pairs \
 	trace-smoke cluster-smoke \
 	verify-probes-smoke policy-smoke hedge-smoke raft-smoke par-smoke model-smoke lint clean
 
@@ -143,6 +144,18 @@ bench-e2e-compare:
 	@if [ -z "$(A)" ] || [ -z "$(B)" ]; then \
 		echo "usage: make bench-e2e-compare A=old.json B=new.json" >&2; exit 2; fi
 	sh bench/e2e/run.sh --compare $(A) $(B)
+
+# Interleaved before/after of one bench/e2e workload (tools/bench_pairs.sh):
+# N pairs of two bench_e2e.exe builds, alternating which runs first, then
+# each side's median and quartiles and the pairs B won.
+N ?= 10
+SEED ?= 42
+SECS ?= 4
+bench-e2e-pairs:
+	@if [ -z "$(A)" ] || [ -z "$(B)" ] || [ -z "$(W)" ]; then \
+		echo "usage: make bench-e2e-pairs A=old.exe B=new.exe W=WORKLOAD [N=10] [SEED=42] [SECS=4]" >&2; \
+		exit 2; fi
+	sh tools/bench_pairs.sh $(A) $(B) $(W) $(N) $(SEED) $(SECS)
 
 clean:
 	dune clean

@@ -154,6 +154,9 @@ let run_seq ~cluster ~mix ~arrival ~n_requests ~warmup_frac ~drain_cap_ns ~seed 
      live), so the table holds only legs in flight instead of every leg of
      the run. *)
   let leg_inst : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  (* primary id -> its pending Hedge_fire. A primary that completes first
+     cancels the timer rather than leaving it to pop as a no-op. *)
+  let hedge_timers : (int, Sim.timer) Hashtbl.t = Hashtbl.create (if hedge_on then 64 else 1) in
   let steal_pending = Array.make n_inst false in
   let rec do_credit i =
     views.(i) <- views.(i) - 1;
@@ -218,12 +221,19 @@ let run_seq ~cluster ~mix ~arrival ~n_requests ~warmup_frac ~drain_cap_ns ~seed 
           ~lead_ns:((2 * one_way_ns) + estimate_ns)
       with
       | None -> ()
-      | Some d -> Sim.schedule_after sim ~delay:d (Hedge_fire { req; primary = i })
+      | Some d ->
+        Hashtbl.replace hedge_timers req.Request.id
+          (Sim.arm_after sim ~delay:d (Hedge_fire { req; primary = i }))
     end
   in
   let on_complete i (req : Request.t) =
     if hedge_on then begin
       Hashtbl.remove leg_inst req.Request.id;
+      (match Hashtbl.find hedge_timers req.Request.id with
+      | tm ->
+        Sim.cancel sim tm;
+        Hashtbl.remove hedge_timers req.Request.id
+      | exception Not_found -> ());
       Hedge.observe estimator ~sojourn_ns:(Request.sojourn_ns req)
         ~service_ns:req.Request.service_ns;
       match Hashtbl.find_opt hedged (Request.origin_id req) with
@@ -299,10 +309,9 @@ let run_seq ~cluster ~mix ~arrival ~n_requests ~warmup_frac ~drain_cap_ns ~seed 
       Server.Instance.inject !instances.(inst) req
     | Credit { inst } -> do_credit inst
     | Hedge_fire { req; primary } ->
+      Hashtbl.remove hedge_timers req.Request.id;
       if
-        hedge_on
-        && (not (Request.is_complete req))
-        && (not req.Request.cancelled)
+        (not req.Request.cancelled)
         && Hedge.within_budget cluster.hedge ~hedges:!hedges ~primaries:!arrived
       then begin
         (* Duplicate onto the shortest-view server other than the primary

@@ -11,25 +11,46 @@
    minor collections. [slots] is a permutation of [0 .. cap-1]: positions
    below [size] hold the live entries' slots, and positions from [size] up
    hold the free ones, so no separate free list is needed. [add] takes
-   [slots.(size)]; a pop parks the root's slot at the vacated position
-   [size]; [grow] fills the new tail with fresh slot numbers. A popped
-   payload stays reachable from [vals] until its slot is reused. *)
+   [slots.(size)]; a pop or [remove] parks the freed slot at the vacated
+   position [size]; [grow] fills the new tail with fresh slot numbers. A
+   freed payload stays reachable from [vals] until its slot is reused.
+
+   Position index. [pos] is the inverse permutation of [slots]: for every
+   slot [s], [slots.(pos.(s)) = s]. [place], the sifts and the parking
+   stores keep it exact with [int] stores only, so an event still costs one
+   write barrier. It lets [remove] find a pending entry in O(1).
+
+   Handles. A handle packs an entry's slot (low [slot_bits] bits) with the
+   low 32 bits of its seq. It is pending iff its slot sits below [size] and
+   the entry there has that seq. A freed slot is the next one [add] takes,
+   so the seq is what tells a fired or removed entry from a later one in
+   the same slot; seqs are never reset, so this holds until the heap has
+   taken 2^32 more entries. *)
 
 type 'a t = {
   mutable keys : int array;
   mutable seqs : int array;
   mutable slots : int array;
+  mutable pos : int array;
   mutable vals : 'a array;
   mutable size : int;
   mutable next_seq : int;
 }
 
+type handle = int
+
+let slot_bits = 30
+let slot_mask = (1 lsl slot_bits) - 1
+let tag_mask = 0xFFFF_FFFF
+
 let create ?(capacity = 64) () =
   let capacity = max capacity 1 in
+  if capacity > slot_mask + 1 then invalid_arg "Heap.create: capacity exceeds 2^30";
   {
     keys = Array.make capacity 0;
     seqs = Array.make capacity 0;
     slots = Array.init capacity Fun.id;
+    pos = Array.init capacity Fun.id;
     vals = [||];
     size = 0;
     next_seq = 0;
@@ -39,26 +60,31 @@ let length h = h.size
 let is_empty h = h.size = 0
 
 (* Called only when full, so [slots] is a permutation of [0 .. old-1] and
-   every old slot of [vals] is live. *)
+   every old slot of [vals] is live. The new tail's slots sit at their own
+   positions, so [pos] is the identity there too. *)
 let grow h v =
   let old = Array.length h.keys in
   let cap = old * 2 in
+  if cap > slot_mask + 1 then failwith "Heap.add: more than 2^30 pending entries";
   let keys = Array.make cap 0
   and seqs = Array.make cap 0
   and slots = Array.init cap Fun.id
+  and pos = Array.init cap Fun.id
   and vals = Array.make cap v in
   Array.blit h.keys 0 keys 0 old;
   Array.blit h.seqs 0 seqs 0 old;
   Array.blit h.slots 0 slots 0 old;
+  Array.blit h.pos 0 pos 0 old;
   Array.blit h.vals 0 vals 0 old;
   h.keys <- keys;
   h.seqs <- seqs;
   h.slots <- slots;
+  h.pos <- pos;
   h.vals <- vals
 
 (* The sifts move the hole rather than swapping entries pairwise: the entry
    being placed rides in registers while displaced entries shift one
-   position, so each level costs one store per array. All three arrays hold
+   position, so each level costs one store per array. All four arrays hold
    [int]s, so none of those stores runs the write barrier. The final layout
    is identical to a swap-based sift, and the (key, seq) order is total, so
    pop order — and therefore simulation output — is unchanged. Indices stay
@@ -67,19 +93,28 @@ let grow h v =
 let place h key seq s i =
   Array.unsafe_set h.keys i key;
   Array.unsafe_set h.seqs i seq;
-  Array.unsafe_set h.slots i s
+  Array.unsafe_set h.slots i s;
+  Array.unsafe_set h.pos s i
+
+(* Move the entry at position [j] to position [i]. *)
+let[@inline] shift h j i =
+  Array.unsafe_set h.keys i (Array.unsafe_get h.keys j);
+  Array.unsafe_set h.seqs i (Array.unsafe_get h.seqs j);
+  let s = Array.unsafe_get h.slots j in
+  Array.unsafe_set h.slots i s;
+  Array.unsafe_set h.pos s i
+
+(* Does (key, seq) order before the parent of position [i > 0]? *)
+let[@inline] before_parent h key seq i =
+  let p = (i - 1) / 2 in
+  let kp = Array.unsafe_get h.keys p in
+  key < kp || (key = kp && seq < Array.unsafe_get h.seqs p)
 
 let rec sift_up h key seq s i =
-  if i > 0 then begin
+  if i > 0 && before_parent h key seq i then begin
     let p = (i - 1) / 2 in
-    let kp = Array.unsafe_get h.keys p in
-    if key < kp || (key = kp && seq < Array.unsafe_get h.seqs p) then begin
-      Array.unsafe_set h.keys i kp;
-      Array.unsafe_set h.seqs i (Array.unsafe_get h.seqs p);
-      Array.unsafe_set h.slots i (Array.unsafe_get h.slots p);
-      sift_up h key seq s p
-    end
-    else place h key seq s i
+    shift h p i;
+    sift_up h key seq s p
   end
   else place h key seq s i
 
@@ -97,16 +132,14 @@ let rec sift_down h key seq s i =
     in
     let kc = Array.unsafe_get h.keys c in
     if kc < key || (kc = key && Array.unsafe_get h.seqs c < seq) then begin
-      Array.unsafe_set h.keys i kc;
-      Array.unsafe_set h.seqs i (Array.unsafe_get h.seqs c);
-      Array.unsafe_set h.slots i (Array.unsafe_get h.slots c);
+      shift h c i;
       sift_down h key seq s c
     end
     else place h key seq s i
   end
   else place h key seq s i
 
-let add h ~key v =
+let add_removable h ~key v =
   if Array.length h.vals = 0 then h.vals <- Array.make (Array.length h.keys) v
   else if h.size = Array.length h.keys then grow h v;
   let i = h.size in
@@ -115,22 +148,37 @@ let add h ~key v =
   let seq = h.next_seq in
   h.next_seq <- seq + 1;
   h.size <- i + 1;
-  sift_up h key seq s i
+  sift_up h key seq s i;
+  ((seq land tag_mask) lsl slot_bits) lor s
+
+let add h ~key v = ignore (add_removable h ~key v : handle)
 
 let min_key h = if h.size = 0 then None else Some h.keys.(0)
 
-(* Removes the root and returns its slot. The last entry is re-placed from
-   the root down, and the root's slot is parked at the vacated position
-   [n], the head of the free region. *)
-let remove_root h =
-  let s = Array.unsafe_get h.slots 0 in
+(* Frees the entry at position [i] and returns its slot. The last entry
+   fills the hole, sifted up or down from [i], and the freed slot is parked
+   at the vacated position [n], the head of the free region. *)
+let remove_at h i =
+  let s = Array.unsafe_get h.slots i in
   let n = h.size - 1 in
   h.size <- n;
-  if n > 0 then
-    sift_down h (Array.unsafe_get h.keys n) (Array.unsafe_get h.seqs n)
-      (Array.unsafe_get h.slots n) 0;
+  if i < n then begin
+    let key = Array.unsafe_get h.keys n
+    and seq = Array.unsafe_get h.seqs n
+    and last = Array.unsafe_get h.slots n in
+    if i > 0 && before_parent h key seq i then sift_up h key seq last i
+    else sift_down h key seq last i
+  end;
   Array.unsafe_set h.slots n s;
+  Array.unsafe_set h.pos s n;
   s
+
+let remove h (hd : handle) =
+  let s = hd land slot_mask in
+  let i = if hd >= 0 && s < Array.length h.pos then Array.unsafe_get h.pos s else max_int in
+  if i >= h.size || Array.unsafe_get h.seqs i land tag_mask <> hd lsr slot_bits then
+    invalid_arg "Heap.remove: handle is not pending";
+  ignore (remove_at h i : int)
 
 (* Non-allocating variants of [min_key]/[pop] for the event-loop hot path.
    Callers must guard with [is_empty]: on an empty heap [unsafe_min_key]
@@ -139,19 +187,20 @@ let unsafe_min_key h = Array.unsafe_get h.keys 0
 
 let pop_unsafe h =
   if h.size = 0 then invalid_arg "Heap.pop_unsafe: empty";
-  Array.unsafe_get h.vals (remove_root h)
+  Array.unsafe_get h.vals (remove_at h 0)
 
 let pop h =
   if h.size = 0 then None
   else begin
     let key = h.keys.(0) in
-    let v = Array.unsafe_get h.vals (remove_root h) in
+    let v = Array.unsafe_get h.vals (remove_at h 0) in
     Some (key, v)
   end
 
-let clear h =
-  h.size <- 0;
-  h.next_seq <- 0
+(* [next_seq] is not reset, so no handle taken before the clear can match
+   an entry added after it. Ties compare seqs only relative to each other,
+   so later entries keep their FIFO order either way. *)
+let clear h = h.size <- 0
 
 let iter h ~f =
   for i = 0 to h.size - 1 do

@@ -8,14 +8,25 @@
     (key, insertion sequence, payload slot), and each payload is written
     once, into its own slot, when it is added. Sifting therefore moves no
     pointers, and an entry costs one GC write barrier however deep it
-    sifts. A popped payload stays reachable from the heap until its slot is
-    reused by a later {!add}. *)
+    sifts. A popped or removed payload stays reachable from the heap until
+    its slot is reused by a later {!add}.
+
+    A position index (slot to heap position, also plain [int]s) lets a
+    pending entry be removed through the {!handle} that {!add_removable}
+    returned. *)
 
 type 'a t
 (** A min-heap holding values of type ['a]. *)
 
+type handle = int
+(** Names one entry added by {!add_removable}. It is pending from that call
+    until the entry is popped or removed, and after that it never matches
+    another entry — not even one that reuses its slot — until the heap has
+    taken 2^32 further entries. *)
+
 val create : ?capacity:int -> unit -> 'a t
-(** [create ()] is an empty heap. [capacity] pre-sizes the backing array. *)
+(** [create ()] is an empty heap. [capacity] pre-sizes the backing array.
+    Raises [Invalid_argument] if [capacity] exceeds 2^30. *)
 
 val length : 'a t -> int
 (** Number of entries currently in the heap. *)
@@ -25,6 +36,16 @@ val is_empty : 'a t -> bool
 
 val add : 'a t -> key:int -> 'a -> unit
 (** [add h ~key v] inserts [v] with priority [key]. O(log n). *)
+
+val add_removable : 'a t -> key:int -> 'a -> handle
+(** {!add} that also returns the entry's handle, for {!remove}. O(log n),
+    allocation-free. *)
+
+val remove : 'a t -> handle -> unit
+(** [remove h hd] deletes the pending entry [hd]. The other entries keep
+    their (key, insertion) order. O(log n), allocation-free. Raises
+    [Invalid_argument] if [hd] is not pending: already popped, already
+    removed, or never returned by {!add_removable}. *)
 
 val min_key : 'a t -> int option
 (** Smallest key present, or [None] if the heap is empty. O(1). *)
@@ -44,7 +65,8 @@ val pop_unsafe : 'a t -> 'a
     [Invalid_argument] on an empty heap — guard with {!is_empty}. *)
 
 val clear : 'a t -> unit
-(** Remove all entries. Does not shrink the backing array. *)
+(** Remove all entries; none of their handles is pending afterwards. Does
+    not shrink the backing array. *)
 
 val iter : 'a t -> f:(key:int -> 'a -> unit) -> unit
 (** Apply [f] to every entry in unspecified order. *)

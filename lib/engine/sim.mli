@@ -3,9 +3,21 @@
     A simulation is a clock (integer nanoseconds) plus a priority queue of
     pending events. The event type ['e] is chosen by the model (the server
     runtime uses a variant of worker/dispatcher/arrival events). Events
-    scheduled for the same instant fire in scheduling order. *)
+    scheduled for the same instant fire in scheduling order.
+
+    A model that learns an event will be dead when it fires — a quantum
+    outlived by its request, a timeout superseded by a reset — arms it as a
+    {!timer} and {!cancel}s it, instead of leaving it in the queue to pop
+    as a no-op. *)
 
 type 'e t
+
+type timer = private int
+(** A pending event armed by {!arm_at} or {!arm_after}, for {!cancel}. *)
+
+val no_timer : timer
+(** Never pending: the value of a timer field with nothing armed.
+    [cancel t no_timer] does nothing. *)
 
 val create : ?capacity:int -> unit -> 'e t
 (** [capacity] pre-sizes the event heap (default 1024). Models that know
@@ -24,8 +36,20 @@ val schedule_after : 'e t -> delay:int -> 'e -> unit
 (** Enqueue an event [delay] ns from now ([delay] >= 0). Raises
     [Invalid_argument] if [now + delay] would reach [max_int] or overflow. *)
 
+val arm_at : 'e t -> time:int -> 'e -> timer
+(** {!schedule_at} that also returns the event's timer; same checks. *)
+
+val arm_after : 'e t -> delay:int -> 'e -> timer
+(** {!schedule_after} that also returns the event's timer; same checks. *)
+
+val cancel : 'e t -> timer -> unit
+(** Remove a pending event: it never fires, and {!events_processed} never
+    counts it. The other pending events keep their order. O(log n),
+    allocation-free. Raises [Invalid_argument] if the timer already fired
+    or was cancelled: a model cancels only a timer it knows is pending. *)
+
 val pending : 'e t -> int
-(** Number of events not yet fired. *)
+(** Number of events neither fired nor cancelled yet. *)
 
 val next_time : 'e t -> int
 (** Timestamp of the earliest pending event, or [max_int] when the queue is
@@ -34,8 +58,9 @@ val next_time : 'e t -> int
 
 val events_processed : 'e t -> int
 (** Total events popped and handled since [create], across all [run]s.
-    The simulated-events/sec figures in [bench/main.exe --json] divide this
-    by wall time. *)
+    Cancelled events never pop, so they are not counted. The
+    simulated-events/sec figures in [bench/main.exe --json] divide this by
+    wall time. *)
 
 val stop : 'e t -> unit
 (** Make the current [run] return after the in-flight handler finishes. *)

@@ -176,7 +176,7 @@ type node = {
   mutable alive : bool;
   mutable commit_index : int;
   mutable lease_expiry_ns : int;
-  mutable election_epoch : int; (* stale-timer guard *)
+  mutable election_timer : Sim.timer; (* pending Election_timeout, or Sim.no_timer *)
   mutable hb_epoch : int; (* stale-heartbeat-chain guard *)
   mutable next_round : int; (* heartbeat round counter (as leader) *)
   hb_rounds : (int, int * int) Hashtbl.t; (* round -> (sent_ns, acks) *)
@@ -228,7 +228,7 @@ type ev =
   | Hb_tick of { node : int; epoch : int }
   | Hb_deliver of { node : int; from : int; term : int; sent_ns : int; round : int; leader_commit : int }
   | Hb_ack of { node : int; from : int; term : int; round : int }
-  | Election_timeout of { node : int; epoch : int }
+  | Election_timeout of { node : int }
   | Vote_request of { node : int; from : int; term : int; last_index : int; last_term : int }
   | Vote_grant of { node : int; from : int; term : int }
   | Ae_deliver of { node : int; from : int; term : int; index : int; entry_term : int; req_id : int }
@@ -257,7 +257,7 @@ let new_node ~id ~elect_rng =
     alive = true;
     commit_index = 0;
     lease_expiry_ns = 0;
-    election_epoch = 0;
+    election_timer = Sim.no_timer;
     hb_epoch = 0;
     next_round = 0;
     hb_rounds = Hashtbl.create 16;
@@ -408,12 +408,18 @@ let run_detailed ~raft ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
     Request.create ~id:(fresh_id ()) ~arrival_ns:(Sim.now sim) ~profile
   in
   let lease_valid i = nodes.(i).alive && Sim.now sim < nodes.(i).lease_expiry_ns in
+  (* Only followers and candidates hold an election timer: becoming leader
+     cancels it, and only a leader is ever killed. *)
+  let cancel_election nd =
+    Sim.cancel sim nd.election_timer;
+    nd.election_timer <- Sim.no_timer
+  in
   let reset_election i =
     let nd = nodes.(i) in
     if nd.alive && nd.role <> Leader then begin
-      nd.election_epoch <- nd.election_epoch + 1;
+      cancel_election nd;
       let delay = election_timeout_ns + Rng.int nd.elect_rng ~bound:election_timeout_ns in
-      Sim.schedule_after sim ~delay (Election_timeout { node = i; epoch = nd.election_epoch })
+      nd.election_timer <- Sim.arm_after sim ~delay (Election_timeout { node = i })
     end
   in
   let adopt_term nd term =
@@ -737,7 +743,7 @@ let run_detailed ~raft ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
     incr elections;
     (match !leader with Some p when p <> i -> incr leader_changes | None -> incr leader_changes | _ -> ());
     leader := Some i;
-    nd.election_epoch <- nd.election_epoch + 1 (* disarm its own timer *);
+    cancel_election nd;
     nd.hb_epoch <- nd.hb_epoch + 1;
     Hashtbl.reset nd.hb_rounds;
     nd.next_round <- 0;
@@ -896,9 +902,9 @@ let run_detailed ~raft ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
           end
           else Hashtbl.replace nd.hb_rounds round (sent_ns, acks)
       end
-    | Election_timeout { node = i; epoch } ->
-      let nd = nodes.(i) in
-      if nd.alive && nd.role <> Leader && nd.election_epoch = epoch then start_election i
+    | Election_timeout { node = i } ->
+      nodes.(i).election_timer <- Sim.no_timer;
+      start_election i
     | Vote_request { node = v; from; term; last_index; last_term } ->
       let nd = nodes.(v) in
       if nd.alive && term >= nd.term then begin
@@ -1003,7 +1009,6 @@ let run_detailed ~raft ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
       | Some l when nodes.(l).alive ->
         let nd = nodes.(l) in
         nd.alive <- false;
-        nd.election_epoch <- nd.election_epoch + 1;
         nd.hb_epoch <- nd.hb_epoch + 1;
         leader := None
         (* survivors stop hearing heartbeats; their timers do the rest *)

@@ -52,6 +52,8 @@ type worker = {
   mutable seg_start_ns : int; (* wall time the current segment began *)
   mutable seg_start_progress : int; (* progress when the segment began *)
   mutable completion_at : int; (* scheduled completion of the segment *)
+  mutable complete_timer : Sim.timer; (* pending Ev_worker_complete, or Sim.no_timer *)
+  mutable quantum_timer : Sim.timer; (* pending Ev_quantum, or Sim.no_timer *)
   mutable stop_progress : int; (* progress at the resolved preemption point *)
   local : Local_queue.t; (* JBSQ waiting slots (depth - 1) *)
   mutable sq_waiting : bool; (* SQ: dispatcher knows this worker is free *)
@@ -522,12 +524,14 @@ let begin_exec t (w : worker) =
     w.busy_from <- now;
     let remaining = Request.remaining_ns req in
     w.completion_at <- now + int_of_float (ceil (float_of_int remaining *. t.worker_mult));
-    Sim.schedule_at t.sim ~time:w.completion_at
-      (t.lift (Ev_worker_complete { w = w.wid; epoch = w.epoch }));
+    w.complete_timer <-
+      Sim.arm_at t.sim ~time:w.completion_at
+        (t.lift (Ev_worker_complete { w = w.wid; epoch = w.epoch }));
     if Mechanism.preemptive t.config.mechanism then
-      Sim.schedule_after t.sim
-        ~delay:(effective_quantum_ns t req)
-        (t.lift (Ev_quantum { w = w.wid; epoch = w.epoch }));
+      w.quantum_timer <-
+        Sim.arm_after t.sim
+          ~delay:(effective_quantum_ns t req)
+          (t.lift (Ev_quantum { w = w.wid; epoch = w.epoch }));
     if w.gap_open_ns >= 0 then begin
       (* cnext measurement: idle time excluding the context switch itself *)
       Metrics.record_idle_gap t.metrics (now - w.gap_open_ns - t.cswitch_ns);
@@ -554,55 +558,72 @@ let fetch_next t (w : worker) ~switch_paid ~open_gap =
       w.gap_open_ns <- Sim.now t.sim
     else w.gap_open_ns <- -1
 
+(* A segment arms two timers and one of them always dies: its completion
+   cancels the quantum, and a preemption decision cancels both
+   ([stop_segment]). None is left to pop as a no-op, so one that fires for
+   a superseded segment is a bookkeeping bug. *)
+let expect_current (w : worker) ~epoch what =
+  if epoch <> w.epoch then failwith ("Server: stale " ^ what ^ " fired")
+
+let cancel_quantum t (w : worker) =
+  Sim.cancel t.sim w.quantum_timer;
+  w.quantum_timer <- Sim.no_timer
+
 let on_worker_complete t (w : worker) ~epoch =
-  if epoch = w.epoch then begin
-    match w.cur with
-    | None -> ()
-    | Some req ->
-      let now = Sim.now t.sim in
-      Metrics.add_worker_busy t.metrics (now - w.busy_from);
-      complete_request t req ~worker:w.wid;
-      Ring.push t.disp.ops (Op_completion w.wid);
-      fetch_next t w ~switch_paid:false ~open_gap:true;
-      disp_kick t
-  end
+  expect_current w ~epoch "Ev_worker_complete";
+  w.complete_timer <- Sim.no_timer;
+  cancel_quantum t w;
+  match w.cur with
+  | None -> ()
+  | Some req ->
+    let now = Sim.now t.sim in
+    Metrics.add_worker_busy t.metrics (now - w.busy_from);
+    complete_request t req ~worker:w.wid;
+    Ring.push t.disp.ops (Op_completion w.wid);
+    fetch_next t w ~switch_paid:false ~open_gap:true;
+    disp_kick t
+
+(* The worker will stop at [stop_time] with [progress] done, before its
+   completion: both of the segment's timers are dead. The completion is
+   still pending ([stop_time < completion_at]) unless an earlier stop of
+   this segment already cancelled it. *)
+let stop_segment t (w : worker) ~stop_time ~progress =
+  Sim.cancel t.sim w.complete_timer;
+  w.complete_timer <- Sim.no_timer;
+  cancel_quantum t w;
+  w.epoch <- w.epoch + 1;
+  w.stop_progress <- progress;
+  Sim.schedule_at t.sim ~time:stop_time (t.lift (Ev_preempt_stop { w = w.wid; epoch = w.epoch }))
 
 let on_quantum t (w : worker) ~epoch =
-  if epoch = w.epoch then begin
-    match w.cur with
-    | None -> ()
-    | Some req ->
-      let now = Sim.now t.sim in
-      if w.completion_at > now then begin
-        match t.config.mechanism with
-        | Mechanism.No_preempt -> ()
-        | Mechanism.Rdtsc_probe ->
-          (* Self-preemption: the worker notices the elapsed quantum at its
-             next rdtsc probe; no dispatcher involvement. *)
-          let lateness =
-            Mechanism.yield_lateness_ns Mechanism.Rdtsc_probe ~costs:t.config.costs
-              ~rng:t.mech_rng ~probe_spacing_ns:(probe_spacing t req)
-          in
-          let stop =
-            resolve_stop t req ~seg_start_ns:w.seg_start_ns
-              ~seg_start_progress:w.seg_start_progress ~mult:t.worker_mult
-              ~completion_at:w.completion_at ~candidate:(now + lateness)
-          in
-          (match stop with
-          | None -> ()
-          | Some (stop_time, p) ->
-            w.epoch <- w.epoch + 1;
-            w.stop_progress <- p;
-            Sim.schedule_at t.sim ~time:stop_time
-              (t.lift (Ev_preempt_stop { w = w.wid; epoch = w.epoch })))
-        | Mechanism.Ipi | Mechanism.Linux_ipi | Mechanism.Uipi | Mechanism.Cache_line
-        | Mechanism.Model_lateness _ ->
-          (* The dispatcher must notice the elapsed quantum and signal; its
-             busyness delays the signal (§3.3). *)
-          Ring.push t.disp.ops (Op_preempt_signal { worker = w.wid; epoch });
-          disp_kick t
-      end
-  end
+  expect_current w ~epoch "Ev_quantum";
+  w.quantum_timer <- Sim.no_timer;
+  match w.cur with
+  | None -> ()
+  | Some req -> (
+    let now = Sim.now t.sim in
+    if w.completion_at <= now then failwith "Server: Ev_quantum fired on a finished segment";
+    match t.config.mechanism with
+    | Mechanism.No_preempt -> ()
+    | Mechanism.Rdtsc_probe -> (
+      (* Self-preemption: the worker notices the elapsed quantum at its
+         next rdtsc probe; no dispatcher involvement. *)
+      let lateness =
+        Mechanism.yield_lateness_ns Mechanism.Rdtsc_probe ~costs:t.config.costs
+          ~rng:t.mech_rng ~probe_spacing_ns:(probe_spacing t req)
+      in
+      match
+        resolve_stop t req ~seg_start_ns:w.seg_start_ns ~seg_start_progress:w.seg_start_progress
+          ~mult:t.worker_mult ~completion_at:w.completion_at ~candidate:(now + lateness)
+      with
+      | None -> ()
+      | Some (stop_time, progress) -> stop_segment t w ~stop_time ~progress)
+    | Mechanism.Ipi | Mechanism.Linux_ipi | Mechanism.Uipi | Mechanism.Cache_line
+    | Mechanism.Model_lateness _ ->
+      (* The dispatcher must notice the elapsed quantum and signal; its
+         busyness delays the signal (§3.3). *)
+      Ring.push t.disp.ops (Op_preempt_signal { worker = w.wid; epoch });
+      disp_kick t)
 
 (* Dispatcher has written the preemption flag / sent the interrupt at the
    current instant; decide when the worker actually stops. *)
@@ -617,18 +638,12 @@ let handle_preempt_signal t ~worker ~epoch =
         Mechanism.yield_lateness_ns t.config.mechanism ~costs:t.config.costs ~rng:t.mech_rng
           ~probe_spacing_ns:(probe_spacing t req)
       in
-      let stop =
-        resolve_stop t req ~seg_start_ns:w.seg_start_ns
-          ~seg_start_progress:w.seg_start_progress ~mult:t.worker_mult
-          ~completion_at:w.completion_at ~candidate:(now + lateness)
-      in
-      match stop with
+      match
+        resolve_stop t req ~seg_start_ns:w.seg_start_ns ~seg_start_progress:w.seg_start_progress
+          ~mult:t.worker_mult ~completion_at:w.completion_at ~candidate:(now + lateness)
+      with
       | None -> ()
-      | Some (stop_time, p) ->
-        w.epoch <- w.epoch + 1;
-        w.stop_progress <- p;
-        Sim.schedule_at t.sim ~time:stop_time
-          (t.lift (Ev_preempt_stop { w = w.wid; epoch = w.epoch }))
+      | Some (stop_time, progress) -> stop_segment t w ~stop_time ~progress
   end
 
 let on_preempt_stop t (w : worker) ~epoch =
@@ -844,6 +859,8 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
             seg_start_ns = 0;
             seg_start_progress = 0;
             completion_at = 0;
+            complete_timer = Sim.no_timer;
+            quantum_timer = Sim.no_timer;
             stop_progress = 0;
             local = Local_queue.create ~capacity:(Config.jbsq_depth config - 1);
             sq_waiting = true;

@@ -91,9 +91,17 @@ let test_sim_run_zero_alloc () =
   let events = 100_000 in
   let sim = Sim.create ~capacity:16 () in
   let left = ref events in
+  (* Every event also cancels the timer the previous one armed, the way a
+     completion cancels its segment's quantum; none of them ever fires. *)
+  let timer = ref Sim.no_timer in
   let handler s (_ : int) =
     decr left;
-    if !left > 0 then Sim.schedule_after s ~delay:1 0
+    Sim.cancel s !timer;
+    timer := Sim.no_timer;
+    if !left > 0 then begin
+      Sim.schedule_after s ~delay:1 0;
+      timer := Sim.arm_after s ~delay:2 1
+    end
   in
   (* Warm run: pay one-time costs (closure specialisation, lazy init). *)
   Sim.schedule_at sim ~time:(Sim.now sim) 0;
@@ -131,6 +139,31 @@ let test_heap_churn_zero_alloc () =
   let net = a1 -. a0 -. overhead in
   if net > slack_bytes then
     Alcotest.failf "Heap churn allocated %.0f bytes over %d add+pop pairs; expected 0" net
+      iters
+
+(* Cancel churn: each step removes one of 512 pending entries through its
+   handle and adds its replacement, the arm-and-cancel pattern of a worker's
+   quantum. *)
+let test_heap_remove_churn_zero_alloc () =
+  let iters = 100_000 in
+  let h = Heap.create ~capacity:1024 () in
+  let handles = Array.init 512 (fun i -> Heap.add_removable h ~key:(i * 7919 mod 1000) i) in
+  let churn () =
+    for i = 1 to iters do
+      let j = i land 511 in
+      Heap.remove h handles.(j);
+      handles.(j) <- Heap.add_removable h ~key:(i * 7919 mod 1000) j
+    done
+  in
+  churn ();
+  (* pre-sized, warmed *)
+  let overhead = probe_overhead () in
+  let a0 = Gc.allocated_bytes () in
+  churn ();
+  let a1 = Gc.allocated_bytes () in
+  let net = a1 -. a0 -. overhead in
+  if net > slack_bytes then
+    Alcotest.failf "Heap churn allocated %.0f bytes over %d add+remove pairs; expected 0" net
       iters
 
 (* Write-barrier pin. The sifts move only [int] arrays and each add stores
@@ -247,6 +280,8 @@ let suite =
     Alcotest.test_case "Sim.run allocates zero words/event" `Quick test_sim_run_zero_alloc;
     Alcotest.test_case "Heap add+pop allocates zero words/op" `Quick
       test_heap_churn_zero_alloc;
+    Alcotest.test_case "Heap add+remove allocates zero words/op" `Quick
+      test_heap_remove_churn_zero_alloc;
     Alcotest.test_case "Heap churn forces no minor collections" `Quick
       test_heap_churn_no_forced_minor_gc;
     Alcotest.test_case "Discrete sampling allocation independent of entry count" `Quick

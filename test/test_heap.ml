@@ -114,17 +114,45 @@ let prop_conserves_elements =
       in
       List.sort compare (drain []) = List.init (List.length keys) (fun i -> i))
 
+(* A handle stays dead once its entry pops or is removed, even after a
+   later entry takes over the freed slot (the very next add does). *)
+let test_remove_dead_handle () =
+  let h = Heap.create ~capacity:1 () in
+  let dead hd =
+    Alcotest.check_raises "dead handle" (Invalid_argument "Heap.remove: handle is not pending")
+      (fun () -> Heap.remove h hd)
+  in
+  let a = Heap.add_removable h ~key:1 "a" in
+  ignore (Heap.pop h);
+  dead a;
+  let b = Heap.add_removable h ~key:2 "b" in
+  dead a;
+  check "the slot's new entry survives" 1 (Heap.length h);
+  Heap.remove h b;
+  dead b;
+  let c = Heap.add_removable h ~key:3 "c" in
+  Heap.clear h;
+  ignore (Heap.add_removable h ~key:4 "d");
+  dead c;
+  dead (-1);
+  check "only d is left" 1 (Heap.length h)
+
 (* Model test: random scripts run against a reference list kept sorted by
    (key, insertion order). Keys come from a small range so ties are common,
-   and the heap starts at capacity 1, so it grows after pops have already
-   permuted its slot array. Every popped (key, value) must match the model,
-   and after every step [iter] must visit exactly the model's multiset. *)
-type op = Add of int | Pop | Pop_unsafe | Clear | Iter
+   and the heap starts at capacity 1, so it grows after pops and removals
+   have already permuted its slot array. Every popped (key, value) must
+   match the model, and after every step [iter] must visit exactly the
+   model's multiset. [Remove i] removes the model's i-th entry (mod its
+   length) through its handle; [Remove_dead i] retries a handle whose entry
+   already popped, was removed or was cleared, which must raise. *)
+type op = Add of int | Pop | Pop_unsafe | Remove of int | Remove_dead of int | Clear | Iter
 
 let show_op = function
   | Add k -> Printf.sprintf "add %d" k
   | Pop -> "pop"
   | Pop_unsafe -> "pop_unsafe"
+  | Remove i -> Printf.sprintf "remove #%d" i
+  | Remove_dead i -> Printf.sprintf "remove dead #%d" i
   | Clear -> "clear"
   | Iter -> "iter"
 
@@ -136,6 +164,8 @@ let arb_script =
           (6, map (fun k -> Add k) (int_bound 7));
           (3, return Pop);
           (2, return Pop_unsafe);
+          (3, map (fun i -> Remove i) small_nat);
+          (1, map (fun i -> Remove_dead i) small_nat);
           (1, return Iter);
           (1, return Clear);
         ])
@@ -147,6 +177,13 @@ let prop_matches_sorted_model =
     arb_script (fun script ->
       let h = Heap.create ~capacity:1 () in
       let model = ref [] and next = ref 0 in
+      let handles = Hashtbl.create 16 and dead = ref [] in
+      (* the entry holding [v] left the heap, so its handle is dead *)
+      let retire v =
+        dead := Hashtbl.find handles v :: !dead;
+        Hashtbl.remove handles v
+      in
+      let nth l i = List.nth l (i mod List.length l) in
       (* after every entry with a smaller or equal key: FIFO among ties *)
       let rec insert k v = function
         | ((k', _) as e) :: rest when k' <= k -> e :: insert k v rest
@@ -155,8 +192,9 @@ let prop_matches_sorted_model =
       let pop_model () =
         match !model with
         | [] -> None
-        | e :: rest ->
+        | ((_, v) as e) :: rest ->
           model := rest;
+          retire v;
           Some e
       in
       let visited () =
@@ -168,17 +206,36 @@ let prop_matches_sorted_model =
         | Add k ->
           let v = !next in
           incr next;
-          Heap.add h ~key:k v;
+          Hashtbl.replace handles v (Heap.add_removable h ~key:k v);
           model := insert k v !model;
           true
-        | Pop -> Heap.pop h = pop_model ()
+        | Pop ->
+          let expected = pop_model () in
+          Heap.pop h = expected
         | Pop_unsafe -> (
           match pop_model () with
           | None -> (
             match Heap.pop_unsafe h with _ -> false | exception Invalid_argument _ -> true)
           | Some (k, v) -> Heap.unsafe_min_key h = k && Heap.pop_unsafe h = v)
+        | Remove i -> (
+          match !model with
+          | [] -> true
+          | l ->
+            let _, v = nth l i in
+            Heap.remove h (Hashtbl.find handles v);
+            model := List.filter (fun (_, v') -> v' <> v) l;
+            retire v;
+            true)
+        | Remove_dead i -> (
+          match !dead with
+          | [] -> true
+          | l -> (
+            match Heap.remove h (nth l i) with
+            | () -> false
+            | exception Invalid_argument _ -> true))
         | Clear ->
           Heap.clear h;
+          List.iter (fun (_, v) -> retire v) !model;
           model := [];
           true
         | Iter -> List.length (visited ()) = Heap.length h
@@ -201,6 +258,7 @@ let suite =
     Alcotest.test_case "iter visits every entry" `Quick test_iter;
     Alcotest.test_case "grows past initial capacity" `Quick test_growth;
     Alcotest.test_case "unsafe accessors" `Quick test_unsafe_accessors;
+    Alcotest.test_case "removing a dead handle raises" `Quick test_remove_dead_handle;
     QCheck_alcotest.to_alcotest prop_unsafe_matches_pop;
     QCheck_alcotest.to_alcotest prop_pop_sorted;
     QCheck_alcotest.to_alcotest prop_conserves_elements;

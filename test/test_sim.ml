@@ -111,6 +111,30 @@ let test_capacity_and_events_processed () =
   Alcotest.(check int) "accumulates across runs" 100 (Sim.events_processed sim);
   Alcotest.(check int) "drained" 0 (Sim.pending sim)
 
+(* A cancelled event never fires and is not counted; the events around it
+   keep their order, and a timer cancels at most once. *)
+let test_cancel () =
+  let sim = Sim.create ~capacity:1 () in
+  let a = Sim.arm_at sim ~time:10 "a" in
+  Sim.schedule_at sim ~time:10 "b";
+  let c = Sim.arm_after sim ~delay:5 "c" in
+  let d = Sim.arm_at sim ~time:10 "d" in
+  Sim.schedule_at sim ~time:20 "e";
+  Sim.cancel sim a;
+  Sim.cancel sim d;
+  Sim.cancel sim Sim.no_timer;
+  Alcotest.(check int) "cancelled events leave the queue" 3 (Sim.pending sim);
+  let stale = Invalid_argument "Sim.cancel: timer already fired or cancelled" in
+  Alcotest.check_raises "cancelling twice raises" stale (fun () -> Sim.cancel sim a);
+  Alcotest.(check (list (pair int string)))
+    "cancelled events never fire"
+    [ (5, "c"); (10, "b"); (20, "e") ]
+    (run_collect sim);
+  Alcotest.(check int) "only fired events are counted" 3 (Sim.events_processed sim);
+  Alcotest.check_raises "cancelling a fired timer raises" stale (fun () -> Sim.cancel sim c);
+  Alcotest.check_raises "arm_at checks its time" (Invalid_argument "Sim.arm_at: time is in the past")
+    (fun () -> ignore (Sim.arm_at sim ~time:0 "late"))
+
 let prop_trace_is_time_sorted =
   QCheck.Test.make ~count:200 ~name:"any schedule produces a nondecreasing clock trace"
     QCheck.(list_of_size (Gen.int_range 0 50) (int_range 0 1000))
@@ -136,5 +160,6 @@ let suite =
       test_out_of_range_time_rejected;
     Alcotest.test_case "capacity hint and events_processed" `Quick
       test_capacity_and_events_processed;
+    Alcotest.test_case "cancelled events never fire" `Quick test_cancel;
     QCheck_alcotest.to_alcotest prop_trace_is_time_sorted;
   ]
