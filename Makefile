@@ -1,6 +1,6 @@
 # Tier-1 verification in one command.
 .PHONY: all check build test bench bench-json bench-json-quick bench-e2e bench-e2e-compare \
-	bench-e2e-pairs \
+	bench-e2e-pairs profile \
 	trace-smoke cluster-smoke \
 	verify-probes-smoke policy-smoke hedge-smoke raft-smoke par-smoke model-smoke lint clean
 
@@ -156,6 +156,23 @@ bench-e2e-pairs:
 		echo "usage: make bench-e2e-pairs A=old.exe B=new.exe W=WORKLOAD [N=10] [SEED=42] [SECS=4]" >&2; \
 		exit 2; fi
 	sh tools/bench_pairs.sh $(A) $(B) $(W) $(N) $(SEED) $(SECS)
+
+# Flat PC-sampling profile of one bench/e2e workload: tools/sprof.c, preloaded
+# into bench_e2e.exe, samples the main thread (the main domain; other
+# domains are not sampled) at 10 kHz on the monotonic clock over one
+# SECS-second window at SEED, and tools/sprof_report.sh prints the
+# per-function and per-module table. The samples stay in
+# _build/sprof/WORKLOAD.prof. Not part of `make check`.
+profile:
+	@if [ -z "$(W)" ]; then \
+		echo "usage: make profile W=WORKLOAD [SEED=42] [SECS=4]" >&2; exit 2; fi
+	dune build bench/e2e/bench_e2e.exe
+	mkdir -p _build/sprof
+	cc -O2 -shared -fPIC -o _build/sprof/sprof.so tools/sprof.c
+	SPROF_OUT=_build/sprof/$(W).prof LD_PRELOAD=$(CURDIR)/_build/sprof/sprof.so \
+		_build/default/bench/e2e/bench_e2e.exe --workload $(W) --seed $(SEED) \
+		--seconds $(SECS) --trace 0 > /dev/null
+	sh tools/sprof_report.sh _build/sprof/$(W).prof
 
 clean:
 	dune clean

@@ -112,6 +112,17 @@ let resolve ?policy ~system ~workload ~quantum ~workers () =
           exit 1
         | Ok config -> (config, mix))))
 
+(* Every --rate flag is in kRps. A rate the run entry points would reject
+   (NaN, infinite, not positive, or so small that the mean gap overflows)
+   is an ordinary error, reported with the library's message. *)
+let rate_rps_of_krps krps =
+  let rate_rps = krps *. 1e3 in
+  match Concord.Arrival.validate (Concord.Arrival.Poisson { rate_rps }) with
+  | () -> rate_rps
+  | exception Invalid_argument e ->
+    prerr_endline e;
+    exit 1
+
 (* ---- sweep ----------------------------------------------------------- *)
 
 let sweep_cmd =
@@ -173,7 +184,9 @@ let run_cmd =
         Some (Repro_runtime.Tracing.create ~capacity:(max 65_536 (n_requests * 64)) ())
       else None
     in
-    let s = Concord.run ~config ~mix ~rate_rps:(rate *. 1e3) ~n_requests ~seed ?tracer () in
+    let s =
+      Concord.run ~config ~mix ~rate_rps:(rate_rps_of_krps rate) ~n_requests ~seed ?tracer ()
+    in
     Printf.printf "%s\n" (Concord.Config.describe config);
     Printf.printf "workload: %s, offered %.1f kRps\n" mix.Concord.Mix.name rate;
     print_endline Concord.Metrics.summary_header;
@@ -247,7 +260,7 @@ let replicate_cmd =
   let action system workload quantum workers instances rate n_requests seed =
     let config, mix = resolve ~system ~workload ~quantum ~workers () in
     let s =
-      Repro_cluster.Replication.run ~instances ~config ~mix ~rate_rps:(rate *. 1e3)
+      Repro_cluster.Replication.run ~instances ~config ~mix ~rate_rps:(rate_rps_of_krps rate)
         ~n_requests ~seed ()
     in
     Printf.printf "%d x { %s }\n" instances (Concord.Config.describe config);
@@ -513,7 +526,9 @@ let raft_cmd =
           Some (Repro_runtime.Tracing.create ~capacity:(max 65_536 (n_requests * 64)) ())
         else None
       in
-      let rate_rps = match rate with Some k -> k *. 1e3 | None -> 0.4 *. capacity_rps in
+      let rate_rps =
+        match rate with Some k -> rate_rps_of_krps k | None -> 0.4 *. capacity_rps
+      in
       let s = run_at ?tracer rate_rps in
       describe ();
       Printf.printf "workload: %s, offered %.1f kRps (%.0f%% of direct capacity)\n"
@@ -605,7 +620,7 @@ let raft_study_cmd =
         prerr_endline e;
         exit 1
     in
-    let rate_rps = rate *. 1e3 in
+    let rate_rps = rate_rps_of_krps rate in
     let arrival = Concord.Arrival.Poisson { rate_rps } in
     (* The direct baseline is the same machinery with consensus off the
        path: one member, reads only, served straight from its lease. *)
@@ -834,7 +849,7 @@ let cluster_cmd =
       float_of_int total_workers /. Concord.Mix.mean_service_ns mix *. 1e9
     in
     let rate_rps =
-      match rate with Some k -> k *. 1e3 | None -> 0.75 *. capacity_rps
+      match rate with Some k -> rate_rps_of_krps k | None -> 0.75 *. capacity_rps
     in
     let describe () =
       Printf.printf "rack: %d x { %s }, policy %s, rtt %d cycles%s%s%s\n" instances
@@ -1158,7 +1173,7 @@ let sls_cmd =
     in
     let s =
       Sls.run ~config ~mix
-        ~arrival:(Concord.Arrival.Poisson { rate_rps = rate *. 1e3 })
+        ~arrival:(Concord.Arrival.Poisson { rate_rps = rate_rps_of_krps rate })
         ~n_requests ~seed ()
     in
     Printf.printf "%s on %s at %.1f kRps\n" config.Sls.name mix.Concord.Mix.name rate;
@@ -1220,7 +1235,7 @@ let trace_cmd =
     in
     let (_ : Concord.Metrics.summary) =
       Repro_runtime.Server.run ~config ~mix
-        ~arrival:(Concord.Arrival.Poisson { rate_rps = rate *. 1e3 })
+        ~arrival:(Concord.Arrival.Poisson { rate_rps = rate_rps_of_krps rate })
         ~n_requests ~seed ~tracer ()
     in
     let entries =
@@ -1405,7 +1420,7 @@ let overheads_cmd =
     in
     let rows =
       Repro_runtime.Breakdown.run_systems ?systems ~workload:mix ?n_workers:workers
-        ~rate_rps:(rate *. 1e3) ~n_requests ~seed ()
+        ~rate_rps:(rate_rps_of_krps rate) ~n_requests ~seed ()
     in
     Printf.printf "mean per-request latency breakdown, %s at %.1f kRps (ns)\n"
       mix.Concord.Mix.name rate;

@@ -893,6 +893,7 @@ let run_detailed ~cluster ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
     ?(drain_cap_ns = 400_000_000) ?(seed = 42) ?tracer ?on_decision ?events_out
     ?(engine = Par_sim.Seq) () =
   if n_requests < 1 then invalid_arg "Cluster.run: need at least one request";
+  Arrival.validate arrival;
   match resolve_engine ~cluster ~tracer ~on_decision engine with
   | Par_sim.Par { domains } ->
     run_par ~cluster ~mix ~arrival ~n_requests ~warmup_frac ~drain_cap_ns ~seed ~events_out

@@ -21,11 +21,23 @@
    write barrier. It lets [remove] find a pending entry in O(1).
 
    Handles. A handle packs an entry's slot (low [slot_bits] bits) with the
-   low 32 bits of its seq. It is pending iff its slot sits below [size] and
-   the entry there has that seq. A freed slot is the next one [add] takes,
-   so the seq is what tells a fired or removed entry from a later one in
-   the same slot; seqs are never reset, so this holds until the heap has
-   taken 2^32 more entries. *)
+   low 32 bits of its seq. It is pending iff its slot sits below [size],
+   not in an open hole (below), and the entry there has that seq. A freed
+   slot is the next one [add] takes, so the seq is what tells a fired or
+   removed entry from a later one in the same slot; seqs are never reset,
+   so this holds until the heap has taken 2^32 more entries.
+
+   Hole at the root. [take_min] frees the root and leaves position 0 empty
+   ([hole]) instead of refilling it from the last entry. An event handler
+   usually schedules a near-future event next: [add] drops it into the
+   hole and sifts it down from the root, where it stops within a level or
+   two, instead of a pop sifting the last entry all the way down and the
+   push sifting back up. [remove] works around the hole; every other
+   operation first settles it, refilling it from the last entry as a pop
+   does. While the hole is open, [size] counts it, [slots.(0)] holds a
+   free slot, and [keys.(0)]/[seqs.(0)] still hold the taken entry's
+   (key, seq), which orders before every entry left, so no sift ever
+   moves an entry into the hole. *)
 
 type 'a t = {
   mutable keys : int array;
@@ -33,7 +45,8 @@ type 'a t = {
   mutable slots : int array;
   mutable pos : int array;
   mutable vals : 'a array;
-  mutable size : int;
+  mutable size : int; (* positions in use, an open hole included *)
+  mutable hole : bool; (* position 0 is empty: [take_min] freed it *)
   mutable next_seq : int;
 }
 
@@ -53,11 +66,9 @@ let create ?(capacity = 64) () =
     pos = Array.init capacity Fun.id;
     vals = [||];
     size = 0;
+    hole = false;
     next_seq = 0;
   }
-
-let length h = h.size
-let is_empty h = h.size = 0
 
 (* Called only when full, so [slots] is a permutation of [0 .. old-1] and
    every old slot of [vals] is live. The new tail's slots sit at their own
@@ -139,22 +150,6 @@ let rec sift_down h key seq s i =
   end
   else place h key seq s i
 
-let add_removable h ~key v =
-  if Array.length h.vals = 0 then h.vals <- Array.make (Array.length h.keys) v
-  else if h.size = Array.length h.keys then grow h v;
-  let i = h.size in
-  let s = Array.unsafe_get h.slots i in
-  Array.unsafe_set h.vals s v;
-  let seq = h.next_seq in
-  h.next_seq <- seq + 1;
-  h.size <- i + 1;
-  sift_up h key seq s i;
-  ((seq land tag_mask) lsl slot_bits) lor s
-
-let add h ~key v = ignore (add_removable h ~key v : handle)
-
-let min_key h = if h.size = 0 then None else Some h.keys.(0)
-
 (* Frees the entry at position [i] and returns its slot. The last entry
    fills the hole, sifted up or down from [i], and the freed slot is parked
    at the vacated position [n], the head of the free region. *)
@@ -173,24 +168,96 @@ let remove_at h i =
   Array.unsafe_set h.pos s n;
   s
 
+(* Refill an open hole from the last entry, as [pop_unsafe] removes a
+   root. *)
+let refill h =
+  h.hole <- false;
+  ignore (remove_at h 0 : int)
+
+(* Every operation but [add] and [remove] starts here, so only the test is
+   inlined; the refill is the rare path. *)
+let[@inline] settle h = if h.hole then refill h
+
+let length h =
+  settle h;
+  h.size
+
+let is_empty h =
+  settle h;
+  h.size = 0
+
+let add_removable h ~key v =
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  let s =
+    if h.hole then begin
+      (* The hole's slot is the one a pop would have freed for this add. *)
+      h.hole <- false;
+      let s = Array.unsafe_get h.slots 0 in
+      Array.unsafe_set h.vals s v;
+      sift_down h key seq s 0;
+      s
+    end
+    else begin
+      if Array.length h.vals = 0 then h.vals <- Array.make (Array.length h.keys) v
+      else if h.size = Array.length h.keys then grow h v;
+      let i = h.size in
+      let s = Array.unsafe_get h.slots i in
+      Array.unsafe_set h.vals s v;
+      h.size <- i + 1;
+      sift_up h key seq s i;
+      s
+    end
+  in
+  ((seq land tag_mask) lsl slot_bits) lor s
+
+let add h ~key v = ignore (add_removable h ~key v : handle)
+
+let min_key h = if is_empty h then None else Some h.keys.(0)
+
+(* With the hole open, the removed entry sits below the root, and the last
+   entry that refills its position never sifts into the hole (see the top
+   of the file). Its freed slot then swaps with the hole's, so the free
+   slots come back in the order [pop_unsafe] and then [remove] would have
+   freed them. *)
 let remove h (hd : handle) =
   let s = hd land slot_mask in
   let i = if hd >= 0 && s < Array.length h.pos then Array.unsafe_get h.pos s else max_int in
-  if i >= h.size || Array.unsafe_get h.seqs i land tag_mask <> hd lsr slot_bits then
-    invalid_arg "Heap.remove: handle is not pending";
-  ignore (remove_at h i : int)
+  if
+    i >= h.size
+    || (i = 0 && h.hole)
+    || Array.unsafe_get h.seqs i land tag_mask <> hd lsr slot_bits
+  then invalid_arg "Heap.remove: handle is not pending";
+  let s = remove_at h i in
+  if h.hole then begin
+    let n = h.size and s0 = Array.unsafe_get h.slots 0 in
+    Array.unsafe_set h.slots 0 s;
+    Array.unsafe_set h.pos s 0;
+    Array.unsafe_set h.slots n s0;
+    Array.unsafe_set h.pos s0 n
+  end
 
 (* Non-allocating variants of [min_key]/[pop] for the event-loop hot path.
    Callers must guard with [is_empty]: on an empty heap [unsafe_min_key]
-   returns whatever stale key sits at position 0, and [pop_unsafe] raises. *)
-let unsafe_min_key h = Array.unsafe_get h.keys 0
+   returns whatever stale key sits at position 0, and [pop_unsafe] and
+   [take_min] raise. *)
+let unsafe_min_key h =
+  settle h;
+  Array.unsafe_get h.keys 0
 
 let pop_unsafe h =
+  settle h;
   if h.size = 0 then invalid_arg "Heap.pop_unsafe: empty";
   Array.unsafe_get h.vals (remove_at h 0)
 
+let take_min h =
+  settle h;
+  if h.size = 0 then invalid_arg "Heap.take_min: empty";
+  h.hole <- true;
+  Array.unsafe_get h.vals (Array.unsafe_get h.slots 0)
+
 let pop h =
-  if h.size = 0 then None
+  if is_empty h then None
   else begin
     let key = h.keys.(0) in
     let v = Array.unsafe_get h.vals (remove_at h 0) in
@@ -200,9 +267,12 @@ let pop h =
 (* [next_seq] is not reset, so no handle taken before the clear can match
    an entry added after it. Ties compare seqs only relative to each other,
    so later entries keep their FIFO order either way. *)
-let clear h = h.size <- 0
+let clear h =
+  h.hole <- false;
+  h.size <- 0
 
 let iter h ~f =
+  settle h;
   for i = 0 to h.size - 1 do
     f ~key:h.keys.(i) h.vals.(h.slots.(i))
   done

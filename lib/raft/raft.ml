@@ -290,6 +290,7 @@ let run_detailed ~raft ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
     ?(drain_cap_ns = 400_000_000) ?(seed = 42) ?tracer ?events_out
     ?(engine = Repro_engine.Par_sim.Seq) () =
   if n_requests < 1 then invalid_arg "Raft.run: need at least one request";
+  Arrival.validate arrival;
   (* Raft has no lookahead to exploit: consensus mini-requests, lease
      checks and commit-driven client injections all couple the protocol
      layer to co-located member instances at zero simulated delay (the

@@ -57,9 +57,9 @@ let record_completion t (r : Request.t) =
   t.completed <- t.completed + 1;
   if measured t r then begin
     t.measured_completions <- t.measured_completions + 1;
-    t.first_measured_ns <- min t.first_measured_ns r.completion_ns;
-    t.first_measured_arrival_ns <- min t.first_measured_arrival_ns r.arrival_ns;
-    t.last_measured_ns <- max t.last_measured_ns r.completion_ns;
+    t.first_measured_ns <- Int.min t.first_measured_ns r.completion_ns;
+    t.first_measured_arrival_ns <- Int.min t.first_measured_arrival_ns r.arrival_ns;
+    t.last_measured_ns <- Int.max t.last_measured_ns r.completion_ns;
     record_sample t r ~slowdown:(Request.slowdown r) ~sojourn_ns:(Request.sojourn_ns r)
   end
 

@@ -139,7 +139,7 @@ type t =
    behaviour. With exact estimates this equals [Request.remaining_ns]
    (which is >= 1 for any queued request), so [Srpt_noisy {sigma = 0.}]
    is bit-identical to [Srpt]. *)
-let estimated_remaining (r : Request.t) = max 1 (r.Request.estimate_ns - r.Request.done_ns)
+let estimated_remaining (r : Request.t) = Int.max 1 (r.Request.estimate_ns - r.Request.done_ns)
 
 let create = function
   | Fcfs -> List_queue { kind = Fcfs; q = Dlq.create () }

@@ -64,7 +64,7 @@ let defer_past_locks t p =
     if i >= n then p
     else begin
       let start, stop = t.lock_windows.(i) in
-      if p < start then p else if p < stop then min stop t.service_ns else scan (i + 1)
+      if p < start then p else if p < stop then Int.min stop t.service_ns else scan (i + 1)
     end
   in
   scan 0
@@ -73,4 +73,4 @@ let sojourn_ns t =
   if not (is_complete t) then invalid_arg "Request.sojourn_ns: not complete";
   t.completion_ns - t.arrival_ns
 
-let slowdown t = float_of_int (sojourn_ns t) /. float_of_int (max 1 t.service_ns)
+let slowdown t = float_of_int (sojourn_ns t) /. float_of_int (Int.max 1 t.service_ns)

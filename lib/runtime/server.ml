@@ -56,8 +56,6 @@ type worker = {
   mutable quantum_timer : Sim.timer; (* pending Ev_quantum, or Sim.no_timer *)
   mutable stop_progress : int; (* progress at the resolved preemption point *)
   local : Local_queue.t; (* JBSQ waiting slots (depth - 1) *)
-  mutable sq_waiting : bool; (* SQ: dispatcher knows this worker is free *)
-  mutable outstanding_view : int; (* JBSQ: dispatcher's slot accounting *)
   mutable gap_open_ns : int; (* completion time with backlog present, or -1 *)
   mutable busy_from : int; (* segment busy-accounting anchor *)
 }
@@ -90,6 +88,13 @@ type 'e t = {
   mech_rng : Rng.t;
   central : Policy.t;
   workers : worker array;
+  views : int array;
+      (* the dispatcher's count of requests it has handed each worker and
+         not yet had back (completion or requeue), capped at [depth]. SQ is
+         JBSQ of depth 1: a view of 0 there is a worker known to be free *)
+  mutable idle_views : int; (* workers whose view is 0 *)
+  depth : int; (* [Config.jbsq_depth]: 1 under SQ *)
+  jbsq : bool;
   disp : dispatcher;
   metrics : Metrics.t;
   live : (int, Request.t) Hashtbl.t; (* in-flight requests, for censoring *)
@@ -102,7 +107,6 @@ type 'e t = {
       (* fired exactly once per revoked leg, when the instance actually
          discards it; the partial progress left in [done_ns] is the
          balancer's wasted-work meter *)
-  cancel_ns : int; (* dispatcher cost of executing an Op_cancel *)
   mutable finished : int; (* completions, all owners *)
   (* size-estimate noise: sigma of the log-normal multiplier applied once
      at arrival when the policy is Srpt_noisy; 0.0 = exact demand and no
@@ -114,7 +118,15 @@ type 'e t = {
          otherwise (no draws, no stream perturbation either way) *)
   adaptive : Config.adaptive option;
   class_ewma : float array; (* per-class EWMA of completed service (ns); [||] unless adaptive *)
-  (* cached cost-model conversions (ns), pre-scaled by [speed] *)
+  (* cached cost-model conversions (ns), pre-scaled by [speed]; the
+     dispatcher ops' are what [op_cost_ns] charges *)
+  ingress_ns : int;
+  completion_ns : int;
+  requeue_ns : int;
+  signal_ns : int; (* Op_preempt_signal: IPI send or flag write *)
+  send_ns : int;
+  push_ns : int;
+  cancel_ns : int; (* Op_cancel *)
   quantum_ns : int;
   cswitch_ns : int;
   receive_ns : int;
@@ -129,10 +141,9 @@ type 'e t = {
 (* Straggler scaling: a slow instance pays proportionally more wall time
    for the same cycle budget, both in its dispatcher micro-ops and in
    application execution. [speed = 1.0] is the exact identity. *)
-let scale_ns t n =
-  if t.speed = 1.0 then n else int_of_float (ceil (float_of_int n *. t.speed))
-
-let ns t cycles = scale_ns t (Costs.ns_of t.config.costs cycles)
+let scaled_ns costs ~speed cycles =
+  let n = Costs.ns_of costs cycles in
+  if speed = 1.0 then n else int_of_float (ceil (float_of_int n *. speed))
 
 let trace t ~request kind =
   match t.tracer with
@@ -156,8 +167,8 @@ let discard_cancelled t (req : Request.t) =
 (* Progress (un-instrumented ns) a segment has accumulated by wall time
    [at], given its start anchors and instrumentation multiplier. *)
 let progress_at ~seg_start_ns ~seg_start_progress ~mult ~service at =
-  let wall = max 0 (at - seg_start_ns) in
-  min service (seg_start_progress + int_of_float (float_of_int wall /. mult))
+  let wall = Int.max 0 (at - seg_start_ns) in
+  Int.min service (seg_start_progress + int_of_float (float_of_int wall /. mult))
 
 (* Wall time at which a segment reaches progress [p]. *)
 let time_of_progress ~seg_start_ns ~seg_start_progress ~mult p =
@@ -181,7 +192,8 @@ let resolve_stop t (req : Request.t) ~seg_start_ns ~seg_start_progress ~mult ~co
     if p' >= req.Request.service_ns then None
     else begin
       let stop_time =
-        if p' = p then max candidate (time_of_progress ~seg_start_ns ~seg_start_progress ~mult p)
+        if p' = p then
+          Int.max candidate (time_of_progress ~seg_start_ns ~seg_start_progress ~mult p)
         else time_of_progress ~seg_start_ns ~seg_start_progress ~mult p'
       in
       if stop_time >= completion_at then None else Some (stop_time, p')
@@ -213,31 +225,38 @@ let effective_quantum_ns t (req : Request.t) =
     let c = req.Request.class_id in
     let q =
       if c >= 0 && c < Array.length t.class_ewma && t.class_ewma.(c) > 0.0 then
-        min q (int_of_float (2.0 *. t.class_ewma.(c)))
+        Int.min q (int_of_float (2.0 *. t.class_ewma.(c)))
       else q
     in
-    max min_quantum_ns q
+    Int.max min_quantum_ns q
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let op_cost_ns t = function
-  | Op_ingress _ -> ns t t.config.costs.disp_ingress_cycles
+  | Op_ingress _ -> t.ingress_ns
   | Op_ingress_batch ->
-    ns t (Costs.ingress_batch_cost_cycles t.config.costs ~batch:t.disp.batch_n)
-  | Op_completion _ ->
-    ns t (t.config.costs.disp_completion_cycles + t.config.costs.flag_propagation_cycles)
-  | Op_requeue _ -> ns t t.config.costs.disp_requeue_cycles
-  | Op_preempt_signal _ ->
-    if Mechanism.is_precise t.config.mechanism then ns t t.config.costs.disp_ipi_send_cycles
-    else ns t t.config.costs.disp_flag_write_cycles
-  | Op_send _ -> ns t t.config.costs.disp_send_cycles
-  | Op_push _ -> ns t (t.config.costs.disp_send_cycles + t.config.costs.disp_jbsq_pick_cycles)
+    scaled_ns t.config.costs ~speed:t.speed
+      (Costs.ingress_batch_cost_cycles t.config.costs ~batch:t.disp.batch_n)
+  | Op_completion _ -> t.completion_ns
+  | Op_requeue _ -> t.requeue_ns
+  | Op_preempt_signal _ -> t.signal_ns
+  | Op_send _ -> t.send_ns
+  | Op_push _ -> t.push_ns
   | Op_cancel _ -> t.cancel_ns
 
-let is_jbsq t = match t.config.queue_model with Config.Jbsq _ -> true | Config.Single_queue -> false
-let depth t = Config.jbsq_depth t.config
+(* The dispatcher hands worker [wid] one more request... *)
+let take_view t wid =
+  let v = t.views.(wid) in
+  if v = 0 then t.idle_views <- t.idle_views - 1;
+  t.views.(wid) <- v + 1
+
+(* ... or has one back: a completion, a requeue, or a revoked hand-off. *)
+let release_view t wid =
+  let v = t.views.(wid) in
+  if v = 1 then t.idle_views <- t.idle_views + 1;
+  t.views.(wid) <- Int.max 0 (v - 1)
 
 (* Cancellation leaves ghost entries behind: a revoked leg may still sit in
    the central policy, a local queue, or the saved-context buffer. Rather
@@ -270,65 +289,42 @@ let rec local_pop_live t (w : worker) =
   | Some req ->
     if req.Request.cancelled then begin
       discard_cancelled t req;
-      (* The slot this duplicate held in the dispatcher's JBSQ view must be
+      (* The slot this duplicate held in the dispatcher's view must be
          credited back, exactly as a completion would. *)
       Ring.push t.disp.ops (Op_completion w.wid);
       local_pop_live t w
     end
     else Some req
 
-(* Pick the drain action the dispatcher would perform next, if any:
-   hand a queued request to a free worker (SQ) or push to the shortest
-   per-worker queue with a free slot (JBSQ). *)
-(* Plain index loops: this runs after every dispatcher op, so the
-   ref-cell-and-closure scan it replaced was itself a per-event allocation. *)
+(* The worker with the fewest requests in the dispatcher's view, below
+   [depth]; the lowest index among ties. The scan stops at the first free
+   worker, since none can have fewer. -1 if every worker is full. *)
+let rec least_loaded t i best best_view =
+  if best_view = 0 || i >= Array.length t.views then best
+  else begin
+    let v = Array.unsafe_get t.views i in
+    if v < best_view then least_loaded t (i + 1) i v else least_loaded t (i + 1) best best_view
+  end
+
+(* Pick the drain action the dispatcher would perform next, if any: hand a
+   queued request to the least-loaded worker with a free slot, sending it
+   (SQ: the worker is idle) or pushing it to the worker's local queue
+   (JBSQ). *)
 let make_drain_op t =
   if Policy.is_empty t.central then None
-  else if is_jbsq t then begin
-    let workers = t.workers in
-    let n = Array.length workers in
-    let cap = depth t in
-    let best = ref (-1) in
-    let best_view = ref max_int in
-    for i = 0 to n - 1 do
-      let view = workers.(i).outstanding_view in
-      if view < cap && view < !best_view then begin
-        best := i;
-        best_view := view
-      end
-    done;
-    if !best < 0 then None
-    else begin
-      match pop_live t ~worker:!best with
-      | None -> None
-      | Some req ->
-        workers.(!best).outstanding_view <- workers.(!best).outstanding_view + 1;
-        Some (Op_push { worker = !best; req })
-    end
-  end
   else begin
-    let workers = t.workers in
-    let n = Array.length workers in
-    let waiting = ref (-1) in
-    (let i = ref 0 in
-     while !waiting < 0 && !i < n do
-       if workers.(!i).sq_waiting then waiting := !i;
-       incr i
-     done);
-    if !waiting < 0 then None
+    let worker = least_loaded t 0 (-1) t.depth in
+    if worker < 0 then None
     else begin
-      let waiting = !waiting in
-      match pop_live t ~worker:waiting with
+      match pop_live t ~worker with
       | None -> None
       | Some req ->
-        workers.(waiting).sq_waiting <- false;
-        Some (Op_send { worker = waiting; req })
+        take_view t worker;
+        Some (if t.jbsq then Op_push { worker; req } else Op_send { worker; req })
     end
   end
 
-let all_workers_busy_view t =
-  if is_jbsq t then Array.for_all (fun w -> w.outstanding_view >= 1) t.workers
-  else Array.for_all (fun w -> not w.sq_waiting) t.workers
+let all_workers_busy_view t = t.idle_views = 0
 
 (* Move consecutive pending ingress ops from the op ring into [buf],
    starting at slot [n]; stops at the batch limit or the first non-ingress
@@ -554,7 +550,7 @@ let fetch_next t (w : worker) ~switch_paid ~open_gap =
     (* The cnext gap only opens when work was genuinely waiting for this
        worker: in SQ mode any queued request is (the head of) its work; in
        JBSQ mode requests in flight to other workers' queues are not. *)
-    if open_gap && (not (is_jbsq t)) && not (Policy.is_empty t.central) then
+    if open_gap && (not t.jbsq) && not (Policy.is_empty t.central) then
       w.gap_open_ns <- Sim.now t.sim
     else w.gap_open_ns <- -1
 
@@ -717,10 +713,7 @@ let on_disp_op_done t =
       end
     done;
     d.batch_n <- 0
-  | Op_completion wid ->
-    let w = t.workers.(wid) in
-    if is_jbsq t then w.outstanding_view <- max 0 (w.outstanding_view - 1)
-    else w.sq_waiting <- true
+  | Op_completion wid -> release_view t wid
   | Op_requeue { req; from_worker } ->
     if req.Request.cancelled then discard_cancelled t req
     else begin
@@ -729,17 +722,12 @@ let on_disp_op_done t =
         trace t ~request:req.Request.id
           (Tracing.Requeued { queue_depth = Policy.length t.central })
     end;
-    if from_worker >= 0 then begin
-      let w = t.workers.(from_worker) in
-      if is_jbsq t then w.outstanding_view <- max 0 (w.outstanding_view - 1)
-      else w.sq_waiting <- true
-    end
+    if from_worker >= 0 then release_view t from_worker
   | Op_preempt_signal { worker; epoch } -> handle_preempt_signal t ~worker ~epoch
   | Op_send { worker; req } ->
-    let w = t.workers.(worker) in
     if req.Request.cancelled then begin
       (* Revoked while the hand-off op ran: the worker stays free. *)
-      w.sq_waiting <- true;
+      release_view t worker;
       discard_cancelled t req
     end
     else begin
@@ -747,15 +735,15 @@ let on_disp_op_done t =
         trace t ~request:req.Request.id
           (Tracing.Dispatched
              { worker; central_depth = Policy.length t.central; local_depth = 0; op_ns });
-      deliver t w req ~delay:(t.receive_ns + t.cswitch_ns)
+      deliver t t.workers.(worker) req ~delay:(t.receive_ns + t.cswitch_ns)
     end
   | Op_push { worker; req } ->
-    let w = t.workers.(worker) in
     if req.Request.cancelled then begin
-      w.outstanding_view <- max 0 (w.outstanding_view - 1);
+      release_view t worker;
       discard_cancelled t req
     end
     else begin
+      let w = t.workers.(worker) in
       let direct = w.cur = None in
       if t.tracing then begin
         let local_depth = if direct then 0 else Local_queue.length w.local + 1 in
@@ -811,10 +799,7 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
   | Some c when c < 0 -> invalid_arg "Server.Instance.create: cancel_cost_cycles must be >= 0"
   | _ -> ());
   let costs = config.Config.costs in
-  let scale n =
-    if speed_factor = 1.0 then n else int_of_float (ceil (float_of_int n *. speed_factor))
-  in
-  let ns cycles = scale (Costs.ns_of costs cycles) in
+  let ns = scaled_ns costs ~speed:speed_factor in
   let estimate_sigma =
     match config.Config.policy with
     | Policy.Srpt_noisy { sigma } -> sigma
@@ -835,6 +820,7 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
   let est_rng = if estimate_sigma > 0.0 then Rng.split rng else rng in
   (* Never dispatched: pads vacated ring slots and the idle [cur_op]. *)
   let dummy_op = Op_completion (-1) in
+  let n_workers = config.Config.n_workers in
   {
     sim;
     lift;
@@ -851,7 +837,7 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
       | None -> [||]);
     central = Policy.create config.Config.policy;
     workers =
-      Array.init config.Config.n_workers (fun wid ->
+      Array.init n_workers (fun wid ->
           {
             wid;
             epoch = 0;
@@ -863,11 +849,16 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
             quantum_timer = Sim.no_timer;
             stop_progress = 0;
             local = Local_queue.create ~capacity:(Config.jbsq_depth config - 1);
-            sq_waiting = true;
-            outstanding_view = 0;
             gap_open_ns = -1;
             busy_from = 0;
           });
+    views = Array.make n_workers 0;
+    idle_views = n_workers;
+    depth = Config.jbsq_depth config;
+    jbsq =
+      (match config.Config.queue_model with
+      | Config.Jbsq _ -> true
+      | Config.Single_queue -> false);
     disp =
       {
         ops = Ring.create ~capacity:64 ~dummy:dummy_op ();
@@ -886,6 +877,16 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
     tracing = tracer <> None;
     on_complete;
     on_cancelled;
+    finished = 0;
+    ingress_ns = ns costs.Costs.disp_ingress_cycles;
+    completion_ns = ns (costs.Costs.disp_completion_cycles + costs.Costs.flag_propagation_cycles);
+    requeue_ns = ns costs.Costs.disp_requeue_cycles;
+    signal_ns =
+      ns
+        (if Mechanism.is_precise config.Config.mechanism then costs.Costs.disp_ipi_send_cycles
+         else costs.Costs.disp_flag_write_cycles);
+    send_ns = ns costs.Costs.disp_send_cycles;
+    push_ns = ns (costs.Costs.disp_send_cycles + costs.Costs.disp_jbsq_pick_cycles);
     (* Default: killing a queued duplicate costs what a requeue costs — one
        dispatcher queue operation. *)
     cancel_ns =
@@ -893,7 +894,6 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
         (match cancel_cost_cycles with
         | Some c -> c
         | None -> costs.Costs.disp_requeue_cycles);
-    finished = 0;
     quantum_ns = config.Config.quantum_ns;
     cswitch_ns = ns costs.Costs.context_switch_cycles;
     receive_ns = ns costs.Costs.worker_receive_cycles;
@@ -1006,6 +1006,7 @@ type run_event = Rv_arrival | Rv_end | Rv_inst of event
 let run_detailed ~config ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
     ?(drain_cap_ns = 400_000_000) ?(seed = 42) ?tracer ?events_out () =
   Config.validate config;
+  Arrival.validate arrival;
   if n_requests < 1 then invalid_arg "Server.run: need at least one request";
   let master = Rng.create ~seed in
   let arrival_rng = Rng.split master in

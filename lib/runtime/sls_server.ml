@@ -294,6 +294,7 @@ let run ~config ~mix ~arrival ~n_requests ?(warmup_frac = 0.1) ?(drain_cap_ns = 
     ?(seed = 42) ?tracer () =
   if config.n_workers < 1 then invalid_arg "Sls_server.run: need at least one worker";
   if n_requests < 1 then invalid_arg "Sls_server.run: need at least one request";
+  Arrival.validate arrival;
   let master = Rng.create ~seed in
   (* Bind the derived streams in a fixed order (record-field evaluation
      order is unspecified); this also keeps the derivation identical to

@@ -19,6 +19,17 @@ let mean_gap_ns rate =
   if rate <= 0.0 then invalid_arg "Arrival: rate must be positive";
   1e9 /. rate
 
+(* A NaN rate passes [mean_gap_ns]'s test, and [int_of_float] turns its gap,
+   or one too large for an [int], into 0: every arrival would land at t=0. *)
+let validate t =
+  let rate = rate_rps t in
+  if not (Float.is_finite rate && rate > 0.0 && 1e9 /. rate < Float.of_int max_int) then
+    invalid_arg
+      (Printf.sprintf
+         "Arrival: rate %g rps is unusable: it must be finite and > 0, with a mean gap that \
+          fits in int ns"
+         rate)
+
 (* Round to nearest, not truncate: flooring every exponential gap drops
    half a nanosecond on average, so the realized rate sits measurably
    above nominal exactly at the high loads the sweeps probe. *)

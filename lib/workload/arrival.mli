@@ -28,6 +28,11 @@ type t =
 val rate_rps : t -> float
 (** Long-run offered load in requests per second. *)
 
+val validate : t -> unit
+(** Raises [Invalid_argument], with a message naming the rate, unless the
+    rate is finite and positive and its mean gap fits in an [int] of
+    nanoseconds. The run entry points call it once before simulating. *)
+
 val next_gap_ns : t -> Repro_engine.Rng.t -> index:int -> int
 (** Nanoseconds between arrival number [index] and arrival [index + 1]
     (both 0-based). Burst processes return 0 inside a batch. *)

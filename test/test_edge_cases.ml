@@ -194,6 +194,43 @@ let test_srpt_favors_short_requests () =
   Alcotest.(check bool) "srpt tightens the short-class tail" true
     (short_p999 srpt <= short_p999 fcfs +. 1e-9)
 
+(* A NaN rate used to put every arrival at t=0 (its gap truncates to 0),
+   as did a rate whose mean gap overflows an int; 0 and infinity died
+   mid-run. Each entry point now rejects all four before simulating, with
+   one message naming the rate. *)
+let test_bad_rates_rejected () =
+  let mix = fixed_mix 1_000 in
+  let config = Systems.concord ~n_workers:2 () in
+  let entry_points =
+    [
+      ( "Server",
+        fun arrival ->
+          ignore (Repro_runtime.Server.run ~config ~mix ~arrival ~n_requests:10 ()) );
+      ( "Cluster",
+        fun arrival ->
+          let cluster = Repro_cluster.Cluster.homogeneous ~instances:2 config in
+          ignore (Repro_cluster.Cluster.run ~cluster ~mix ~arrival ~n_requests:10 ()) );
+      ( "Raft",
+        fun arrival ->
+          let raft = Repro_raft.Raft.homogeneous ~nodes:3 config in
+          ignore (Repro_raft.Raft.run ~raft ~mix ~arrival ~n_requests:10 ()) );
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      List.iter
+        (fun (shown, rate_rps) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s rejects rate %s" name shown)
+            (Invalid_argument
+               (Printf.sprintf
+                  "Arrival: rate %s rps is unusable: it must be finite and > 0, with a mean gap \
+                   that fits in int ns"
+                  shown))
+            (fun () -> run (Arrival.Poisson { rate_rps })))
+        [ ("nan", Float.nan); ("0", 0.0); ("inf", Float.infinity); ("1e-300", 1e-300) ])
+    entry_points
+
 let suite =
   [
     Alcotest.test_case "heap interleaved stress" `Quick test_heap_interleaved_stress;
@@ -208,4 +245,5 @@ let suite =
     Alcotest.test_case "giant quantum = no preemption" `Quick test_huge_quantum_equals_no_preempt;
     Alcotest.test_case "burst arrivals" `Quick test_burst_arrivals_through_server;
     Alcotest.test_case "SRPT favors short requests" `Quick test_srpt_favors_short_requests;
+    Alcotest.test_case "bad arrival rates are rejected" `Quick test_bad_rates_rejected;
   ]

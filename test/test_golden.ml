@@ -1,5 +1,5 @@
 (* Guard rails for the hot-path work: (1) a golden matrix pinning headline
-   metrics of eight canonical runs to 17-significant-digit strings, so any
+   metrics of twelve canonical runs to 17-significant-digit strings, so any
    engine/runtime "optimisation" that perturbs simulation behaviour —
    event order, RNG draws, float arithmetic — fails loudly rather than
    silently shifting results; (2) allocation regression tests holding the
@@ -46,6 +46,91 @@ let golden_cluster =
     ("concord", "p50=2.0699999999999998 p99=4.0179999999999998 goodput=2824622.3375319079");
     ("concord-uipi", "p50=2.1379999999999999 p99=4.1079999999999997 goodput=2788590.7391934362");
   ]
+
+let poisson rate_rps = Repro_workload.Arrival.Poisson { rate_rps }
+
+let rack_hedged name =
+  let module Cluster = Repro_cluster.Cluster in
+  let config =
+    match Repro_runtime.Systems.by_name name with
+    | Some make -> make ~n_workers:4 ()
+    | None -> Alcotest.failf "unknown system %s" name
+  in
+  let cluster =
+    Cluster.homogeneous ~policy:Repro_cluster.Lb_policy.Po2c ~rtt_cycles:5000
+      ~stragglers:[ (3, 8.0) ]
+      ~hedge:(Repro_cluster.Hedge.Percentile { pct = 99.0 })
+      ~instances:4 config
+  in
+  let events = ref 0 in
+  let s, _ =
+    Cluster.run_detailed ~cluster ~mix:Repro_workload.Presets.ycsb_a ~arrival:(poisson 160e3)
+      ~n_requests:3_000 ~events_out:events ()
+  in
+  Printf.sprintf "%s events=%d preemptions=%d hedges=%d wins=%d cancels=%d wasted_ns=%d"
+    (fingerprint s.Cluster.cluster) !events s.Cluster.cluster.Repro_runtime.Metrics.preemptions
+    s.Cluster.hedges s.Cluster.hedge_wins s.Cluster.hedge_cancels s.Cluster.hedge_wasted_ns
+
+let gittins_ycsb () =
+  let mix = Repro_workload.Presets.ycsb_a in
+  let policy =
+    match Repro_runtime.Policy.of_spec "gittins" ~mix with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let config = { (config_of "concord") with Repro_runtime.Config.policy } in
+  let events = ref 0 in
+  let s, _ =
+    Repro_runtime.Server.run_detailed ~config ~mix ~arrival:(poisson 250e3) ~n_requests:3_000
+      ~events_out:events ()
+  in
+  Printf.sprintf "%s events=%d preemptions=%d" (fingerprint s) !events
+    s.Repro_runtime.Metrics.preemptions
+
+let raft_3node () =
+  let module Raft = Repro_raft.Raft in
+  let raft = Raft.homogeneous ~nodes:3 (config_of "concord") in
+  let events = ref 0 in
+  let s, _ =
+    Raft.run_detailed ~raft ~mix:Repro_workload.Presets.usr ~arrival:(poisson 20e3)
+      ~n_requests:2_000 ~events_out:events ()
+  in
+  let preemptions =
+    Array.fold_left
+      (fun acc (m : Repro_runtime.Metrics.summary) -> acc + m.Repro_runtime.Metrics.preemptions)
+      0 s.Raft.per_node
+  in
+  Printf.sprintf "%s events=%d committed=%d writes=%d member_preemptions=%d"
+    (fingerprint s.Raft.client) !events s.Raft.committed s.Raft.writes preemptions
+
+(* Paths the USR rows above never reach, each pinned with its event count:
+   a straggler's scaled op costs, hedge legs revoked while a JBSQ push
+   (concord) or an SQ hand-off (shinjuku) is in flight, the Gittins queue
+   under deep preemption, and a Raft group's consensus mini-requests. The
+   racks have 4 workers per server, so a revoked leg whose worker slot was
+   never credited back would visibly starve its server. Captured before
+   the dispatcher precomputed its op costs and replaced the per-worker SQ
+   flag and JBSQ count with one array of views. *)
+let test_golden_paths () =
+  List.iter
+    (fun (name, run, expected) -> Alcotest.(check string) name expected (run ()))
+    [
+      ( "rack-hedged/concord",
+        (fun () -> rack_hedged "concord"),
+        "p50=2.6099999999999999 p99=17.499310000000001 goodput=153789.06349010608 \
+         events=283638 preemptions=36940 hedges=122 wins=101 cancels=122 wasted_ns=4282342" );
+      ( "rack-hedged/shinjuku",
+        (fun () -> rack_hedged "shinjuku"),
+        "p50=2.5899999999999999 p99=25.343 goodput=147650.67272654193 events=262850 \
+         preemptions=34022 hedges=123 wins=119 cancels=123 wasted_ns=3808356" );
+      ( "gittins/ycsb-a",
+        gittins_ycsb,
+        "p50=2.14222 p99=13.557 goodput=257867.29232275588 events=187038 preemptions=24017" );
+      ( "raft-3node",
+        raft_3node,
+        "p50=1.77 p99=1599.05 goodput=20588.869579325245 events=721057 committed=965 \
+         writes=965 member_preemptions=97985" );
+    ]
 
 let test_golden_standalone () =
   List.iter
@@ -277,6 +362,7 @@ let suite =
     Alcotest.test_case "branching-IR overhead bit-identical" `Quick
       test_golden_branching_overhead;
     Alcotest.test_case "cluster metrics bit-identical to seed" `Quick test_golden_cluster;
+    Alcotest.test_case "hedged, Gittins and Raft runs bit-identical" `Quick test_golden_paths;
     Alcotest.test_case "Sim.run allocates zero words/event" `Quick test_sim_run_zero_alloc;
     Alcotest.test_case "Heap add+pop allocates zero words/op" `Quick
       test_heap_churn_zero_alloc;

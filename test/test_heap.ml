@@ -135,7 +135,17 @@ let test_remove_dead_handle () =
   ignore (Heap.add_removable h ~key:4 "d");
   dead c;
   dead (-1);
-  check "only d is left" 1 (Heap.length h)
+  check "only d is left" 1 (Heap.length h);
+  (* [take_min] leaves g's slot empty at the root: g's handle is dead while
+     the hole is open, and stays dead once an add fills the hole. *)
+  let e = Heap.add_removable h ~key:5 "e" in
+  let g = Heap.add_removable h ~key:0 "g" in
+  Alcotest.(check string) "take_min takes the minimum" "g" (Heap.take_min h);
+  dead g;
+  ignore (Heap.add_removable h ~key:6 "f");
+  dead g;
+  Heap.remove h e;
+  check "d and f are left" 2 (Heap.length h)
 
 (* Model test: random scripts run against a reference list kept sorted by
    (key, insertion order). Keys come from a small range so ties are common,
@@ -144,28 +154,47 @@ let test_remove_dead_handle () =
    match the model, and after every step [iter] must visit exactly the
    model's multiset. [Remove i] removes the model's i-th entry (mod its
    length) through its handle; [Remove_dead i] retries a handle whose entry
-   already popped, was removed or was cleared, which must raise. *)
-type op = Add of int | Pop | Pop_unsafe | Remove of int | Remove_dead of int | Clear | Iter
+   already popped, was removed or was cleared, which must raise.
+   [Take_min ops] takes the minimum like [Pop_unsafe] but leaves the root
+   empty, then runs [ops] (adds and removes) with the hole still open; the
+   checks after the step settle it. *)
+type op =
+  | Add of int
+  | Pop
+  | Pop_unsafe
+  | Take_min of op list
+  | Remove of int
+  | Remove_dead of int
+  | Clear
+  | Iter
 
-let show_op = function
+let rec show_op = function
   | Add k -> Printf.sprintf "add %d" k
   | Pop -> "pop"
   | Pop_unsafe -> "pop_unsafe"
+  | Take_min ops -> Printf.sprintf "take_min [%s]" (String.concat "; " (List.map show_op ops))
   | Remove i -> Printf.sprintf "remove #%d" i
   | Remove_dead i -> Printf.sprintf "remove dead #%d" i
   | Clear -> "clear"
   | Iter -> "iter"
 
 let arb_script =
+  let add = QCheck.Gen.map (fun k -> Add k) (QCheck.Gen.int_bound 7)
+  and remove = QCheck.Gen.map (fun i -> Remove i) QCheck.Gen.small_nat
+  and remove_dead = QCheck.Gen.map (fun i -> Remove_dead i) QCheck.Gen.small_nat in
+  let in_hole =
+    QCheck.Gen.(list_size (int_range 0 3) (frequency [ (3, add); (2, remove); (1, remove_dead) ]))
+  in
   let op =
     QCheck.Gen.(
       frequency
         [
-          (6, map (fun k -> Add k) (int_bound 7));
+          (6, add);
           (3, return Pop);
           (2, return Pop_unsafe);
-          (3, map (fun i -> Remove i) small_nat);
-          (1, map (fun i -> Remove_dead i) small_nat);
+          (3, map (fun ops -> Take_min ops) in_hole);
+          (3, remove);
+          (1, remove_dead);
           (1, return Iter);
           (1, return Clear);
         ])
@@ -202,7 +231,7 @@ let prop_matches_sorted_model =
         Heap.iter h ~f:(fun ~key v -> acc := (key, v) :: !acc);
         List.sort compare !acc
       in
-      let step = function
+      let rec step = function
         | Add k ->
           let v = !next in
           incr next;
@@ -217,6 +246,12 @@ let prop_matches_sorted_model =
           | None -> (
             match Heap.pop_unsafe h with _ -> false | exception Invalid_argument _ -> true)
           | Some (k, v) -> Heap.unsafe_min_key h = k && Heap.pop_unsafe h = v)
+        | Take_min ops -> (
+          match pop_model () with
+          | None -> (
+            match Heap.take_min h with _ -> false | exception Invalid_argument _ -> true)
+          | Some (k, v) ->
+            Heap.unsafe_min_key h = k && Heap.take_min h = v && List.for_all step ops)
         | Remove i -> (
           match !model with
           | [] -> true

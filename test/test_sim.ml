@@ -135,6 +135,40 @@ let test_cancel () =
   Alcotest.check_raises "arm_at checks its time" (Invalid_argument "Sim.arm_at: time is in the past")
     (fun () -> ignore (Sim.arm_at sim ~time:0 "late"))
 
+(* While a handler runs, its own event has already left the queue (the
+   heap keeps its root position empty until the handler schedules
+   something), and every query must agree. Each check runs in its own
+   event, so each sees that state. *)
+let test_firing_event_has_left_the_queue () =
+  let sim = Sim.create ~capacity:1 () in
+  let a = Sim.arm_at sim ~time:10 "a" in
+  List.iter
+    (fun (time, e) -> Sim.schedule_at sim ~time e)
+    [ (20, "b"); (30, "c"); (40, "raise"); (50, "d") ];
+  let stale = Invalid_argument "Sim.cancel: timer already fired or cancelled" in
+  let seen = ref [] in
+  let handler s e =
+    seen := e :: !seen;
+    match e with
+    | "a" ->
+      Alcotest.check_raises "cancelling the firing event's own timer raises" stale (fun () ->
+          Sim.cancel s a)
+    | "b" -> Alcotest.(check int) "pending leaves out the firing event" 3 (Sim.pending s)
+    | "c" -> Alcotest.(check int) "next_time is the next pending event" 40 (Sim.next_time s)
+    | "raise" -> failwith "handler failed"
+    | _ -> ()
+  in
+  Alcotest.check_raises "the handler's exception propagates" (Failure "handler failed")
+    (fun () -> Sim.run sim ~handler ());
+  Alcotest.(check int) "the raising event is gone" 1 (Sim.pending sim);
+  Sim.schedule_at sim ~time:45 "e";
+  Sim.run sim ~handler ();
+  Alcotest.(check (list string))
+    "the queue works after a handler raised"
+    [ "a"; "b"; "c"; "raise"; "e"; "d" ]
+    (List.rev !seen);
+  Alcotest.(check int) "every event counted once" 6 (Sim.events_processed sim)
+
 let prop_trace_is_time_sorted =
   QCheck.Test.make ~count:200 ~name:"any schedule produces a nondecreasing clock trace"
     QCheck.(list_of_size (Gen.int_range 0 50) (int_range 0 1000))
@@ -161,5 +195,7 @@ let suite =
     Alcotest.test_case "capacity hint and events_processed" `Quick
       test_capacity_and_events_processed;
     Alcotest.test_case "cancelled events never fire" `Quick test_cancel;
+    Alcotest.test_case "a handler's own event has left the queue" `Quick
+      test_firing_event_has_left_the_queue;
     QCheck_alcotest.to_alcotest prop_trace_is_time_sorted;
   ]
