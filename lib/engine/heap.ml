@@ -27,7 +27,7 @@
    removed entry from a later one in the same slot; seqs are never reset,
    so this holds until the heap has taken 2^32 more entries.
 
-   Hole at the root. [take_min] frees the root and leaves position 0 empty
+   Hole at the root. [pop_unsafe] frees the root and leaves position 0 empty
    ([hole]) instead of refilling it from the last entry. An event handler
    usually schedules a near-future event next: [add] drops it into the
    hole and sifts it down from the root, where it stops within a level or
@@ -46,7 +46,7 @@ type 'a t = {
   mutable pos : int array;
   mutable vals : 'a array;
   mutable size : int; (* positions in use, an open hole included *)
-  mutable hole : bool; (* position 0 is empty: [take_min] freed it *)
+  mutable hole : bool; (* position 0 is empty: [pop_unsafe] freed it *)
   mutable next_seq : int;
 }
 
@@ -168,8 +168,7 @@ let remove_at h i =
   Array.unsafe_set h.pos s n;
   s
 
-(* Refill an open hole from the last entry, as [pop_unsafe] removes a
-   root. *)
+(* Refill an open hole from the last entry, as [pop] removes a root. *)
 let refill h =
   h.hole <- false;
   ignore (remove_at h 0 : int)
@@ -218,7 +217,7 @@ let min_key h = if is_empty h then None else Some h.keys.(0)
 (* With the hole open, the removed entry sits below the root, and the last
    entry that refills its position never sifts into the hole (see the top
    of the file). Its freed slot then swaps with the hole's, so the free
-   slots come back in the order [pop_unsafe] and then [remove] would have
+   slots come back in the order a root refill and then [remove] would have
    freed them. *)
 let remove h (hd : handle) =
   let s = hd land slot_mask in
@@ -239,8 +238,8 @@ let remove h (hd : handle) =
 
 (* Non-allocating variants of [min_key]/[pop] for the event-loop hot path.
    Callers must guard with [is_empty]: on an empty heap [unsafe_min_key]
-   returns whatever stale key sits at position 0, and [pop_unsafe] and
-   [take_min] raise. *)
+   returns whatever stale key sits at position 0, and [pop_unsafe] raises.
+   [pop_unsafe] leaves the hole open (see the top of the file). *)
 let unsafe_min_key h =
   settle h;
   Array.unsafe_get h.keys 0
@@ -248,11 +247,6 @@ let unsafe_min_key h =
 let pop_unsafe h =
   settle h;
   if h.size = 0 then invalid_arg "Heap.pop_unsafe: empty";
-  Array.unsafe_get h.vals (remove_at h 0)
-
-let take_min h =
-  settle h;
-  if h.size = 0 then invalid_arg "Heap.take_min: empty";
   h.hole <- true;
   Array.unsafe_get h.vals (Array.unsafe_get h.slots 0)
 

@@ -15,12 +15,12 @@
     pending entry be removed through the {!handle} that {!add_removable}
     returned.
 
-    {!take_min} removes the minimum but leaves its position empty: the
+    {!pop_unsafe} removes the minimum but leaves its position empty: the
     next {!add} fills it and sifts down from the root, which is cheap when,
     as in an event loop, the entry added next is due soon. {!remove} works
     with the position still empty; every other function first refills it
-    from the last entry, as {!pop} would have. None of this changes which
-    entry comes out next. *)
+    from the last entry, as {!pop} does. None of this changes which entry
+    comes out next. *)
 
 type 'a t
 (** A min-heap holding values of type ['a]. *)
@@ -68,14 +68,11 @@ val unsafe_min_key : 'a t -> int
 
 val pop_unsafe : 'a t -> 'a
 (** Remove the minimum entry and return its value without allocating; read
-    the key beforehand with {!unsafe_min_key}. O(log n). Raises
-    [Invalid_argument] on an empty heap — guard with {!is_empty}. *)
-
-val take_min : 'a t -> 'a
-(** {!pop_unsafe} that leaves the root position empty until the next
+    the key beforehand with {!unsafe_min_key}. The entry's handle is dead
+    from this call on. The root position stays empty until the next
     operation, which is then cheaper if it is an {!add} of a small key.
-    Read the key beforehand with {!unsafe_min_key}. The entry's handle is
-    dead from this call on. Raises [Invalid_argument] on an empty heap. *)
+    O(log n). Raises [Invalid_argument] on an empty heap — guard with
+    {!is_empty}. *)
 
 val clear : 'a t -> unit
 (** Remove all entries; none of their handles is pending afterwards. Does

@@ -51,7 +51,7 @@ let stop t = t.stopped <- true
 (* The loop body allocates nothing: key and value come out of the heap
    through the unsafe accessors instead of boxed options, so steady-state
    event dispatch is GC-silent (asserted by the allocation regression test
-   in test/test_golden.ml). [take_min] leaves the root empty while the
+   in test/test_golden.ml). [pop_unsafe] leaves the root empty while the
    handler runs: the first event it schedules fills the root directly, and
    the loop's next [is_empty] refills it if the handler scheduled none. *)
 let run t ?until ~handler () =
@@ -62,7 +62,7 @@ let run t ?until ~handler () =
     if (not t.stopped) && not (Heap.is_empty events) then begin
       let key = Heap.unsafe_min_key events in
       if key <= horizon then begin
-        let e = Heap.take_min events in
+        let e = Heap.pop_unsafe events in
         t.now <- key;
         t.processed <- t.processed + 1;
         handler t e;

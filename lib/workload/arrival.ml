@@ -15,20 +15,22 @@ let rate_rps = function
   | Mmpp { rate_rps; _ } ->
     rate_rps
 
+(* [int_of_float] turns a NaN gap, or one too large for an [int], into 0:
+   a NaN or tiny rate would land every arrival at t=0. The gap is in range
+   exactly when the rate is finite and > 0 and the gap fits: NaN fails both
+   tests, 0 and tiny rates give an infinite or huge gap, infinite and
+   negative rates a gap <= 0. *)
 let mean_gap_ns rate =
-  if rate <= 0.0 then invalid_arg "Arrival: rate must be positive";
-  1e9 /. rate
-
-(* A NaN rate passes [mean_gap_ns]'s test, and [int_of_float] turns its gap,
-   or one too large for an [int], into 0: every arrival would land at t=0. *)
-let validate t =
-  let rate = rate_rps t in
-  if not (Float.is_finite rate && rate > 0.0 && 1e9 /. rate < Float.of_int max_int) then
+  let gap = 1e9 /. rate in
+  if not (gap > 0.0 && gap < Float.of_int max_int) then
     invalid_arg
       (Printf.sprintf
          "Arrival: rate %g rps is unusable: it must be finite and > 0, with a mean gap that \
           fits in int ns"
-         rate)
+         rate);
+  gap
+
+let validate t = ignore (mean_gap_ns (rate_rps t) : float)
 
 (* Round to nearest, not truncate: flooring every exponential gap drops
    half a nanosecond on average, so the realized rate sits measurably

@@ -136,11 +136,11 @@ let test_remove_dead_handle () =
   dead c;
   dead (-1);
   check "only d is left" 1 (Heap.length h);
-  (* [take_min] leaves g's slot empty at the root: g's handle is dead while
-     the hole is open, and stays dead once an add fills the hole. *)
+  (* [pop_unsafe] leaves g's slot empty at the root: g's handle is dead
+     while the hole is open, and stays dead once an add fills the hole. *)
   let e = Heap.add_removable h ~key:5 "e" in
   let g = Heap.add_removable h ~key:0 "g" in
-  Alcotest.(check string) "take_min takes the minimum" "g" (Heap.take_min h);
+  Alcotest.(check string) "pop_unsafe takes the minimum" "g" (Heap.pop_unsafe h);
   dead g;
   ignore (Heap.add_removable h ~key:6 "f");
   dead g;
@@ -155,14 +155,13 @@ let test_remove_dead_handle () =
    model's multiset. [Remove i] removes the model's i-th entry (mod its
    length) through its handle; [Remove_dead i] retries a handle whose entry
    already popped, was removed or was cleared, which must raise.
-   [Take_min ops] takes the minimum like [Pop_unsafe] but leaves the root
-   empty, then runs [ops] (adds and removes) with the hole still open; the
-   checks after the step settle it. *)
+   [Pop_unsafe ops] pops the minimum, which leaves the root empty, then
+   runs [ops] (adds and removes) with the hole still open; the checks after
+   the step settle it. *)
 type op =
   | Add of int
   | Pop
-  | Pop_unsafe
-  | Take_min of op list
+  | Pop_unsafe of op list
   | Remove of int
   | Remove_dead of int
   | Clear
@@ -171,8 +170,8 @@ type op =
 let rec show_op = function
   | Add k -> Printf.sprintf "add %d" k
   | Pop -> "pop"
-  | Pop_unsafe -> "pop_unsafe"
-  | Take_min ops -> Printf.sprintf "take_min [%s]" (String.concat "; " (List.map show_op ops))
+  | Pop_unsafe ops ->
+    Printf.sprintf "pop_unsafe [%s]" (String.concat "; " (List.map show_op ops))
   | Remove i -> Printf.sprintf "remove #%d" i
   | Remove_dead i -> Printf.sprintf "remove dead #%d" i
   | Clear -> "clear"
@@ -191,8 +190,7 @@ let arb_script =
         [
           (6, add);
           (3, return Pop);
-          (2, return Pop_unsafe);
-          (3, map (fun ops -> Take_min ops) in_hole);
+          (5, map (fun ops -> Pop_unsafe ops) in_hole);
           (3, remove);
           (1, remove_dead);
           (1, return Iter);
@@ -241,17 +239,12 @@ let prop_matches_sorted_model =
         | Pop ->
           let expected = pop_model () in
           Heap.pop h = expected
-        | Pop_unsafe -> (
+        | Pop_unsafe ops -> (
           match pop_model () with
           | None -> (
             match Heap.pop_unsafe h with _ -> false | exception Invalid_argument _ -> true)
-          | Some (k, v) -> Heap.unsafe_min_key h = k && Heap.pop_unsafe h = v)
-        | Take_min ops -> (
-          match pop_model () with
-          | None -> (
-            match Heap.take_min h with _ -> false | exception Invalid_argument _ -> true)
           | Some (k, v) ->
-            Heap.unsafe_min_key h = k && Heap.take_min h = v && List.for_all step ops)
+            Heap.unsafe_min_key h = k && Heap.pop_unsafe h = v && List.for_all step ops)
         | Remove i -> (
           match !model with
           | [] -> true
