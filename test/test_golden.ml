@@ -132,6 +132,58 @@ let test_golden_paths () =
          writes=965 member_preemptions=97985" );
     ]
 
+(* A standalone run's fingerprint, event count and preemptions. *)
+let standalone_row ?(n = 3_000) config mix rate =
+  let events = ref 0 in
+  let s, _ =
+    Repro_runtime.Server.run_detailed ~config ~mix ~arrival:(poisson rate) ~n_requests:n
+      ~events_out:events ()
+  in
+  Printf.sprintf "%s events=%d preemptions=%d" (fingerprint s) !events
+    s.Repro_runtime.Metrics.preemptions
+
+(* The quantum-timer paths, each pinned with its event count: 10 us
+   requests on an ideal worker at a 2 us quantum, whose last segment
+   completes exactly at its quantum deadline (the tie); the adaptive
+   quantum, which shrinks below the configured one under backlog; a
+   worker that self-preempts at rdtsc probes, drawing its lateness when
+   the quantum fires; and Shinjuku's whole-call locks, where the quantum
+   fires and signals but never stops the request. Captured before workers
+   stopped arming quanta that cannot fire. *)
+let test_golden_quantum_paths () =
+  let module Systems = Repro_runtime.Systems in
+  let module Presets = Repro_workload.Presets in
+  let fixed ns =
+    Repro_workload.Mix.of_dist ~name:"fixed"
+      (Repro_workload.Service_dist.Fixed (float_of_int ns))
+  in
+  let rdtsc =
+    { (config_of "concord") with Repro_runtime.Config.mechanism = Repro_hw.Mechanism.Rdtsc_probe }
+  in
+  List.iter
+    (fun (name, run, expected) -> Alcotest.(check string) name expected (run ()))
+    [
+      ( "quantum-tie/ideal-sq",
+        (fun () ->
+          standalone_row ~n:2_000
+            (Systems.ideal_single_queue ~sigma_ns:0.0 ~n_workers:2 ~quantum_ns:2_000 ())
+            (fixed 10_000) 150e3),
+        "p50=1.7613000000000001 p99=11.221500000000001 goodput=155783.20482228644 \
+         events=67999 preemptions=8000" );
+      ( "concord-adaptive/ycsb-a",
+        (fun () -> standalone_row (config_of "concord-adaptive") Presets.ycsb_a 250e3),
+        "p50=3.3647200000000002 p99=16.718 goodput=258039.43358624063 events=216735 \
+         preemptions=28180" );
+      ( "rdtsc-probe/tpcc",
+        (fun () -> standalone_row rdtsc Presets.tpcc 450e3),
+        "p50=1.3589800000000001 p99=3.044561403508772 goodput=462561.71130015986 \
+         events=89516 preemptions=11919" );
+      ( "shinjuku-whole-call/ycsb-a",
+        (fun () -> standalone_row (config_of "shinjuku-whole-call") Presets.ycsb_a 200e3),
+        "p50=1.3400000000000001 p99=41.372 goodput=207820.86887904041 events=20979 \
+         preemptions=0" );
+    ]
+
 let test_golden_standalone () =
   List.iter
     (fun name ->
@@ -363,6 +415,7 @@ let suite =
       test_golden_branching_overhead;
     Alcotest.test_case "cluster metrics bit-identical to seed" `Quick test_golden_cluster;
     Alcotest.test_case "hedged, Gittins and Raft runs bit-identical" `Quick test_golden_paths;
+    Alcotest.test_case "quantum-timer paths bit-identical" `Quick test_golden_quantum_paths;
     Alcotest.test_case "Sim.run allocates zero words/event" `Quick test_sim_run_zero_alloc;
     Alcotest.test_case "Heap add+pop allocates zero words/op" `Quick
       test_heap_churn_zero_alloc;
