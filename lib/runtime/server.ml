@@ -523,11 +523,12 @@ let begin_exec t (w : worker) =
     w.complete_timer <-
       Sim.arm_at t.sim ~time:w.completion_at
         (t.lift (Ev_worker_complete { w = w.wid; epoch = w.epoch }));
-    if Mechanism.preemptive t.config.mechanism then
-      w.quantum_timer <-
-        Sim.arm_after t.sim
-          ~delay:(effective_quantum_ns t req)
-          (t.lift (Ev_quantum { w = w.wid; epoch = w.epoch }));
+    if Mechanism.preemptive t.config.mechanism then begin
+      let q = effective_quantum_ns t req in
+      if w.completion_at > now + q then
+        w.quantum_timer <-
+          Sim.arm_after t.sim ~delay:q (t.lift (Ev_quantum { w = w.wid; epoch = w.epoch }))
+    end;
     if w.gap_open_ns >= 0 then begin
       (* cnext measurement: idle time excluding the context switch itself *)
       Metrics.record_idle_gap t.metrics (now - w.gap_open_ns - t.cswitch_ns);
@@ -554,10 +555,14 @@ let fetch_next t (w : worker) ~switch_paid ~open_gap =
       w.gap_open_ns <- Sim.now t.sim
     else w.gap_open_ns <- -1
 
-(* A segment arms two timers and one of them always dies: its completion
-   cancels the quantum, and a preemption decision cancels both
-   ([stop_segment]). None is left to pop as a no-op, so one that fires for
-   a superseded segment is a bookkeeping bug. *)
+(* A segment arms its completion, and its quantum only when the quantum
+   can fire: when the segment outlives [now + q] for its effective quantum
+   [q]. A segment that completes at or before the deadline would pop its
+   completion first (armed first, so it wins a tie) and cancel the quantum
+   unseen. Whatever ends the segment cancels what is still armed: a
+   completion the quantum, a preemption decision both ([stop_segment]).
+   None is left to pop as a no-op, so one that fires for a superseded
+   segment is a bookkeeping bug. *)
 let expect_current (w : worker) ~epoch what =
   if epoch <> w.epoch then failwith ("Server: stale " ^ what ^ " fired")
 

@@ -265,6 +265,43 @@ let prop_conservation_random =
       let s = run ~rate:(Float.max rate 1_000.0) ~n:800 ~seed ~mix:(fixed_mix 5_000) () in
       s.Metrics.completed + s.Metrics.censored = 800)
 
+(* A segment arms its quantum only when the quantum can fire. Right after
+   a request's first segment begins, the worker's timers are its completion
+   alone for a request shorter than the 5 us quantum, and its completion
+   plus its quantum for a longer one. The begin event is found through the
+   tracer's [Started] record; [Sim.pending] does not count the event being
+   handled, so the difference across [handle] is what it armed. *)
+let timers_armed_at_begin ~service_ns =
+  let module Sim = Repro_engine.Sim in
+  let module Tracing = Repro_runtime.Tracing in
+  let module Request = Repro_runtime.Request in
+  let sim : Server.event Sim.t = Sim.create ~capacity:64 () in
+  let tracer = Tracing.create () in
+  let inst =
+    Server.Instance.create ~sim ~lift:Fun.id ~config:(Systems.concord ~n_workers:1 ())
+      ~warmup_before:0 ~n_classes:1 ~rng:(Repro_engine.Rng.create ~seed:1) ~tracer ()
+  in
+  let profile = { Mix.class_id = 0; service_ns; lock_windows = [||]; probe_spacing_ns = 0.0 } in
+  Server.Instance.inject inst (Request.create ~id:0 ~arrival_ns:0 ~profile);
+  let starts () =
+    Tracing.fold tracer ~init:0 ~f:(fun n e ->
+        match e.Tracing.kind with Tracing.Started _ -> n + 1 | _ -> n)
+  in
+  let armed = ref [] in
+  Sim.run sim
+    ~handler:(fun sim ev ->
+      let pending = Sim.pending sim and started = starts () in
+      Server.Instance.handle inst ev;
+      if starts () > started then armed := (Sim.pending sim - pending) :: !armed)
+    ();
+  !armed
+
+let test_short_segment_arms_no_quantum () =
+  Alcotest.(check (list int)) "1 us request: completion only" [ 1 ]
+    (timers_armed_at_begin ~service_ns:1_000);
+  Alcotest.(check (list int)) "20 us request: completion and quantum" [ 2 ]
+    (timers_armed_at_begin ~service_ns:20_000)
+
 let suite =
   [
     Alcotest.test_case "conservation of requests" `Quick test_conservation;
@@ -296,5 +333,6 @@ let suite =
       test_concord_beats_shinjuku_at_small_quantum;
     Alcotest.test_case "saved context migrates to an idle worker" `Quick
       test_saved_context_migrates_to_idle_worker;
+    Alcotest.test_case "short segment arms no quantum" `Quick test_short_segment_arms_no_quantum;
     QCheck_alcotest.to_alcotest prop_conservation_random;
   ]
