@@ -155,14 +155,44 @@ let prop_percentile_matches_oracle =
 let prop_sort_matches_float_compare =
   (* Percentiles must be unchanged by the monomorphic in-place quicksort:
      on all-finite samples it has to order exactly like the old
-     [Array.sort Float.compare] path. Sizes straddle the insertion-sort
-     cutoff (32) and include heavy duplicates to hit every partition case. *)
+     [Array.sort Float.compare] path. The selection of [percentiles] must
+     answer every rank exactly as [percentile] does, for ranks asked in any
+     order and queries interleaved with adds: each query [(at, ps)] runs
+     after the first [at mod (n + 1)] adds, against a reference collection
+     holding the same samples. Sizes straddle the insertion-sort cutoff
+     (32) and include heavy duplicates to hit every partition case. *)
   QCheck.Test.make ~count:200 ~name:"percentiles match Array.sort Float.compare oracle"
     QCheck.(
-      list_of_size (Gen.int_range 1 400)
-        (map (fun i -> float_of_int i /. 4.0) (int_range (-200) 200)))
-    (fun xs ->
-      let t = of_list xs in
+      pair
+        (list_of_size (Gen.int_range 1 400)
+           (map (fun i -> float_of_int i /. 4.0) (int_range (-200) 200)))
+        (small_list
+           (pair small_nat
+              (list_of_size (Gen.int_range 1 5)
+                 (map (fun i -> float_of_int i /. 10.0) (int_range 0 1000))))))
+    (fun (xs, queries) ->
+      let n = List.length xs in
+      let t = Stats.create () and reference = Stats.create () in
+      let selections_agree i =
+        List.for_all
+          (fun (at, ps) ->
+            at mod (n + 1) <> i
+            || Stats.is_empty t
+            ||
+            let ps = Array.of_list ps in
+            Stats.percentiles t ps = Array.map (Stats.percentile reference) ps)
+          queries
+      in
+      let agree = ref true in
+      List.iteri
+        (fun i x ->
+          agree := !agree && selections_agree i;
+          Stats.add t x;
+          Stats.add reference x)
+        xs;
+      !agree
+      && selections_agree n
+      &&
       let oracle = Array.of_list xs in
       Array.sort Float.compare oracle;
       let n = Array.length oracle in
@@ -173,6 +203,54 @@ let prop_sort_matches_float_compare =
           Stats.percentile t p = oracle.(idx))
         [ 0.0; 10.0; 50.0; 90.0; 99.0; 99.9; 100.0 ]
       && Stats.values t = oracle)
+
+(* 100k samples in shapes that defeat naive pivots. Selection must agree
+   with the sort and stay near-linear: a quadratic partition loop would
+   spend seconds of CPU here, not milliseconds. *)
+let test_percentiles_adversarial_100k () =
+  let n = 100_000 in
+  let ps = [| 50.0; 99.9; 0.0; 99.0; 100.0; 50.0 |] in
+  let cpu f =
+    let t0 = Sys.time () in
+    let r = f () in
+    (r, Sys.time () -. t0)
+  in
+  List.iter
+    (fun (name, sample) ->
+      let t = Stats.create () and reference = Stats.create () in
+      for i = 0 to n - 1 do
+        Stats.add t (sample i);
+        Stats.add reference (sample i)
+      done;
+      let expected, sort_s = cpu (fun () -> Array.map (Stats.percentile reference) ps) in
+      let got, select_s = cpu (fun () -> Stats.percentiles t ps) in
+      Alcotest.(check (array (float 0.0))) name expected got;
+      if sort_s > 1.0 || select_s > 1.0 then
+        Alcotest.failf "%s: %.2f s of CPU to sort, %.2f s to select 100k samples" name sort_s
+          select_s)
+    [
+      ("sorted", float_of_int);
+      ("reversed", fun i -> float_of_int (n - i));
+      ("all-equal", fun _ -> 3.0);
+      ("organ-pipe", fun i -> float_of_int (Int.min i (n - i)));
+    ]
+
+(* The mean is the sum in insertion order. These samples sum to a
+   different float in sorted order (the small ones are absorbed by 1e17),
+   so a mean recomputed over the reordered samples would move. *)
+let test_mean_independent_of_queries () =
+  let t = of_list [ 0.1; 1e17; 0.2; -1e17; 0.3 ] in
+  let bits () = Int64.bits_of_float (Stats.mean t) in
+  let before = bits () in
+  ignore (Stats.percentiles t [| 50.0; 99.0 |]);
+  Alcotest.(check int64) "after percentiles" before (bits ());
+  ignore (Stats.median t);
+  Alcotest.(check int64) "after median" before (bits ());
+  Stats.add t 0.4;
+  Alcotest.(check (float 0.0)) "adds still counted" (0.7 /. 6.0) (Stats.mean t);
+  (* A merged collection sums its samples as stored: sorted, for merge_all. *)
+  Alcotest.(check (float 0.0)) "merge_all sums its sorted result" 0.0
+    (Stats.mean (Stats.merge_all [ of_list [ 0.1; 1e17; 0.2; -1e17; 0.3 ] ]))
 
 let prop_mean_bounded =
   QCheck.Test.make ~count:300 ~name:"mean lies between min and max"
@@ -196,6 +274,10 @@ let suite =
     Alcotest.test_case "merge_all: empty/singleton pinned" `Quick test_merge_all_degenerate;
     Alcotest.test_case "values keep insertion order" `Quick test_values_insertion_order;
     Alcotest.test_case "online accumulator matches direct" `Quick test_online_matches_direct;
+    Alcotest.test_case "percentiles on 100k adversarial inputs" `Quick
+      test_percentiles_adversarial_100k;
+    Alcotest.test_case "mean independent of percentile queries" `Quick
+      test_mean_independent_of_queries;
     QCheck_alcotest.to_alcotest prop_percentile_matches_oracle;
     QCheck_alcotest.to_alcotest prop_sort_matches_float_compare;
     QCheck_alcotest.to_alcotest prop_mean_bounded;
