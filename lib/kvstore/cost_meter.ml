@@ -28,26 +28,31 @@ module Calibration = struct
     }
 end
 
+(* The running times live in an all-float record, which OCaml stores flat:
+   a charge updates [elapsed] in place. As fields of the mixed record [t],
+   every charge (tens per GET) would box a fresh float and pay a write
+   barrier. *)
+type clock = { mutable elapsed : float; mutable window_start : float }
+
 type t = {
   cal : Calibration.t;
-  mutable elapsed : float;
+  clock : clock;
   mutable lock_depth : int;
-  mutable window_start : float;
   mutable windows : (int * int) list; (* reversed *)
 }
 
 let create ?(calibration = Calibration.default) () =
-  { cal = calibration; elapsed = 0.0; lock_depth = 0; window_start = 0.0; windows = [] }
+  { cal = calibration; clock = { elapsed = 0.0; window_start = 0.0 }; lock_depth = 0; windows = [] }
 
 let reset t =
-  t.elapsed <- 0.0;
+  t.clock.elapsed <- 0.0;
   t.lock_depth <- 0;
-  t.window_start <- 0.0;
+  t.clock.window_start <- 0.0;
   t.windows <- []
 
-let elapsed_ns t = int_of_float t.elapsed
+let elapsed_ns t = int_of_float t.clock.elapsed
 let calibration t = t.cal
-let charge_ns t ns = if ns > 0.0 then t.elapsed <- t.elapsed +. ns
+let charge_ns t ns = if ns > 0.0 then t.clock.elapsed <- t.clock.elapsed +. ns
 let node_step t = charge_ns t t.cal.node_step_ns
 let table_probe t = charge_ns t t.cal.table_probe_ns
 let key_compare t = charge_ns t t.cal.key_compare_ns
@@ -58,7 +63,7 @@ let snapshot t = charge_ns t t.cal.snapshot_ns
 
 let lock t =
   charge_ns t t.cal.lock_ns;
-  if t.lock_depth = 0 then t.window_start <- t.elapsed;
+  if t.lock_depth = 0 then t.clock.window_start <- t.clock.elapsed;
   t.lock_depth <- t.lock_depth + 1
 
 let unlock t =
@@ -66,13 +71,14 @@ let unlock t =
   charge_ns t t.cal.lock_ns;
   t.lock_depth <- t.lock_depth - 1;
   if t.lock_depth = 0 then begin
-    let start = int_of_float t.window_start and stop = int_of_float t.elapsed in
+    let start = int_of_float t.clock.window_start and stop = int_of_float t.clock.elapsed in
     if stop > start then t.windows <- (start, stop) :: t.windows
   end
 
 let lock_windows t =
   let windows =
-    if t.lock_depth > 0 then (int_of_float t.window_start, int_of_float t.elapsed) :: t.windows
+    if t.lock_depth > 0 then
+      (int_of_float t.clock.window_start, int_of_float t.clock.elapsed) :: t.windows
     else t.windows
   in
   let arr = Array.of_list (List.rev windows) in

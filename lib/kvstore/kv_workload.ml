@@ -3,7 +3,19 @@ module Mix = Repro_workload.Mix
 
 let scan_probe_spacing_ns = 230.0
 
-let key_of_index i = Printf.sprintf "user%08d" i
+(* [Printf.sprintf "user%08d" i] without the format interpreter for the
+   indices that fit in eight digits, which is every key a generator draws. *)
+let key_of_index i =
+  if i < 0 || i > 99_999_999 then Printf.sprintf "user%08d" i
+  else begin
+    let b = Bytes.of_string "user00000000" in
+    let n = ref i in
+    for k = 11 downto 4 do
+      Bytes.set b k (Char.chr (48 + (!n mod 10)));
+      n := !n / 10
+    done;
+    Bytes.unsafe_to_string b
+  end
 
 let value_of_index ~value_bytes i =
   (* Deterministic, mildly varied payload. *)

@@ -14,6 +14,9 @@
 
 val scan_probe_spacing_ns : float
 
+val key_of_index : int -> string
+(** The store's key for index [i]: [Printf.sprintf "user%08d" i]. *)
+
 val populate :
   ?n_keys:int -> ?value_bytes:int -> seed:int -> unit -> Store.t
 (** A store pre-loaded with [n_keys] (default 15 000) unique keys carrying

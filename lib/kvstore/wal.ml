@@ -1,25 +1,25 @@
 module Crc32 = struct
-  (* Standard reflected CRC-32 (polynomial 0xEDB88320), table-driven. *)
+  (* Standard reflected CRC-32 (polynomial 0xEDB88320), table-driven. The
+     register is a native int holding the 32-bit value (an [int32] would be
+     boxed on every byte); only the result is converted back. *)
+  let mask = 0xFFFF_FFFF
+
   let table =
     lazy
       (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
+           let c = ref n in
            for _ = 0 to 7 do
-             if Int32.logand !c 1l <> 0l then
-               c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else c := Int32.shift_right_logical !c 1
+             if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
            done;
            !c))
 
   let update crc s =
     let table = Lazy.force table in
-    let c = ref (Int32.lognot crc) in
-    String.iter
-      (fun ch ->
-        let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-        c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-      s;
-    Int32.lognot !c
+    let c = ref (lnot (Int32.to_int crc) land mask) in
+    for i = 0 to String.length s - 1 do
+      c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!c lsr 8)
+    done;
+    Int32.of_int (lnot !c land mask)
 
   let digest s = update 0l s
 end

@@ -261,6 +261,16 @@ let test_get_scan_mix_balance () =
   let frac = float_of_int !scans /. float_of_int n in
   Alcotest.(check bool) "about half are scans" true (Float.abs (frac -. 0.5) < 0.05)
 
+(* Keys are built without Printf inside the eight-digit range and with it
+   outside; both must give Printf's form, at and across the boundaries. *)
+let test_key_of_index_matches_printf () =
+  List.iter
+    (fun i ->
+      Alcotest.(check string) (string_of_int i) (Printf.sprintf "user%08d" i)
+        (Kv_workload.key_of_index i))
+    [ min_int; -100_000_000; -1; 0; 1; 9; 10; 14_999; 9_999_999; 10_000_000; 99_999_999;
+      100_000_000; max_int ]
+
 let suite =
   [
     Alcotest.test_case "meter accumulates and resets" `Quick test_meter_accumulates;
@@ -286,6 +296,7 @@ let suite =
     Alcotest.test_case "scan estimate tracks real walks" `Quick test_scan_estimate_tracks_real;
     Alcotest.test_case "mix profiles are well-formed" `Quick test_mix_profiles;
     Alcotest.test_case "get/scan mix balance" `Quick test_get_scan_mix_balance;
+    Alcotest.test_case "keys match the Printf form" `Quick test_key_of_index_matches_printf;
   ]
 
 (* --- leveled structure (minor flushes vs full compaction) ------------------ *)
