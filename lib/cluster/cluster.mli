@@ -6,8 +6,10 @@
     dominates tail latency (RackSched, SNIPPETS/PAPERS). This module runs
     [N] full {!Repro_runtime.Server} instances — each with its own
     dispatcher, workers, JBSQ(k) and preemption mechanism, heterogeneous
-    configurations allowed — inside one shared {!Repro_engine.Sim}
-    discrete-event clock, behind a pluggable {!Lb_policy} load balancer.
+    configurations allowed — behind a pluggable {!Lb_policy} load
+    balancer, either inside one shared {!Repro_engine.Sim} discrete-event
+    clock or under the windowed parallel engine ({!Repro_engine.Par_sim});
+    one balancer implementation serves both engines.
 
     State staleness is modelled with send/credit accounting: the balancer
     increments its per-server queue view when it dispatches a request and
@@ -56,7 +58,9 @@ val make :
   ?policy:Lb_policy.t -> ?rtt_cycles:int -> ?hedge:Hedge.t ->
   ?cancel_cost_cycles:int -> ?steal:bool -> instance_spec array -> t
 (** Defaults: [Po2c], [rtt_cycles = 0], hedging {!Hedge.Off}, no stealing.
-    Validates every spec eagerly. *)
+    Validates every spec eagerly, [policy] and [hedge] with
+    {!Lb_policy.validate} and {!Hedge.validate}; raises [Invalid_argument]
+    naming the bad value. *)
 
 val homogeneous :
   ?policy:Lb_policy.t -> ?rtt_cycles:int -> ?hedge:Hedge.t ->
@@ -73,9 +77,10 @@ type summary = {
   requests : int;  (** total open-loop arrivals offered to the rack *)
   total_workers : int;
   cluster : Metrics.summary;
-      (** rack-level view: counts and goodput over the merged population,
-          slowdown percentiles over the {!Repro_engine.Stats.merge_all} of
-          every instance's samples, preemption/busy counters summed or
+      (** rack-level view: counts, goodput and slowdown percentiles over
+          the merged population (every instance's samples plus the
+          requests censored balancer-side), the mean slowdown summed over
+          that population sorted, preemption/busy counters summed or
           worker-weighted across instances. [median_idle_gap_ns] is 0 at
           this level — idle-gap detail only makes sense per instance. *)
   per_instance : Metrics.summary array;
@@ -86,8 +91,7 @@ type summary = {
       (** requests still parked at the balancer at end of run (censored) *)
   lb_censored : int;
       (** requests censored while still balancer-side (parked or on the
-          wire) — they enter both the rack accumulator and [lb_metrics],
-          never any instance *)
+          wire) — they enter the rack accumulator, never any instance *)
   hedge : Hedge.t;
   steal : bool;
   hedges : int;  (** duplicate legs dispatched *)
@@ -124,8 +128,9 @@ val run :
     [engine] (default [Seq]) selects the shared-clock sequential engine or
     the conservative time-window parallel engine
     ({!Repro_engine.Par_sim}): one domain per server instance,
-    synchronized every [rtt/2] wire leg, results identical to [Seq] up to
-    same-nanosecond cross-instance tie-breaks and independent of the
+    synchronized every [rtt/2] wire leg. Both engines run the same
+    balancer code, so results are identical to [Seq] up to
+    same-nanosecond cross-instance tie-breaks, and independent of the
     domain count. A [Par] request degrades to [Seq] with a stderr warning
     when the model has no lookahead ([rtt_cycles] rounding to a 0 ns wire
     leg), when hedging is on (its synchronous winner-takes-all flag is a
@@ -155,7 +160,8 @@ val run_detailed :
   ?engine:Repro_engine.Par_sim.t ->
   unit ->
   summary * Repro_engine.Stats.t
-(** Like {!run}, also returning the merged post-warm-up slowdown samples.
+(** Like {!run}, also returning the merged post-warm-up slowdown samples
+    of the whole rack (completed and censored, sorted).
     [events_out], when given, receives the total simulation events
     processed (the benchmark suite's events/sec numerator). *)
 

@@ -14,9 +14,30 @@ let name = function
 
 let all_names = [ "off"; "fixed:<ns>"; "pct:<p>"; "adaptive:<budget>" ]
 
+let out_of_range t what = Error (Printf.sprintf "hedge %s: %s" (name t) what)
+
+(* The one range check: the parser and every constructor of a hedged
+   tier run it, so a value no spec string could produce is refused too. *)
+let validate t =
+  match t with
+  | Fixed { delay_ns } when delay_ns < 0 ->
+    out_of_range t "the delay must be a non-negative ns count"
+  | Percentile { pct } when not (pct > 0.0 && pct < 100.0) ->
+    out_of_range t "the percentile must be in (0, 100)"
+  | Adaptive { budget } when not (budget > 0.0 && budget <= 1.0) ->
+    out_of_range t "the budget must be a duplicate fraction in (0, 1]"
+  | Off | Fixed _ | Percentile _ | Adaptive _ -> Ok ()
+
 let of_string s =
   let s = String.lowercase_ascii s in
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let number what parse rest make =
+    match parse rest with
+    | Some v ->
+      let t = make v in
+      Result.map (fun () -> t) (validate t)
+    | None -> err "hedge spec %S: the argument must be %s" s what
+  in
   match s with
   | "off" | "none" -> Ok Off
   | _ -> (
@@ -24,18 +45,11 @@ let of_string s =
     | Some i -> (
       let rest = String.sub s (i + 1) (String.length s - i - 1) in
       match String.sub s 0 i with
-      | "fixed" -> (
-        match int_of_string_opt rest with
-        | Some d when d >= 0 -> Ok (Fixed { delay_ns = d })
-        | _ -> err "hedge fixed delay must be a non-negative ns count, got %S" rest)
-      | "pct" -> (
-        match float_of_string_opt rest with
-        | Some p when p > 0.0 && p < 100.0 -> Ok (Percentile { pct = p })
-        | _ -> err "hedge percentile must be in (0, 100), got %S" rest)
-      | "adaptive" -> (
-        match float_of_string_opt rest with
-        | Some b when b > 0.0 && b <= 1.0 -> Ok (Adaptive { budget = b })
-        | _ -> err "hedge budget must be a duplicate fraction in (0, 1], got %S" rest)
+      | "fixed" ->
+        number "a whole ns count" int_of_string_opt rest (fun d -> Fixed { delay_ns = d })
+      | "pct" -> number "a number" float_of_string_opt rest (fun p -> Percentile { pct = p })
+      | "adaptive" ->
+        number "a number" float_of_string_opt rest (fun b -> Adaptive { budget = b })
       | k -> err "unknown hedge policy %S (expected one of: %s)" k (String.concat ", " all_names))
     | None ->
       err "unknown hedge spec %S (expected one of: %s)" s (String.concat ", " all_names))

@@ -26,8 +26,15 @@ type t =
 
 val name : t -> string
 
+val validate : t -> (unit, string) result
+(** [Ok ()] when every parameter is in range: a non-negative fixed delay, a
+    percentile in (0, 100), a budget in (0, 1] ([nan] is never in range).
+    Otherwise an error naming the spec. {!of_string} and the tiers'
+    constructors ([Cluster.make], [Raft.make]) apply it. *)
+
 val of_string : string -> (t, string) result
-(** Parses ["off" | "fixed:<ns>" | "pct:<p>" | "adaptive:<budget>"]. *)
+(** Parses ["off" | "fixed:<ns>" | "pct:<p>" | "adaptive:<budget>"], then
+    {!validate}s the result. *)
 
 val all_names : string list
 

@@ -11,6 +11,10 @@ let name = function
 
 let all_names = [ "random"; "rr"; "jsq"; "po2c"; "jbsq:<n>" ]
 
+let validate = function
+  | Jbsq n when n < 1 -> Error (Printf.sprintf "policy jbsq:%d: the bound must be >= 1" n)
+  | Random | Round_robin | Jsq | Po2c | Jbsq _ -> Ok ()
+
 let of_string s =
   match String.lowercase_ascii s with
   | "random" -> Ok Random
@@ -22,8 +26,8 @@ let of_string s =
     | Some i when String.sub s 0 i = "jbsq" -> (
       let rest = String.sub s (i + 1) (String.length s - i - 1) in
       match int_of_string_opt rest with
-      | Some n when n >= 1 -> Ok (Jbsq n)
-      | _ -> Error (Printf.sprintf "jbsq bound must be a positive integer, got %S" rest))
+      | Some n -> Result.map (fun () -> Jbsq n) (validate (Jbsq n))
+      | None -> Error (Printf.sprintf "policy %s: the jbsq bound must be an integer" s))
     | _ ->
       Error
         (Printf.sprintf "unknown policy %S (expected one of: %s)" s

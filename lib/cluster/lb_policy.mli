@@ -24,8 +24,14 @@ type t =
 
 val name : t -> string
 
+val validate : t -> (unit, string) result
+(** [Ok ()] unless [t] is [Jbsq n] with [n < 1]; the error names the spec.
+    {!of_string} and the tiers' constructors ([Cluster.make], [Raft.make])
+    apply it. *)
+
 val of_string : string -> (t, string) result
-(** Parses ["random" | "rr" | "round-robin" | "jsq" | "po2c" | "jbsq:<n>"]. *)
+(** Parses ["random" | "rr" | "round-robin" | "jsq" | "po2c" | "jbsq:<n>"],
+    then {!validate}s the result. *)
 
 val all_names : string list
 (** Human-readable policy spellings for CLI help. *)

@@ -22,10 +22,14 @@
     sequential engine falls back to heap insertion order (DESIGN.md
     "Windowed parallel engine" spells out the argument).
 
-    Models whose couplings carry zero delay (a 0-RTT rack, hedging's
-    synchronous winner-takes-all flag, Raft's co-located consensus
-    mini-requests) have no lookahead and must run sequentially; callers
-    degrade to {!Seq} with a warning rather than compute wrong answers. *)
+    The rack model ([Repro_cluster.Cluster]) runs the same balancer code
+    as the host under either engine; only delivery, the census of live
+    requests and the per-instance bookkeeping differ. Models whose
+    couplings carry zero delay (a 0-RTT rack, hedging's synchronous
+    winner-takes-all flag) have no lookahead and must run sequentially:
+    the rack degrades to {!Seq} with a warning rather than compute wrong
+    answers, and Raft, whose consensus mini-requests are co-located, has
+    no parallel option at all. *)
 
 type t = Seq | Par of { domains : int }
 

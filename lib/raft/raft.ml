@@ -79,6 +79,9 @@ let make ?(read_lb = Lb_policy.Po2c) ?(rtt_cycles = default_rtt_cycles) ?(read_l
   | Some t when t < 0 -> invalid_arg "Raft.make: kill_leader_at_ns must be >= 0"
   | _ -> ());
   Array.iter (fun (s : Cluster.instance_spec) -> Config.validate s.config) specs;
+  let valid = function Ok () -> () | Error e -> invalid_arg ("Raft.make: " ^ e) in
+  valid (Lb_policy.validate read_lb);
+  valid (Hedge.validate hedge);
   {
     read_lb;
     rtt_cycles;
@@ -99,12 +102,13 @@ let homogeneous ?read_lb ?rtt_cycles ?read_leases ?write_ratio ?hedge ?heartbeat
     ?election_timeout_cycles ?lease_cycles ?log_write_cycles ?follower_ae_cycles
     ?kill_leader_at_ns ?cancel_cost_cycles ?(stragglers = []) ~nodes config =
   if nodes < 1 then invalid_arg "Raft.homogeneous: need at least one member";
-  let specs = Array.init nodes (fun _ -> Cluster.spec config) in
+  (* [make] validates every member's config. *)
+  let specs = Array.make nodes { Cluster.config; speed_factor = 1.0 } in
   List.iter
     (fun (i, f) ->
       if i < 0 || i >= nodes then invalid_arg "Raft.homogeneous: straggler index out of range";
       if f < 1.0 then invalid_arg "Raft.homogeneous: straggler factor must be >= 1";
-      specs.(i) <- Cluster.spec ~speed_factor:f config)
+      specs.(i) <- { config; speed_factor = f })
     stragglers;
   make ?read_lb ?rtt_cycles ?read_leases ?write_ratio ?hedge ?heartbeat_cycles
     ?election_timeout_cycles ?lease_cycles ?log_write_cycles ?follower_ae_cycles
@@ -149,8 +153,6 @@ type summary = {
   leader_p99_slowdown : float;
   follower_p99_slowdown : float;
   invariant_failures : string list;
-  engine : Repro_engine.Par_sim.t;
-  domains_used : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -287,23 +289,9 @@ let push_log nd ~term ~req_id =
 (* ------------------------------------------------------------------ *)
 
 let run_detailed ~raft ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
-    ?(drain_cap_ns = 400_000_000) ?(seed = 42) ?tracer ?events_out
-    ?(engine = Repro_engine.Par_sim.Seq) () =
+    ?(drain_cap_ns = 400_000_000) ?(seed = 42) ?tracer ?events_out () =
   if n_requests < 1 then invalid_arg "Raft.run: need at least one request";
   Arrival.validate arrival;
-  (* Raft has no lookahead to exploit: consensus mini-requests, lease
-     checks and commit-driven client injections all couple the protocol
-     layer to co-located member instances at zero simulated delay (the
-     per-link RTT prices the wire, not the hand-off). A conservative
-     window of width 0 is no window at all, so a Par request degrades to
-     the sequential engine — the same rule a 0-RTT cluster hits; the
-     per-edge lookahead table in DESIGN.md walks the argument. *)
-  (match engine with
-  | Repro_engine.Par_sim.Seq -> ()
-  | Repro_engine.Par_sim.Par _ ->
-    Printf.eprintf
-      "raft: parallel engine degraded to seq: consensus hand-offs are co-located \
-       (zero-lookahead couplings; see DESIGN.md)\n%!");
   let n = Array.length raft.specs in
   let quorum = (n / 2) + 1 in
   let master = Rng.create ~seed in
@@ -1120,16 +1108,12 @@ let run_detailed ~raft ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
       leader_p99_slowdown = leader_p99;
       follower_p99_slowdown = follower_p99;
       invariant_failures = List.rev !violations;
-      engine = Repro_engine.Par_sim.Seq;
-      domains_used = 1;
     }
   in
   (summary, Metrics.slowdown_samples client_metrics)
 
-let run ~raft ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ?tracer ?engine () =
-  fst
-    (run_detailed ~raft ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ?tracer
-       ?engine ())
+let run ~raft ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ?tracer () =
+  fst (run_detailed ~raft ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ?tracer ())
 
 (* ------------------------------------------------------------------ *)
 (* Invariants                                                          *)

@@ -113,7 +113,9 @@ val make :
     follower AppendEntries 180 us — calibrated so a 50 us direct
     operation lands near the Concord/Ra consensus table: ~3.8x at one
     member, ~15x+ at three. Validates every member config, and rejects
-    [lease_cycles > election_timeout_cycles] (lease safety). *)
+    [lease_cycles > election_timeout_cycles] (lease safety) and any
+    [read_lb] or [hedge] that {!Lb_policy.validate} or {!Hedge.validate}
+    refuses. *)
 
 val homogeneous :
   ?read_lb:Lb_policy.t ->
@@ -178,15 +180,6 @@ type summary = {
   invariant_failures : string list;
       (** protocol violations observed during the run: commit-index
           regression, two leaders in one term, committed-entry loss *)
-  engine : Repro_engine.Par_sim.t;
-      (** always [Seq] today: Raft's consensus hand-offs (mini-request
-          injection, lease checks, commit-driven client legs) couple the
-          protocol layer to co-located instances at zero simulated delay,
-          so there is no lookahead for the windowed parallel engine to
-          exploit — a [Par] request degrades with a warning rather than
-          reorder the consensus history (DESIGN.md, per-edge lookahead
-          table) *)
-  domains_used : int;
 }
 
 val run :
@@ -198,7 +191,6 @@ val run :
   ?drain_cap_ns:int ->
   ?seed:int ->
   ?tracer:Repro_runtime.Tracing.t ->
-  ?engine:Repro_engine.Par_sim.t ->
   unit ->
   summary
 
@@ -212,7 +204,6 @@ val run_detailed :
   ?seed:int ->
   ?tracer:Repro_runtime.Tracing.t ->
   ?events_out:int ref ->
-  ?engine:Repro_engine.Par_sim.t ->
   unit ->
   summary * Repro_engine.Stats.t
 (** Like {!run}, plus the merged post-warm-up client slowdown samples.

@@ -252,6 +252,39 @@ let test_hedge_parsing () =
   Alcotest.(check bool) "fixed:1.5 rejected (whole ns only)" true (rejected "fixed:1.5");
   Alcotest.(check bool) "fixed: (empty) rejected" true (rejected "fixed:")
 
+(* Spec values no parser would produce must not reach a run either: each
+   tier's constructor applies the parser's range check and names the bad
+   value. *)
+let test_bad_specs_rejected_at_construction () =
+  let config = small_config () in
+  let rejects what make =
+    match make () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (Printf.sprintf "%S names %s" msg what) true
+        (Astring_contains.contains msg what)
+  in
+  List.iter
+    (fun hedge ->
+      let what = Hedge.name hedge in
+      Alcotest.(check bool) (what ^ " unparsable") true (Result.is_error (Hedge.of_string what));
+      rejects what (fun () -> ignore (Cluster.homogeneous ~hedge ~instances:3 config));
+      rejects what (fun () -> ignore (Repro_raft.Raft.homogeneous ~hedge ~nodes:3 config)))
+    [
+      Hedge.Percentile { pct = 0.0 };
+      Hedge.Percentile { pct = Float.nan };
+      Hedge.Percentile { pct = 150.0 };
+      Hedge.Adaptive { budget = 0.0 };
+      Hedge.Adaptive { budget = Float.nan };
+      Hedge.Adaptive { budget = 5.0 };
+      Hedge.Fixed { delay_ns = -5 };
+    ];
+  let jbsq0 = Lb_policy.Jbsq 0 in
+  let what = Lb_policy.name jbsq0 in
+  Alcotest.(check bool) (what ^ " unparsable") true (Result.is_error (Lb_policy.of_string what));
+  rejects what (fun () -> ignore (Cluster.homogeneous ~policy:jbsq0 ~instances:3 config));
+  rejects what (fun () -> ignore (Repro_raft.Raft.homogeneous ~read_lb:jbsq0 ~nodes:3 config))
+
 let test_hedging_rescues_straggler_tail () =
   (* An oblivious balancer keeps feeding a 6x straggler; duplicate-and-
      cancel must rescue those requests onto healthy servers and cut the
@@ -380,6 +413,8 @@ let suite =
     Alcotest.test_case "saturated JBSQ censors balancer-side" `Quick
       test_jbsq_saturated_censoring;
     Alcotest.test_case "hedge spec parsing" `Quick test_hedge_parsing;
+    Alcotest.test_case "bad hedge and policy specs rejected at construction" `Quick
+      test_bad_specs_rejected_at_construction;
     Alcotest.test_case "hedging rescues a straggler tail" `Quick
       test_hedging_rescues_straggler_tail;
     Alcotest.test_case "hedged breakdown components sum" `Quick

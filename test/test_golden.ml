@@ -132,6 +132,57 @@ let test_golden_paths () =
          writes=965 member_preemptions=97985" );
     ]
 
+(* A 3-server bimodal rack (rtt 4000 cycles) under the windowed engine on
+   two domains: fingerprint, event count and the balancer's counters. *)
+let par_rack ?(steal = false) ?(stragglers = []) ?drain_cap_ns ~policy ~rate ~n ~seed () =
+  let module Cluster = Repro_cluster.Cluster in
+  let cluster =
+    Cluster.homogeneous ~policy ~rtt_cycles:4_000 ~steal ~stragglers ~instances:3
+      (Repro_runtime.Systems.concord ~n_workers:4 ())
+  in
+  let mix =
+    Repro_workload.Mix.of_dist ~name:"bimodal"
+      (Repro_workload.Service_dist.Bimodal
+         { p_short = 0.5; short_ns = 1_000.; long_ns = 100_000. })
+  in
+  let events = ref 0 in
+  let s, _ =
+    Cluster.run_detailed ~cluster ~mix ~arrival:(poisson rate) ~n_requests:n ?drain_cap_ns ~seed
+      ~events_out:events ~engine:(Repro_engine.Par_sim.Par { domains = 2 }) ()
+  in
+  Printf.sprintf "%s events=%d routed=%s lb_held=%d lb_censored=%d steals=%d"
+    (fingerprint s.Cluster.cluster) !events
+    (String.concat "," (Array.to_list (Array.map string_of_int s.Cluster.routed)))
+    s.Cluster.lb_held s.Cluster.lb_censored s.Cluster.steals
+
+(* The windowed engine's own rows: the po2c rack at seed 4, where par and
+   seq break same-nanosecond ties differently (so no seq row can pin it);
+   a saturated jbsq:1 rack whose 1 us drain cap censors requests parked at
+   the balancer, on the wire (lb_censored exceeds the 1719 still parked)
+   and resident at the instances; and random routing with stealing off a
+   4x straggler. Captured before the two engines shared one balancer. *)
+let test_golden_par () =
+  List.iter
+    (fun (name, run, expected) -> Alcotest.(check string) name expected (run ()))
+    [
+      ( "par:2/po2c seed 4",
+        (fun () -> par_rack ~policy:Repro_cluster.Lb_policy.Po2c ~rate:1.5e6 ~n:4_000 ~seed:4 ()),
+        "p50=154.59989999999999 p99=1102.7239999999999 goodput=210906.56429105808 \
+         events=288695 routed=1331,1332,1337 lb_held=0 lb_censored=0 steals=0" );
+      ( "par:2/jbsq:1 censoring",
+        (fun () ->
+          par_rack ~policy:(Repro_cluster.Lb_policy.Jbsq 1) ~rate:4e5 ~drain_cap_ns:1_000
+            ~n:2_000 ~seed:3 ()),
+        "p50=43.889690000000002 p99=4352.357 goodput=61700.952884203129 events=21792 \
+         routed=94,93,94 lb_held=1997 lb_censored=1720 steals=0" );
+      ( "par:2/stealing straggler",
+        (fun () ->
+          par_rack ~policy:Repro_cluster.Lb_policy.Random ~steal:true ~stragglers:[ (0, 4.0) ]
+            ~rate:1.5e5 ~n:3_000 ~seed:1 ()),
+        "p50=2.3730000000000002 p99=774.22299999999996 goodput=53248.839914857075 \
+         events=388318 routed=1018,1005,977 lb_held=0 lb_censored=0 steals=112" );
+    ]
+
 (* A standalone run's fingerprint, event count and preemptions. *)
 let standalone_row ?(n = 3_000) config mix rate =
   let events = ref 0 in
@@ -415,6 +466,7 @@ let suite =
       test_golden_branching_overhead;
     Alcotest.test_case "cluster metrics bit-identical to seed" `Quick test_golden_cluster;
     Alcotest.test_case "hedged, Gittins and Raft runs bit-identical" `Quick test_golden_paths;
+    Alcotest.test_case "windowed-engine racks bit-identical" `Quick test_golden_par;
     Alcotest.test_case "quantum-timer paths bit-identical" `Quick test_golden_quantum_paths;
     Alcotest.test_case "Sim.run allocates zero words/event" `Quick test_sim_run_zero_alloc;
     Alcotest.test_case "Heap add+pop allocates zero words/op" `Quick
