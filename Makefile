@@ -1,7 +1,7 @@
 # Tier-1 verification in one command.
 .PHONY: all check build test bench bench-json bench-json-quick bench-e2e bench-e2e-compare \
 	bench-e2e-pairs profile \
-	trace-smoke cluster-smoke \
+	trace-smoke cluster-smoke cli-smoke \
 	verify-probes-smoke policy-smoke hedge-smoke raft-smoke par-smoke model-smoke lint clean
 
 all: build
@@ -27,6 +27,37 @@ trace-smoke:
 cluster-smoke:
 	dune exec bin/concord_sim.exe -- cluster --instances 3 --policy po2c \
 		-n 4000 --check
+
+# Bad-input smoke test: every command line below must fail loudly -- exit
+# non-zero with a message on stderr that is neither cmdliner's "internal
+# error" report nor OCaml's "Fatal error" for an uncaught exception. The
+# table holds inputs the library rejects after the flags parse (no
+# requests, no workers, no group members), inputs it must not accept (a
+# zero quantum, an unknown system name, a straggler faster than its
+# peers, a sweep of no points), and the spec rejections that already
+# worked (rate, system, workload, figure, SLS variant, policy, engine,
+# hedge, arrival, write ratio).
+CLI_SMOKE_LINES = \
+	'run -r 150 -n 0' 'run -r 150 --workers 0' 'sweep -n 0 --points 2' 'trace -n 0' \
+	'overheads -n 0' 'sls -r 100 -n 0' 'cluster -n 0' 'raft -n 0' 'raft-study -n 0' \
+	'raft-study --nodes 0' \
+	'sls -r 100 --quantum 0' 'overheads --systems nosuch' 'cluster --straggler 0:0.5' \
+	'sweep --points 0' 'cluster --sweep --points 0' 'raft --sweep --points 0' \
+	'run -r nan' 'run -r 150 -s nosuch' 'run -r 150 -w nosuch' 'figure nosuch' \
+	'sls -r 100 --variant bogus' 'run -r 150 --policy bogus' 'cluster --policy bogus' \
+	'cluster --engine par:0' 'cluster --hedge bogus' 'cluster --arrival bogus' \
+	'raft --write-ratio 2'
+cli-smoke:
+	dune build bin/concord_sim.exe
+	@n=0; for a in $(CLI_SMOKE_LINES); do \
+		n=$$((n + 1)); \
+		if _build/default/bin/concord_sim.exe $$a > /dev/null 2> _build/cli-smoke.err; then \
+			echo "cli-smoke: concord-sim $$a exited 0" >&2; exit 1; fi; \
+		if [ ! -s _build/cli-smoke.err ] || grep -q 'internal error\|Fatal error' _build/cli-smoke.err; \
+		then echo "cli-smoke: concord-sim $$a failed without a clean message:" >&2; \
+			cat _build/cli-smoke.err >&2; exit 1; fi; \
+	done; \
+	echo "cli-smoke: all $$n bad command lines rejected with a message"
 
 # Static timeliness verifier smoke test: bound the worst-case inter-probe
 # gap of every suite kernel (Concord and elided placements), cross-check
@@ -113,7 +144,7 @@ lint:
 # What CI (and every PR) must keep green.
 check:
 	dune build && dune runtest && $(MAKE) lint && $(MAKE) trace-smoke && $(MAKE) cluster-smoke \
-		&& $(MAKE) policy-smoke && $(MAKE) hedge-smoke && $(MAKE) raft-smoke \
+		&& $(MAKE) cli-smoke && $(MAKE) policy-smoke && $(MAKE) hedge-smoke && $(MAKE) raft-smoke \
 		&& $(MAKE) par-smoke && $(MAKE) model-smoke && $(MAKE) verify-probes-smoke \
 		&& $(MAKE) bench-json-quick
 

@@ -10,14 +10,14 @@
      dune exec bench/main.exe -- --jobs 4     # fan sweep points across 4 domains
                                               # (--jobs 1 = sequential; default
                                               #  leaves one core for the OS)
-     dune exec bench/main.exe -- --breakdown  # inspect: latency-breakdown table
-                                              # for a canonical traced run
-     dune exec bench/main.exe -- --trace F    # inspect: export that run's trace
-                                              # as Chrome JSON (ui.perfetto.dev)
      dune exec bench/main.exe -- --json F     # core-throughput suite: events/sec
                                               # per scenario, written as JSON
                                               # (add --quick for the <30s variant
-                                              #  make check runs) *)
+                                              #  make check runs)
+
+   To inspect one canonical traced run (Concord on YCSB-A at 150 kRps) as
+   a latency-breakdown table or a Perfetto trace, use
+   [concord-sim run -w ycsb-a -r 150 -n 4000 --breakdown [--trace F]]. *)
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -139,51 +139,10 @@ let microbenches () =
   List.iter benchmark
     [ heap_bench; rng_bench; skiplist_bench; server_bench; cluster_bench; percentile_bench ]
 
-(* Inspection mode: one canonical traced run (Concord on YCSB-A at a
-   moderate load), reported as a latency breakdown and/or a Perfetto
-   trace instead of the benchmark sweep. *)
-let run_inspection ~trace_file ~breakdown =
-  let config = Repro_runtime.Systems.concord () in
-  let n_requests = 4_000 in
-  let tracer = Repro_runtime.Tracing.create ~capacity:(max 65_536 (n_requests * 64)) () in
-  let (_ : Repro_runtime.Metrics.summary), dt =
-    wall (fun () ->
-        Repro_runtime.Server.run ~config ~mix:Repro_workload.Presets.ycsb_a
-          ~arrival:(Repro_workload.Arrival.Poisson { rate_rps = 150_000.0 })
-          ~n_requests ~tracer ())
-  in
-  Printf.printf "[inspect] %s on ycsb-a, 150.0 kRps, %d requests (%.1fs)\n"
-    (Concord.Config.describe config) n_requests dt;
-  if breakdown then begin
-    let cswitch =
-      Repro_hw.Costs.ns_of config.Repro_runtime.Config.costs
-        config.Repro_runtime.Config.costs.Repro_hw.Costs.context_switch_cycles
-    in
-    print_string
-      (Repro_runtime.Breakdown.render
-         (Repro_runtime.Breakdown.of_trace ~cswitch_cost_ns:cswitch tracer))
-  end;
-  Option.iter
-    (fun path ->
-      Repro_runtime.Trace_export.write_file ~path
-        (Repro_runtime.Trace_export.tracer_to_chrome_json tracer);
-      Printf.printf "trace written to %s (open in ui.perfetto.dev)\n" path)
-    trace_file
-
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let full = List.mem "--full" args in
   let no_micro = List.mem "--no-micro" args in
-  let breakdown = List.mem "--breakdown" args in
-  let rec parse_trace = function
-    | [] -> None
-    | "--trace" :: v :: _ -> Some v
-    | a :: rest ->
-      if String.length a > 8 && String.sub a 0 8 = "--trace=" then
-        Some (String.sub a 8 (String.length a - 8))
-      else parse_trace rest
-  in
-  let trace_file = parse_trace args in
   let rec parse_json = function
     | [] -> None
     | "--json" :: v :: _ -> Some v
@@ -195,8 +154,6 @@ let () =
   (match parse_json args with
   | Some path -> Core_bench.run ~path ~quick:(List.mem "--quick" args)
   | None ->
-  if breakdown || trace_file <> None then run_inspection ~trace_file ~breakdown
-  else begin
   (* --jobs N / --jobs=N: total domains used per parallel fan-out. *)
   let jobs_of s = Option.bind (int_of_string_opt s) (fun n -> if n >= 1 then Some n else None) in
   let rec parse_jobs = function
@@ -237,5 +194,4 @@ let () =
   if ids = [] || List.mem "table1" ids then run_table1 ();
   run_figures ~scale ~ids:(List.filter (fun i -> i <> "table1") ids);
   if not no_micro then microbenches ();
-  Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0)
-  end)
+  Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0))

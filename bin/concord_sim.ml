@@ -2,14 +2,242 @@
 
    Subcommands:
      list                      enumerate figures, systems, workloads
-     figure <id> [--full]     regenerate one paper figure/ablation
-     table1                    regenerate Table 1
+     figure <id> [--full]      regenerate one paper figure, ablation or Table 1
      sweep ...                 load-sweep a system on a workload
-     run ...                   one load point with a detailed summary *)
+     run ...                   one load point with a detailed summary
+     cluster ...               a rack of instances behind a load balancer;
+                               --policy random is the multi-dispatcher
+                               replication of 6
+     raft, sls, trace, ...     the replicated tier, the single logical
+                               queue, lifecycle traces and the studies
+
+   Every flag that two subcommands share is declared once below, with the
+   subcommand's default and doc string as arguments. Every input error --
+   an [Error] from a spec parser or an [Invalid_argument] from a library
+   entry point -- leaves through the handler around [Cmd.eval] at the
+   bottom: its message on stderr, exit 1. *)
 
 open Cmdliner
+module Hedge = Repro_cluster.Hedge
+module Lb_policy = Repro_cluster.Lb_policy
+module Breakdown = Repro_runtime.Breakdown
+module Tracing = Repro_runtime.Tracing
+module Trace_export = Repro_runtime.Trace_export
 
-let print_figure fig = print_endline (Concord.Figure.render fig)
+(* A parse [Error] joins the library's [Invalid_argument]s on that path. *)
+let ok = function Ok v -> v | Error e -> invalid_arg e
+
+(* Thousandths: rps to kRps, ns to us. *)
+let k x = x /. 1e3
+
+(* ---- shared options -------------------------------------------------- *)
+
+let system_arg =
+  Arg.(value & opt string "concord" & info [ "system"; "s" ] ~docv:"SYSTEM" ~doc:"System preset.")
+
+let workload_arg ?(default = "ycsb-a") ?(doc = "Workload name.") () =
+  Arg.(value & opt string default & info [ "workload"; "w" ] ~docv:"WORKLOAD" ~doc)
+
+let quantum_arg =
+  Arg.(value & opt float 5.0 & info [ "quantum"; "q" ] ~docv:"US" ~doc:"Scheduling quantum (us).")
+
+let workers_arg =
+  Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc:"Worker threads.")
+
+let requests_arg ?(doc = "Arrivals per point.") default =
+  Arg.(value & opt int default & info [ "requests"; "n" ] ~docv:"N" ~doc)
+
+let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+
+(* The options of every command that simulates one named system on one
+   named workload. *)
+type spec = {
+  system : string;
+  workload : string;
+  quantum : float;
+  workers : int option;
+  n_requests : int;
+  seed : int;
+}
+
+let spec_term ?(workload = workload_arg ()) requests =
+  Term.(
+    const (fun system workload quantum workers n_requests seed ->
+        { system; workload; quantum; workers; n_requests; seed })
+    $ system_arg $ workload $ quantum_arg $ workers_arg $ requests $ seed_arg)
+
+let configure s =
+  ok (Concord.configure ~system:s.system ?n_workers:s.workers ~quantum_us:s.quantum ())
+
+let resolve ?policy s =
+  let config = configure s in
+  let mix = ok (Concord.workload s.workload) in
+  match policy with
+  | None -> (config, mix)
+  | Some spec -> (ok (Concord.with_policy config ~spec ~mix), mix)
+
+(* Every --rate flag is in kRps; each command picks required, a fixed
+   default, or [None] for a default derived from capacity. *)
+let rate_info doc = Arg.info [ "rate"; "r" ] ~docv:"KRPS" ~doc
+let required_rate_arg = Arg.(required & opt (some float) None & rate_info "Offered load in kRps.")
+
+let rate_arg ?(doc = "Offered load in kRps.") krps =
+  Arg.(value & opt float krps & rate_info doc)
+
+let derived_rate_arg doc = Arg.(value & opt (some float) None & rate_info doc)
+
+(* A rate the run entry points would reject (NaN, infinite, not positive,
+   or so small that the mean gap overflows) is an ordinary error, reported
+   with the library's message. *)
+let rate_rps_of_krps krps =
+  let rate_rps = krps *. 1e3 in
+  Concord.Arrival.validate (Concord.Arrival.Poisson { rate_rps });
+  rate_rps
+
+let policy_info doc = Arg.info [ "policy"; "p" ] ~docv:"POLICY" ~doc
+
+let central_policy_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & policy_info
+        (Printf.sprintf "Central-queue scheduling policy: %s (overrides the preset's)."
+           Concord.Policy.spec_syntax))
+
+(* One flag, two disjoint namespaces: a spec that names an LB policy sets
+   the balancer, anything else is treated as a central-queue policy for
+   every member.  [--policy po2c --policy gittins] sets both. *)
+let lb_or_central_policy_arg ~routing ~member =
+  Arg.(
+    value & opt_all string []
+    & policy_info
+        (Printf.sprintf
+           "%s (%s, default po2c) or per-%s central-queue policy (%s); repeatable to set both."
+           routing (String.concat ", " Lb_policy.all_names) member Concord.Policy.spec_syntax))
+
+let split_policies config mix specs =
+  List.fold_left
+    (fun (lb, config) spec ->
+      match Lb_policy.of_string spec with
+      | Ok p -> (p, config)
+      | Error lb_err -> (
+        match Concord.with_policy config ~spec ~mix with
+        | Ok config -> (lb, config)
+        | Error policy_err -> invalid_arg (lb_err ^ "\n" ^ policy_err)))
+    (Lb_policy.Po2c, config) specs
+
+let check_arg doc = Arg.(value & flag & info [ "check" ] ~doc)
+
+(* A --check reports every failed condition on stderr before it exits:
+   [fail msg] reports one, [failed ()] tells whether any was. *)
+let check_failures () =
+  let failures = ref 0 in
+  ( (fun msg ->
+      prerr_endline msg;
+      incr failures),
+    fun () -> !failures > 0 )
+
+let straggler_arg doc =
+  Arg.(value & opt_all (pair ~sep:':' int float) [] & info [ "straggler" ] ~docv:"IDX:FACTOR" ~doc)
+
+let hedge_arg ~what ~how =
+  Arg.(
+    value & opt string "off"
+    & info [ "hedge" ] ~docv:"SPEC"
+        ~doc:(Printf.sprintf "%s (%s): %s" what (String.concat ", " Hedge.all_names) how))
+
+let cancel_cost_arg doc =
+  Arg.(value & opt (some int) None & info [ "cancel-cost-cycles" ] ~docv:"CYCLES" ~doc)
+
+let instances_arg default doc =
+  Arg.(value & opt int default & info [ "instances" ] ~docv:"K" ~doc)
+
+let steal_arg doc = Arg.(value & flag & info [ "steal" ] ~doc)
+
+(* A sweep of no points would report on nothing. *)
+let points_arg ?(doc = "Sweep points (with --sweep).") default =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    | r -> r
+  in
+  Arg.(
+    value
+    & opt (conv (parse, conv_printer int)) default
+    & info [ "points" ] ~docv:"N" ~doc)
+
+(* [Some points] with --sweep, [None] for a single point. *)
+let sweep_arg doc =
+  Term.(
+    const (fun sweep points -> if sweep then Some points else None)
+    $ Arg.(value & flag & info [ "sweep" ] ~doc)
+    $ points_arg 8)
+
+(* The comma-separated axes of the studies. *)
+let rtts_arg default doc =
+  Arg.(value & opt (list int) default & info [ "rtts" ] ~docv:"C,..." ~doc)
+
+let policies_arg default doc =
+  Arg.(value & opt (list string) default & info [ "policies" ] ~docv:"P,..." ~doc)
+
+let jobs_arg doc = Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+let csv_arg doc = Arg.(value & flag & info [ "csv" ] ~doc)
+
+(* ---- shared reports -------------------------------------------------- *)
+
+type observe = { trace_file : string option; breakdown : bool }
+
+let observe_arg ~trace_doc
+    ?(breakdown_doc = "Print the per-request latency-breakdown percentile table.") () =
+  Term.(
+    const (fun trace_file breakdown -> { trace_file; breakdown })
+    $ Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:trace_doc)
+    $ Arg.(value & flag & info [ "breakdown" ] ~doc:breakdown_doc))
+
+let tracer n_requests = Tracing.create ~capacity:(max 65_536 (n_requests * 64)) ()
+
+let tracer_if obs n_requests =
+  if obs.trace_file <> None || obs.breakdown then Some (tracer n_requests) else None
+
+let breakdowns (config : Concord.Config.t) tracer =
+  let cswitch_cost_ns = Repro_hw.Costs.ns_of config.costs config.costs.context_switch_cycles in
+  Breakdown.of_trace ~cswitch_cost_ns tracer
+
+let report_trace obs config tracer =
+  if obs.breakdown then print_string (Breakdown.render (breakdowns config tracer));
+  Option.iter
+    (fun path ->
+      Trace_export.write_file ~path (Trace_export.tracer_to_chrome_json tracer);
+      Printf.printf "trace written to %s (open in ui.perfetto.dev)\n" path)
+    obs.trace_file
+
+let print_summary s =
+  print_endline Concord.Metrics.summary_header;
+  print_endline (Concord.Metrics.summary_row s)
+
+let print_classes (s : Concord.Metrics.summary) =
+  Array.iter
+    (fun (name, count, p999) ->
+      if count > 0 then Printf.printf "  class %-10s n=%-8d p99.9 slowdown=%.2f\n" name count p999)
+    s.Concord.Metrics.per_class
+
+let print_sweep (sw : Concord.Sweep.t) =
+  print_endline Concord.Metrics.summary_header;
+  List.iter
+    (fun (p : Concord.Sweep.point) -> print_endline (Concord.Metrics.summary_row p.summary))
+    sw.Concord.Sweep.points;
+  match Concord.max_load_under_slo sw with
+  | Some rate -> Printf.printf "max load under 50x p99.9 slowdown: %.1f kRps\n" (k rate)
+  | None -> print_endline "SLO violated at every load point"
+
+let stragglers_suffix = function
+  | [] -> ""
+  | stragglers ->
+    ", stragglers "
+    ^ String.concat "," (List.map (fun (i, f) -> Printf.sprintf "%d:%.2gx" i f) stragglers)
+
+let hedge_suffix hedge = if hedge = Hedge.Off then "" else ", hedge " ^ Hedge.name hedge
 
 (* ---- list ---------------------------------------------------------- *)
 
@@ -30,15 +258,12 @@ let list_cmd =
 
 (* ---- figure -------------------------------------------------------- *)
 
-let full_flag =
-  Arg.(value & flag & info [ "full" ] ~doc:"Run at full scale (4x the requests per point).")
-
 let figure_cmd =
   let id =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Figure id (see list).")
   in
-  let csv_flag =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of an aligned table.")
+  let full_flag =
+    Arg.(value & flag & info [ "full" ] ~doc:"Run at full scale (4x the requests per point).")
   in
   let action id full csv =
     let scale = if full then Concord.Figures.Full else Concord.Figures.Quick in
@@ -47,234 +272,74 @@ let figure_cmd =
       match Concord.Figures.by_id id with
       | Some make ->
         let fig = make ~scale () in
-        if csv then print_string (Concord.Figure.to_csv fig) else print_figure fig
-      | None ->
-        prerr_endline ("unknown figure id: " ^ id);
-        exit 1
+        if csv then print_string (Concord.Figure.to_csv fig)
+        else print_endline (Concord.Figure.render fig)
+      | None -> invalid_arg ("unknown figure id: " ^ id)
     end
   in
   Cmd.v (Cmd.info "figure" ~doc:"Regenerate one figure or table from the paper.")
-    Term.(const action $ id $ full_flag $ csv_flag)
-
-(* ---- table1 --------------------------------------------------------- *)
-
-let table1_cmd =
-  let action () = print_endline (Concord.Table1.render (Concord.Table1.rows ())) in
-  Cmd.v (Cmd.info "table1" ~doc:"Regenerate Table 1 (instrumentation overhead/timeliness).")
-    Term.(const action $ const ())
-
-(* ---- shared options -------------------------------------------------- *)
-
-let system_arg =
-  Arg.(value & opt string "concord" & info [ "system"; "s" ] ~docv:"SYSTEM" ~doc:"System preset.")
-
-let workload_arg =
-  Arg.(
-    value & opt string "ycsb-a" & info [ "workload"; "w" ] ~docv:"WORKLOAD" ~doc:"Workload name.")
-
-let quantum_arg =
-  Arg.(value & opt float 5.0 & info [ "quantum"; "q" ] ~docv:"US" ~doc:"Scheduling quantum (us).")
-
-let workers_arg =
-  Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc:"Worker threads.")
-
-let requests_arg =
-  Arg.(value & opt int 60_000 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Arrivals per point.")
-
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-
-let central_policy_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "policy"; "p" ] ~docv:"POLICY"
-        ~doc:
-          (Printf.sprintf "Central-queue scheduling policy: %s (overrides the preset's)."
-             Concord.Policy.spec_syntax))
-
-let resolve ?policy ~system ~workload ~quantum ~workers () =
-  match Concord.configure ~system ?n_workers:workers ~quantum_us:quantum () with
-  | Error e ->
-    prerr_endline e;
-    exit 1
-  | Ok config -> (
-    match Concord.workload workload with
-    | Error e ->
-      prerr_endline e;
-      exit 1
-    | Ok mix -> (
-      match policy with
-      | None -> (config, mix)
-      | Some spec -> (
-        match Concord.with_policy config ~spec ~mix with
-        | Error e ->
-          prerr_endline e;
-          exit 1
-        | Ok config -> (config, mix))))
-
-(* Every --rate flag is in kRps. A rate the run entry points would reject
-   (NaN, infinite, not positive, or so small that the mean gap overflows)
-   is an ordinary error, reported with the library's message. *)
-let rate_rps_of_krps krps =
-  let rate_rps = krps *. 1e3 in
-  match Concord.Arrival.validate (Concord.Arrival.Poisson { rate_rps }) with
-  | () -> rate_rps
-  | exception Invalid_argument e ->
-    prerr_endline e;
-    exit 1
+    Term.(const action $ id $ full_flag $ csv_arg "Emit CSV instead of an aligned table.")
 
 (* ---- sweep ----------------------------------------------------------- *)
 
 let sweep_cmd =
-  let points_arg =
-    Arg.(value & opt int 10 & info [ "points" ] ~docv:"N" ~doc:"Sweep points.")
-  in
-  let action system workload quantum workers policy points n_requests seed =
-    let config, mix = resolve ?policy ~system ~workload ~quantum ~workers () in
-    let sweep = Concord.sweep ~config ~mix ~points ~n_requests ~seed () in
+  let action s policy points =
+    let config, mix = resolve ?policy s in
+    let sweep =
+      Concord.sweep ~config ~mix ~points ~n_requests:s.n_requests ~seed:s.seed ()
+    in
     Printf.printf "%s on %s\n" (Concord.Config.describe config) sweep.Concord.Sweep.workload;
-    print_endline Concord.Metrics.summary_header;
-    List.iter
-      (fun (p : Concord.Sweep.point) ->
-        print_endline (Concord.Metrics.summary_row p.summary))
-      sweep.Concord.Sweep.points;
-    match Concord.max_load_under_slo sweep with
-    | Some rate -> Printf.printf "max load under 50x p99.9 slowdown: %.1f kRps\n" (rate /. 1e3)
-    | None -> print_endline "SLO violated at every load point"
+    print_sweep sweep
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Run a load sweep and report the SLO crossing.")
     Term.(
-      const action $ system_arg $ workload_arg $ quantum_arg $ workers_arg
-      $ central_policy_arg $ points_arg $ requests_arg $ seed_arg)
+      const action $ spec_term (requests_arg 60_000) $ central_policy_arg
+      $ points_arg ~doc:"Sweep points." 10)
 
 (* ---- run -------------------------------------------------------------- *)
 
 let run_cmd =
-  let rate_arg =
-    Arg.(
-      required
-      & opt (some float) None
-      & info [ "rate"; "r" ] ~docv:"KRPS" ~doc:"Offered load in kRps.")
-  in
-  let trace_file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Export the request-lifecycle trace as Chrome trace-event JSON (Perfetto).")
-  in
-  let breakdown_flag =
-    Arg.(
-      value & flag
-      & info [ "breakdown" ] ~doc:"Print the per-request latency-breakdown percentile table.")
-  in
-  let check_flag =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Validate the summary: every arrival completed or censored, non-zero goodput. \
-             Non-zero exit on failure.")
-  in
-  let action system workload quantum workers policy rate n_requests seed trace_file breakdown
-      check =
-    let config, mix = resolve ?policy ~system ~workload ~quantum ~workers () in
-    let tracer =
-      if trace_file <> None || breakdown then
-        Some (Repro_runtime.Tracing.create ~capacity:(max 65_536 (n_requests * 64)) ())
-      else None
-    in
-    let s =
-      Concord.run ~config ~mix ~rate_rps:(rate_rps_of_krps rate) ~n_requests ~seed ?tracer ()
+  let action s policy rate obs check =
+    let config, mix = resolve ?policy s in
+    let n_requests = s.n_requests in
+    let tracer = tracer_if obs n_requests in
+    let (s : Concord.Metrics.summary) =
+      Concord.run ~config ~mix ~rate_rps:(rate_rps_of_krps rate) ~n_requests ~seed:s.seed
+        ?tracer ()
     in
     Printf.printf "%s\n" (Concord.Config.describe config);
     Printf.printf "workload: %s, offered %.1f kRps\n" mix.Concord.Mix.name rate;
-    print_endline Concord.Metrics.summary_header;
-    print_endline (Concord.Metrics.summary_row s);
+    print_summary s;
     Printf.printf
       "dispatcher: %.1f%% dispatching + %.1f%% stolen app work; worker busy %.1f%%\n"
-      (100. *. s.Concord.Metrics.dispatcher_busy_frac)
-      (100. *. s.Concord.Metrics.dispatcher_app_frac)
-      (100. *. s.Concord.Metrics.worker_busy_frac);
-    Array.iter
-      (fun (name, count, p999) ->
-        if count > 0 then Printf.printf "  class %-10s n=%-8d p99.9 slowdown=%.2f\n" name count p999)
-      s.Concord.Metrics.per_class;
-    Option.iter
-      (fun tracer ->
-        let cswitch =
-          Repro_hw.Costs.ns_of config.Concord.Config.costs
-            config.Concord.Config.costs.Repro_hw.Costs.context_switch_cycles
-        in
-        if breakdown then
-          print_string
-            (Repro_runtime.Breakdown.render
-               (Repro_runtime.Breakdown.of_trace ~cswitch_cost_ns:cswitch tracer));
-        Option.iter
-          (fun path ->
-            Repro_runtime.Trace_export.write_file ~path
-              (Repro_runtime.Trace_export.tracer_to_chrome_json
-                 tracer);
-            Printf.printf "trace written to %s (open in ui.perfetto.dev)\n" path)
-          trace_file)
-      tracer;
+      (100. *. s.dispatcher_busy_frac) (100. *. s.dispatcher_app_frac)
+      (100. *. s.worker_busy_frac);
+    print_classes s;
+    Option.iter (report_trace obs config) tracer;
     if check then begin
-      let failures = ref 0 in
-      if s.Concord.Metrics.completed + s.Concord.Metrics.censored <> n_requests then begin
-        Printf.eprintf "check: %d completed + %d censored <> %d arrivals\n"
-          s.Concord.Metrics.completed s.Concord.Metrics.censored n_requests;
-        incr failures
-      end;
-      if s.Concord.Metrics.completed = 0 then begin
-        prerr_endline "check: nothing completed";
-        incr failures
-      end;
-      if not (s.Concord.Metrics.goodput_rps > 0.0) then begin
-        Printf.eprintf "check: non-positive goodput %f\n" s.Concord.Metrics.goodput_rps;
-        incr failures
-      end;
-      if !failures > 0 then exit 1
+      let fail, failed = check_failures () in
+      if s.completed + s.censored <> n_requests then
+        fail
+          (Printf.sprintf "check: %d completed + %d censored <> %d arrivals" s.completed
+             s.censored n_requests);
+      if s.completed = 0 then fail "check: nothing completed";
+      if not (s.goodput_rps > 0.0) then
+        fail (Printf.sprintf "check: non-positive goodput %f" s.goodput_rps);
+      if failed () then exit 1
       else
-        Printf.printf "check: conservation holds (%d completed, %d censored)\n"
-          s.Concord.Metrics.completed s.Concord.Metrics.censored
+        Printf.printf "check: conservation holds (%d completed, %d censored)\n" s.completed
+          s.censored
     end
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one load point and print a detailed summary.")
     Term.(
-      const action $ system_arg $ workload_arg $ quantum_arg $ workers_arg
-      $ central_policy_arg $ rate_arg $ requests_arg $ seed_arg $ trace_file_arg
-      $ breakdown_flag $ check_flag)
-
-(* ---- replicate (6) ----------------------------------------------------- *)
-
-let replicate_cmd =
-  let instances_arg =
-    Arg.(value & opt int 2 & info [ "instances" ] ~docv:"K" ~doc:"Replica count.")
-  in
-  let rate_arg =
-    Arg.(
-      required
-      & opt (some float) None
-      & info [ "rate"; "r" ] ~docv:"KRPS" ~doc:"Total offered load in kRps.")
-  in
-  let action system workload quantum workers instances rate n_requests seed =
-    let config, mix = resolve ~system ~workload ~quantum ~workers () in
-    let s =
-      Repro_cluster.Replication.run ~instances ~config ~mix ~rate_rps:(rate_rps_of_krps rate)
-        ~n_requests ~seed ()
-    in
-    Printf.printf "%d x { %s }\n" instances (Concord.Config.describe config);
-    Printf.printf "total %.1f kRps -> goodput %.1f kRps, p50 %.2f, p99 %.2f, p99.9 %.2f\n"
-      (s.Repro_cluster.Replication.offered_rps /. 1e3)
-      (s.Repro_cluster.Replication.goodput_rps /. 1e3)
-      s.Repro_cluster.Replication.p50_slowdown s.Repro_cluster.Replication.p99_slowdown
-      s.Repro_cluster.Replication.p999_slowdown
-  in
-  Cmd.v
-    (Cmd.info "replicate" ~doc:"Run K single-dispatcher replicas with disjoint workers (6).")
-    Term.(
-      const action $ system_arg $ workload_arg $ quantum_arg $ workers_arg $ instances_arg
-      $ rate_arg $ requests_arg $ seed_arg)
+      const action $ spec_term (requests_arg 60_000) $ central_policy_arg $ required_rate_arg
+      $ observe_arg
+          ~trace_doc:"Export the request-lifecycle trace as Chrome trace-event JSON (Perfetto)."
+          ()
+      $ check_arg
+          "Validate the summary: every arrival completed or censored, non-zero goodput. \
+           Non-zero exit on failure.")
 
 (* ---- raft (replicated tier) -------------------------------------------- *)
 
@@ -292,61 +357,23 @@ let raft_mix workload =
     | _ -> Error (Printf.sprintf "bad fixed workload spec: %s (want fixed:US)" workload))
   | _ -> Concord.workload workload
 
+(* Of a homogeneous group: every member runs [raft.specs.(0)]'s config. *)
 let raft_capacity_rps (raft : Repro_raft.Raft.t) mix =
-  let module Raft = Repro_raft.Raft in
-  let total_workers =
-    Array.fold_left
-      (fun acc (s : Repro_cluster.Cluster.instance_spec) -> acc + s.config.Concord.Config.n_workers)
-      0 raft.Raft.specs
-  in
+  let config = raft.specs.(0).Repro_cluster.Cluster.config in
+  let nodes = Array.length raft.specs in
   (* Each write adds a durable append at the leader and an AppendEntries
      mini at every follower on top of its own service time; capacity is
      aggregate work, so fold that in or the default load point melts the
      leader. *)
-  let costs = raft.Raft.specs.(0).config.Concord.Config.costs in
-  let nodes = Array.length raft.Raft.specs in
+  let ns_of = Repro_hw.Costs.ns_of config.Concord.Config.costs in
   let consensus_ns =
-    float_of_int
-      (Repro_hw.Costs.ns_of costs raft.Raft.log_write_cycles
-      + ((nodes - 1) * Repro_hw.Costs.ns_of costs raft.Raft.follower_ae_cycles))
+    float_of_int (ns_of raft.log_write_cycles + ((nodes - 1) * ns_of raft.follower_ae_cycles))
   in
-  let eff_service_ns =
-    Concord.Mix.mean_service_ns mix +. (raft.Raft.write_ratio *. consensus_ns)
-  in
-  float_of_int total_workers /. eff_service_ns *. 1e9
-
-(* The cluster command's choice of discrete-event engine (single-point
-   runs only; sweeps parallelize across points with --jobs instead). *)
-let engine_arg =
-  Arg.(
-    value & opt string "seq"
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Simulation engine: seq (shared clock), par (conservative time-window parallel \
-           engine, one domain per server instance) or par:N (N domains). Models without \
-           lookahead (rtt 0, hedging) degrade to seq with a warning.")
-
-let parse_engine spec =
-  match Repro_engine.Par_sim.of_string spec with
-  | Ok e -> e
-  | Error e ->
-    prerr_endline e;
-    exit 1
+  let eff_service_ns = Concord.Mix.mean_service_ns mix +. (raft.write_ratio *. consensus_ns) in
+  float_of_int (nodes * config.n_workers) /. eff_service_ns *. 1e9
 
 let raft_cmd =
   let module Raft = Repro_raft.Raft in
-  let module Lb_policy = Repro_cluster.Lb_policy in
-  let policy_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "policy"; "p" ] ~docv:"POLICY"
-          ~doc:
-            (Printf.sprintf
-               "Lease-read routing policy (%s, default po2c) or per-member central-queue \
-                policy (%s); repeatable to set both."
-               (String.concat ", " Lb_policy.all_names)
-               Concord.Policy.spec_syntax))
-  in
   let nodes_arg =
     Arg.(value & opt int 3 & info [ "nodes" ] ~docv:"K" ~doc:"Raft group members.")
   in
@@ -372,16 +399,6 @@ let raft_cmd =
       value & opt float 0.5
       & info [ "write-ratio" ] ~docv:"F" ~doc:"Fraction of arrivals that are writes.")
   in
-  let hedge_arg =
-    Arg.(
-      value & opt string "off"
-      & info [ "hedge" ] ~docv:"SPEC"
-          ~doc:
-            (Printf.sprintf
-               "Hedge lease reads (%s): duplicate a slow read onto another leaseholder; \
-                first completion wins. Writes are never hedged."
-               (String.concat ", " Repro_cluster.Hedge.all_names)))
-  in
   let kill_arg =
     Arg.(
       value
@@ -389,88 +406,15 @@ let raft_cmd =
       & info [ "kill-leader-at" ] ~docv:"US"
           ~doc:"Crash the current leader at this simulated time (us) and fail over.")
   in
-  let straggler_arg =
-    Arg.(
-      value
-      & opt_all (pair ~sep:':' int float) []
-      & info [ "straggler" ] ~docv:"IDX:FACTOR"
-          ~doc:"Make member IDX execute everything FACTOR times slower (repeatable).")
-  in
-  let cancel_cost_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cancel-cost-cycles" ] ~docv:"CYCLES"
-          ~doc:"Dispatcher cost of revoking a cancelled hedge duplicate.")
-  in
-  let rate_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "rate"; "r" ] ~docv:"KRPS"
-          ~doc:"Offered load in kRps (default: 40% of the group's ideal direct capacity).")
-  in
-  let trace_file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Export the all-member trace as Chrome trace-event JSON (Perfetto).")
-  in
-  let breakdown_flag =
-    Arg.(
-      value & flag
-      & info [ "breakdown" ]
-          ~doc:
-            "Print the latency-breakdown percentile table; consensus time shows up as its \
-             own component.")
-  in
-  let check_flag =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Validate conservation and the Raft invariants (monotone commit indexes, one \
-             leader per term, no committed-entry loss); non-zero exit on failure.")
-  in
-  let sweep_flag =
-    Arg.(value & flag & info [ "sweep" ] ~doc:"Sweep offered load instead of one point.")
-  in
-  let points_arg =
-    Arg.(value & opt int 8 & info [ "points" ] ~docv:"N" ~doc:"Sweep points (with --sweep).")
-  in
-  let action system workload quantum workers policies nodes rtt leases write_ratio hedge_spec
-      kill_us stragglers cancel_cost rate n_requests seed trace_file breakdown check sweep
-      points =
-    let config, mix = resolve ~system ~workload ~quantum ~workers () in
-    let read_lb, config =
-      List.fold_left
-        (fun (lb, config) spec ->
-          match Lb_policy.of_string spec with
-          | Ok p -> (p, config)
-          | Error lb_err -> (
-            match Concord.with_policy config ~spec ~mix with
-            | Ok config -> (lb, config)
-            | Error policy_err ->
-              Printf.eprintf "%s\n%s\n" lb_err policy_err;
-              exit 1))
-        (Lb_policy.Po2c, config) policies
-    in
-    let hedge =
-      match Repro_cluster.Hedge.of_string hedge_spec with
-      | Ok h -> h
-      | Error e ->
-        prerr_endline e;
-        exit 1
-    in
+  let action s policies nodes rtt leases write_ratio hedge_spec kill_us stragglers cancel_cost
+      rate obs check sweep =
+    let config, mix = resolve s in
+    let read_lb, config = split_policies config mix policies in
+    let hedge = ok (Hedge.of_string hedge_spec) in
     let kill_leader_at_ns = Option.map (fun us -> int_of_float (us *. 1e3)) kill_us in
     let raft =
-      try
-        Raft.homogeneous ~read_lb ?rtt_cycles:rtt ~read_leases:leases ~write_ratio ~hedge
-          ?kill_leader_at_ns ?cancel_cost_cycles:cancel_cost ~stragglers ~nodes config
-      with Invalid_argument e ->
-        prerr_endline e;
-        exit 1
+      Raft.homogeneous ~read_lb ?rtt_cycles:rtt ~read_leases:leases ~write_ratio ~hedge
+        ?kill_leader_at_ns ?cancel_cost_cycles:cancel_cost ~stragglers ~nodes config
     in
     let capacity_rps = raft_capacity_rps raft mix in
     let describe () =
@@ -479,77 +423,49 @@ let raft_cmd =
         (Concord.Config.describe config)
         (Lb_policy.name read_lb) raft.Raft.rtt_cycles
         (if leases then "on" else "off")
-        (100. *. write_ratio)
-        (if hedge = Repro_cluster.Hedge.Off then ""
-         else ", hedge " ^ Repro_cluster.Hedge.name hedge)
+        (100. *. write_ratio) (hedge_suffix hedge)
         (match kill_us with
         | Some us -> Printf.sprintf ", leader killed at %.0fus" us
         | None -> "")
-        (if stragglers = [] then ""
-         else
-           ", stragglers "
-           ^ String.concat "," (List.map (fun (i, f) -> Printf.sprintf "%d:%.2gx" i f) stragglers))
+        (stragglers_suffix stragglers)
     in
     let run_at ?tracer rate_rps =
-      Raft.run ~raft ~mix ~arrival:(Concord.Arrival.Poisson { rate_rps }) ~n_requests ~seed
-        ?tracer ()
+      Raft.run ~raft ~mix ~arrival:(Concord.Arrival.Poisson { rate_rps })
+        ~n_requests:s.n_requests ~seed:s.seed ?tracer ()
     in
-    if sweep then begin
+    match sweep with
+    | Some points ->
       describe ();
       Printf.printf "workload: %s\n" mix.Concord.Mix.name;
       Printf.printf "%9s %9s %9s %9s %9s %9s %9s\n" "kRps" "w_p50us" "w_p99us" "r_p50us"
         "r_p99us" "censored" "parked";
       for i = 1 to points do
         let rate_rps = 0.9 *. capacity_rps *. float_of_int i /. float_of_int points in
-        let s = run_at rate_rps in
-        Printf.printf "%9.1f %9.1f %9.1f %9.1f %9.1f %9d %9d\n" (rate_rps /. 1e3)
-          (s.Raft.write_p50_ns /. 1e3)
-          (s.Raft.write_p99_ns /. 1e3)
-          (s.Raft.read_p50_ns /. 1e3)
-          (s.Raft.read_p99_ns /. 1e3)
-          s.Raft.client.Concord.Metrics.censored s.Raft.parked;
+        let (s : Raft.summary) = run_at rate_rps in
+        Printf.printf "%9.1f %9.1f %9.1f %9.1f %9.1f %9d %9d\n" (k rate_rps) (k s.write_p50_ns)
+          (k s.write_p99_ns) (k s.read_p50_ns) (k s.read_p99_ns)
+          s.client.Concord.Metrics.censored s.parked;
         if check then begin
           match Raft.check_invariants s with
           | Ok () -> ()
           | Error msg ->
-            Printf.eprintf "check (%.1f kRps): %s\n" (rate_rps /. 1e3) msg;
+            Printf.eprintf "check (%.1f kRps): %s\n" (k rate_rps) msg;
             exit 1
         end
       done;
       if check then print_endline "check: invariants hold at every sweep point"
-    end
-    else begin
-      let tracer =
-        if trace_file <> None || breakdown then
-          Some (Repro_runtime.Tracing.create ~capacity:(max 65_536 (n_requests * 64)) ())
-        else None
-      in
+    | None ->
+      let tracer = tracer_if obs s.n_requests in
       let rate_rps =
-        match rate with Some k -> rate_rps_of_krps k | None -> 0.4 *. capacity_rps
+        match rate with Some krps -> rate_rps_of_krps krps | None -> 0.4 *. capacity_rps
       in
       let s = run_at ?tracer rate_rps in
       describe ();
       Printf.printf "workload: %s, offered %.1f kRps (%.0f%% of direct capacity)\n"
-        mix.Concord.Mix.name (rate_rps /. 1e3)
+        mix.Concord.Mix.name (k rate_rps)
         (100. *. rate_rps /. capacity_rps);
       print_string (Raft.summary_to_string s);
-      Option.iter
-        (fun tracer ->
-          let cswitch =
-            Repro_hw.Costs.ns_of config.Concord.Config.costs
-              config.Concord.Config.costs.Repro_hw.Costs.context_switch_cycles
-          in
-          if breakdown then
-            print_string
-              (Repro_runtime.Breakdown.render
-                 (Repro_runtime.Breakdown.of_trace ~cswitch_cost_ns:cswitch tracer));
-          Option.iter
-            (fun path ->
-              Repro_runtime.Trace_export.write_file ~path
-                (Repro_runtime.Trace_export.tracer_to_chrome_json tracer);
-              Printf.printf "trace written to %s (open in ui.perfetto.dev)\n" path)
-            trace_file)
-        tracer;
+      Option.iter (report_trace obs config) tracer;
       if check then begin
         match Raft.check_invariants s with
         | Ok () ->
@@ -559,7 +475,6 @@ let raft_cmd =
           Printf.eprintf "check: %s\n" msg;
           exit 1
       end
-    end
   in
   Cmd.v
     (Cmd.info "raft"
@@ -567,11 +482,28 @@ let raft_cmd =
          "Run a simulated Raft group of server instances: writes replicate through a \
           quorum-acknowledged log, reads bypass consensus via leader leases.")
     Term.(
-      const action $ system_arg $ workload_arg $ quantum_arg $ workers_arg $ policy_arg
-      $ nodes_arg $ rtt_arg $ leases_arg $ write_ratio_arg $ hedge_arg $ kill_arg
-      $ straggler_arg $ cancel_cost_arg $ rate_arg
-      $ Arg.(value & opt int 20_000 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Arrivals.")
-      $ seed_arg $ trace_file_arg $ breakdown_flag $ check_flag $ sweep_flag $ points_arg)
+      const action
+      $ spec_term (requests_arg ~doc:"Arrivals." 20_000)
+      $ lb_or_central_policy_arg ~routing:"Lease-read routing policy" ~member:"member"
+      $ nodes_arg $ rtt_arg $ leases_arg $ write_ratio_arg
+      $ hedge_arg ~what:"Hedge lease reads"
+          ~how:
+            "duplicate a slow read onto another leaseholder; first completion wins. Writes \
+             are never hedged."
+      $ kill_arg
+      $ straggler_arg "Make member IDX execute everything FACTOR times slower (repeatable)."
+      $ cancel_cost_arg "Dispatcher cost of revoking a cancelled hedge duplicate."
+      $ derived_rate_arg
+          "Offered load in kRps (default: 40% of the group's ideal direct capacity)."
+      $ observe_arg ~trace_doc:"Export the all-member trace as Chrome trace-event JSON (Perfetto)."
+          ~breakdown_doc:
+            "Print the latency-breakdown percentile table; consensus time shows up as its \
+             own component."
+          ()
+      $ check_arg
+          "Validate conservation and the Raft invariants (monotone commit indexes, one \
+           leader per term, no committed-entry loss); non-zero exit on failure."
+      $ sweep_arg "Sweep offered load instead of one point.")
 
 (* ---- raft-study -------------------------------------------------------- *)
 
@@ -583,40 +515,16 @@ let raft_study_cmd =
       & opt (list int) [ 1; 3; 5 ]
       & info [ "nodes" ] ~docv:"K,..." ~doc:"Comma-separated group sizes.")
   in
-  let rtts_arg =
-    Arg.(
-      value
-      & opt (list int) [ 880_000 ]
-      & info [ "rtts" ] ~docv:"C,..." ~doc:"Comma-separated inter-member RTTs in cycles.")
-  in
   let wratios_arg =
     Arg.(
       value
       & opt (list float) [ 0.5 ]
       & info [ "write-ratios" ] ~docv:"F,..." ~doc:"Comma-separated write ratios.")
   in
-  let rate_arg =
-    Arg.(
-      value & opt float 4.0
-      & info [ "rate"; "r" ] ~docv:"KRPS"
-          ~doc:"Offered load in kRps (keep it low: the study measures intrinsic latency).")
-  in
-  let workload_arg =
-    Arg.(
-      value & opt string "fixed:50"
-      & info [ "workload"; "w" ] ~docv:"WORKLOAD"
-          ~doc:"Workload preset, or fixed:US for single-size ops (default fixed:50).")
-  in
-  let csv_flag = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of the table.") in
-  let action system workload quantum workers nodes_list rtts wratios rate n_requests seed csv =
-    let config, _ = resolve ~system ~workload:"ycsb-a" ~quantum ~workers () in
-    let mix =
-      match raft_mix workload with
-      | Ok m -> m
-      | Error e ->
-        prerr_endline e;
-        exit 1
-    in
+  let action s nodes_list rtts wratios rate csv =
+    let config = configure s in
+    let mix = ok (raft_mix s.workload) in
+    let n_requests = s.n_requests and seed = s.seed in
     let rate_rps = rate_rps_of_krps rate in
     let arrival = Concord.Arrival.Poisson { rate_rps } in
     (* The direct baseline is the same machinery with consensus off the
@@ -636,7 +544,7 @@ let raft_study_cmd =
     else begin
       Printf.printf
         "consensus overhead: %s at %.1f kRps, direct p50 %.1f us (1 member, no writes)\n"
-        mix.Concord.Mix.name rate (direct_p50 /. 1e3);
+        mix.Concord.Mix.name rate (k direct_p50);
       Printf.printf "%5s %8s %7s | %11s %9s | %11s %9s | %11s %11s\n" "nodes" "rtt_us" "w_frac"
         "write_p50us" "overhead" "read_p50us" "vs_direct" "write_p99us" "read_p99us"
     end;
@@ -646,36 +554,25 @@ let raft_study_cmd =
           (fun rtt_cycles ->
             List.iter
               (fun write_ratio ->
-                let raft =
-                  Raft.homogeneous ~rtt_cycles ~write_ratio ~nodes config
-                in
-                let s = Raft.run ~raft ~mix ~arrival ~n_requests ~seed () in
+                let raft = Raft.homogeneous ~rtt_cycles ~write_ratio ~nodes config in
+                let (s : Raft.summary) = Raft.run ~raft ~mix ~arrival ~n_requests ~seed () in
                 (match Raft.check_invariants s with
                 | Ok () -> ()
                 | Error msg ->
                   Printf.eprintf "raft-study (%d nodes): %s\n" nodes msg;
                   exit 1);
-                let rtt_us = float_of_int rtt_cycles /. 2.0 /. 1e3 in
-                let w_over = s.Raft.write_p50_ns /. direct_p50 in
-                let r_over = s.Raft.read_p50_ns /. direct_p50 in
+                let w_over = s.write_p50_ns /. direct_p50 in
+                let r_over = s.read_p50_ns /. direct_p50 in
                 if csv then
                   Printf.printf "%d,%d,%g,%.3f,%.3f,%.2f,%.3f,%.3f,%.3f,%.3f\n" nodes rtt_cycles
-                    write_ratio (direct_p50 /. 1e3)
-                    (s.Raft.write_p50_ns /. 1e3)
-                    w_over
-                    (s.Raft.read_p50_ns /. 1e3)
-                    r_over
-                    (s.Raft.write_p99_ns /. 1e3)
-                    (s.Raft.read_p99_ns /. 1e3)
+                    write_ratio (k direct_p50) (k s.write_p50_ns) w_over (k s.read_p50_ns) r_over
+                    (k s.write_p99_ns) (k s.read_p99_ns)
                 else
                   Printf.printf "%5d %8.0f %7.2f | %11.1f %8.1fx | %11.1f %8.2fx | %11.1f %11.1f\n"
-                    nodes rtt_us write_ratio
-                    (s.Raft.write_p50_ns /. 1e3)
-                    w_over
-                    (s.Raft.read_p50_ns /. 1e3)
-                    r_over
-                    (s.Raft.write_p99_ns /. 1e3)
-                    (s.Raft.read_p99_ns /. 1e3))
+                    nodes
+                    (k (float_of_int rtt_cycles /. 2.0))
+                    write_ratio (k s.write_p50_ns) w_over (k s.read_p50_ns) r_over
+                    (k s.write_p99_ns) (k s.read_p99_ns))
               wratios)
           rtts)
       nodes_list
@@ -686,33 +583,35 @@ let raft_study_cmd =
          "Measure consensus overhead: direct vs replicated writes across group sizes and \
           RTTs, with lease reads staying flat.")
     Term.(
-      const action $ system_arg $ workload_arg $ quantum_arg $ workers_arg $ nodes_arg
-      $ rtts_arg $ wratios_arg $ rate_arg
-      $ Arg.(value & opt int 20_000 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Arrivals per cell.")
-      $ seed_arg $ csv_flag)
+      const action
+      $ spec_term
+          ~workload:
+            (workload_arg ~default:"fixed:50"
+               ~doc:"Workload preset, or fixed:US for single-size ops (default fixed:50)." ())
+          (requests_arg ~doc:"Arrivals per cell." 20_000)
+      $ nodes_arg
+      $ rtts_arg [ 880_000 ] "Comma-separated inter-member RTTs in cycles."
+      $ wratios_arg
+      $ rate_arg ~doc:"Offered load in kRps (keep it low: the study measures intrinsic latency)."
+          4.0
+      $ csv_arg "Emit CSV instead of the table.")
 
 (* ---- cluster (rack scale) ---------------------------------------------- *)
 
+(* The cluster command's choice of discrete-event engine (single-point
+   runs only; sweeps parallelize across points with --jobs instead). *)
+let engine_arg =
+  Arg.(
+    value & opt string "seq"
+    & info [ "engine" ] ~docv:"ENGINE"
+        ~doc:
+          "Simulation engine: seq (shared clock), par (conservative time-window parallel \
+           engine, one domain per server instance) or par:N (N domains). Models without \
+           lookahead (rtt 0, hedging) degrade to seq with a warning.")
+
 let cluster_cmd =
   let module Cluster = Repro_cluster.Cluster in
-  let module Lb_policy = Repro_cluster.Lb_policy in
-  (* One flag, two disjoint namespaces: a spec that names an LB policy sets
-     the balancer, anything else is treated as a central-queue policy for
-     every instance.  [--policy po2c --policy gittins] sets both. *)
-  let policy_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "policy"; "p" ] ~docv:"POLICY"
-          ~doc:
-            (Printf.sprintf
-               "Inter-server load-balancing policy (%s, default po2c) or per-instance \
-                central-queue policy (%s); repeatable to set both."
-               (String.concat ", " Lb_policy.all_names)
-               Concord.Policy.spec_syntax))
-  in
-  let instances_arg =
-    Arg.(value & opt int 4 & info [ "instances" ] ~docv:"K" ~doc:"Server instances in the rack.")
-  in
+  let module Par_sim = Repro_engine.Par_sim in
   let rtt_arg =
     Arg.(
       value & opt int 0
@@ -720,67 +619,6 @@ let cluster_cmd =
           ~doc:
             "Inter-server round trip in cycles; the balancer's queue views go stale by up to \
              this much.")
-  in
-  let straggler_arg =
-    Arg.(
-      value
-      & opt_all (pair ~sep:':' int float) []
-      & info [ "straggler" ] ~docv:"IDX:FACTOR"
-          ~doc:
-            "Make instance IDX a straggler that executes everything FACTOR times slower \
-             (repeatable).")
-  in
-  let rate_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "rate"; "r" ] ~docv:"KRPS"
-          ~doc:"Total offered load in kRps (default: 75% of the rack's ideal capacity).")
-  in
-  let trace_file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Export the all-instance trace as Chrome trace-event JSON (Perfetto).")
-  in
-  let breakdown_flag =
-    Arg.(
-      value & flag
-      & info [ "breakdown" ] ~doc:"Print the per-request latency-breakdown percentile table.")
-  in
-  let check_flag =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:"Validate conservation invariants on the summary; non-zero exit on failure.")
-  in
-  let hedge_arg =
-    Arg.(
-      value & opt string "off"
-      & info [ "hedge" ] ~docv:"SPEC"
-          ~doc:
-            (Printf.sprintf
-               "Balancer-side request hedging (%s): duplicate a slow request onto the \
-                shortest-view other server; first completion wins, the loser is cancelled."
-               (String.concat ", " Repro_cluster.Hedge.all_names)))
-  in
-  let cancel_cost_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cancel-cost-cycles" ] ~docv:"CYCLES"
-          ~doc:
-            "Dispatcher cost of revoking a cancelled duplicate at the server (default: one \
-             requeue op).")
-  in
-  let steal_flag =
-    Arg.(
-      value & flag
-      & info [ "steal" ]
-          ~doc:
-            "Rack-level work stealing: a server whose balancer view drains to zero probes \
-             the fullest peer for one not-yet-started request.")
   in
   let arrival_arg =
     Arg.(
@@ -790,77 +628,32 @@ let cluster_cmd =
             "Arrival process: poisson | uniform | burst:N | diurnal:AMP:PERIOD_S | \
              mmpp:FACTOR:CYCLE:DUTY (single-point runs only).")
   in
-  let sweep_flag =
-    Arg.(
-      value & flag
-      & info [ "sweep" ] ~doc:"Sweep offered load instead of running one point.")
-  in
-  let points_arg =
-    Arg.(value & opt int 8 & info [ "points" ] ~docv:"N" ~doc:"Sweep points (with --sweep).")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Domains for the sweep fan-out (with --sweep).")
-  in
-  let action system workload quantum workers policies instances rtt stragglers hedge_spec
-      cancel_cost steal arrival_spec rate n_requests seed trace_file breakdown check sweep
-      points jobs engine_spec =
-    let engine = parse_engine engine_spec in
-    let config, mix = resolve ~system ~workload ~quantum ~workers () in
-    let policy, config =
-      List.fold_left
-        (fun (lb, config) spec ->
-          match Lb_policy.of_string spec with
-          | Ok p -> (p, config)
-          | Error lb_err -> (
-            match Concord.with_policy config ~spec ~mix with
-            | Ok config -> (lb, config)
-            | Error policy_err ->
-              Printf.eprintf "%s\n%s\n" lb_err policy_err;
-              exit 1))
-        (Lb_policy.Po2c, config) policies
-    in
-    let hedge =
-      match Repro_cluster.Hedge.of_string hedge_spec with
-      | Ok h -> h
-      | Error e ->
-        prerr_endline e;
-        exit 1
-    in
+  let action s policies instances rtt stragglers hedge_spec cancel_cost steal arrival_spec rate
+      obs check sweep jobs engine_spec =
+    let engine = ok (Par_sim.of_string engine_spec) in
+    let config, mix = resolve s in
+    let policy, config = split_policies config mix policies in
+    let hedge = ok (Hedge.of_string hedge_spec) in
     let cluster =
-      try
-        Cluster.homogeneous ~policy ~rtt_cycles:rtt ~hedge ?cancel_cost_cycles:cancel_cost
-          ~steal ~stragglers ~instances config
-      with Invalid_argument e ->
-        prerr_endline e;
-        exit 1
-    in
-    let total_workers =
-      Array.fold_left
-        (fun acc (s : Cluster.instance_spec) -> acc + s.config.Concord.Config.n_workers)
-        0 cluster.Cluster.specs
+      Cluster.homogeneous ~policy ~rtt_cycles:rtt ~hedge ?cancel_cost_cycles:cancel_cost
+        ~steal ~stragglers ~instances config
     in
     let capacity_rps =
-      float_of_int total_workers /. Concord.Mix.mean_service_ns mix *. 1e9
+      float_of_int (instances * config.Concord.Config.n_workers)
+      /. Concord.Mix.mean_service_ns mix *. 1e9
     in
     let rate_rps =
-      match rate with Some k -> rate_rps_of_krps k | None -> 0.75 *. capacity_rps
+      match rate with Some krps -> rate_rps_of_krps krps | None -> 0.75 *. capacity_rps
     in
+    let n_requests = s.n_requests and seed = s.seed in
     let describe () =
       Printf.printf "rack: %d x { %s }, policy %s, rtt %d cycles%s%s%s\n" instances
         (Concord.Config.describe config) (Lb_policy.name policy) rtt
-        (if stragglers = [] then ""
-         else
-           ", stragglers "
-           ^ String.concat ","
-               (List.map (fun (i, f) -> Printf.sprintf "%d:%.2gx" i f) stragglers))
-        (if hedge = Repro_cluster.Hedge.Off then ""
-         else ", hedge " ^ Repro_cluster.Hedge.name hedge)
+        (stragglers_suffix stragglers) (hedge_suffix hedge)
         (if steal then ", stealing" else "")
     in
-    if sweep then begin
+    match sweep with
+    | Some points ->
       let rates =
         List.init points (fun i ->
             0.95 *. capacity_rps *. float_of_int (i + 1) /. float_of_int points)
@@ -870,97 +663,78 @@ let cluster_cmd =
       in
       describe ();
       Printf.printf "workload: %s\n" sw.Concord.Sweep.workload;
-      print_endline Concord.Metrics.summary_header;
-      List.iter
-        (fun (p : Concord.Sweep.point) -> print_endline (Concord.Metrics.summary_row p.summary))
-        sw.Concord.Sweep.points;
-      match Concord.max_load_under_slo sw with
-      | Some r -> Printf.printf "max load under 50x p99.9 slowdown: %.1f kRps\n" (r /. 1e3)
-      | None -> print_endline "SLO violated at every load point"
-    end
-    else begin
-      let tracer =
-        if trace_file <> None || breakdown then
-          Some (Repro_runtime.Tracing.create ~capacity:(max 65_536 (n_requests * 64)) ())
-        else None
+      print_sweep sw
+    | None ->
+      let tracer = tracer_if obs n_requests in
+      let arrival = ok (Concord.Arrival.of_spec arrival_spec ~rate_rps) in
+      let (s : Cluster.summary) =
+        Cluster.run ~cluster ~mix ~arrival ~n_requests ~seed ?tracer ~engine ()
       in
-      let arrival =
-        match Concord.Arrival.of_spec arrival_spec ~rate_rps with
-        | Ok a -> a
-        | Error e ->
-          prerr_endline e;
-          exit 1
-      in
-      let s = Cluster.run ~cluster ~mix ~arrival ~n_requests ~seed ?tracer ~engine () in
       describe ();
-      if engine <> Repro_engine.Par_sim.Seq || s.Cluster.engine <> Repro_engine.Par_sim.Seq
-      then
-        Printf.printf "engine: %s%s\n"
-          (Repro_engine.Par_sim.describe s.Cluster.engine)
-          (if s.Cluster.engine = Repro_engine.Par_sim.Seq then " (degraded)" else "");
+      if engine <> Par_sim.Seq || s.engine <> Par_sim.Seq then
+        Printf.printf "engine: %s%s\n" (Par_sim.describe s.engine)
+          (if s.engine = Par_sim.Seq then " (degraded)" else "");
       Printf.printf "workload: %s, offered %.1f kRps total (%.0f%% of rack capacity)\n"
-        mix.Concord.Mix.name (rate_rps /. 1e3)
+        mix.Concord.Mix.name (k rate_rps)
         (100. *. rate_rps /. capacity_rps);
-      print_endline Concord.Metrics.summary_header;
-      print_endline (Concord.Metrics.summary_row s.Cluster.cluster);
-      Array.iter
-        (fun (name, count, p999) ->
-          if count > 0 then
-            Printf.printf "  class %-10s n=%-8d p99.9 slowdown=%.2f\n" name count p999)
-        s.Cluster.cluster.Concord.Metrics.per_class;
+      print_summary s.cluster;
+      print_classes s.cluster;
       Array.iteri
-        (fun i (ps : Concord.Metrics.summary) ->
-          Printf.printf "  instance %d (routed %d):\n    %s\n" i s.Cluster.routed.(i)
+        (fun i ps ->
+          Printf.printf "  instance %d (routed %d):\n    %s\n" i s.routed.(i)
             (Concord.Metrics.summary_row ps))
-        s.Cluster.per_instance;
-      if s.Cluster.lb_held > 0 || s.Cluster.lb_unrouted > 0 then
-        Printf.printf "balancer: %d arrivals held for a JBSQ credit, %d never routed\n"
-          s.Cluster.lb_held s.Cluster.lb_unrouted;
-      if s.Cluster.hedge <> Repro_cluster.Hedge.Off then
+        s.per_instance;
+      if s.lb_held > 0 || s.lb_unrouted > 0 then
+        Printf.printf "balancer: %d arrivals held for a JBSQ credit, %d never routed\n" s.lb_held
+          s.lb_unrouted;
+      if s.hedge <> Hedge.Off then
         Printf.printf
           "hedging (%s): %d duplicates (%.1f%% of arrivals), %d wins, %d cancels, %.1f us \
            wasted\n"
-          (Repro_cluster.Hedge.name s.Cluster.hedge)
-          s.Cluster.hedges
-          (100. *. float_of_int s.Cluster.hedges /. float_of_int (max 1 s.Cluster.requests))
-          s.Cluster.hedge_wins s.Cluster.hedge_cancels
-          (float_of_int s.Cluster.hedge_wasted_ns /. 1e3);
-      if s.Cluster.steal then Printf.printf "stealing: %d migrations\n" s.Cluster.steals;
-      Option.iter
-        (fun tracer ->
-          let cswitch =
-            Repro_hw.Costs.ns_of config.Concord.Config.costs
-              config.Concord.Config.costs.Repro_hw.Costs.context_switch_cycles
-          in
-          if breakdown then
-            print_string
-              (Repro_runtime.Breakdown.render
-                 (Repro_runtime.Breakdown.of_trace ~cswitch_cost_ns:cswitch tracer));
-          Option.iter
-            (fun path ->
-              Repro_runtime.Trace_export.write_file ~path
-                (Repro_runtime.Trace_export.tracer_to_chrome_json
-                   tracer);
-              Printf.printf "trace written to %s (open in ui.perfetto.dev)\n" path)
-            trace_file)
-        tracer;
+          (Hedge.name s.hedge) s.hedges
+          (100. *. float_of_int s.hedges /. float_of_int (max 1 s.requests))
+          s.hedge_wins s.hedge_cancels
+          (k (float_of_int s.hedge_wasted_ns));
+      if s.steal then Printf.printf "stealing: %d migrations\n" s.steals;
+      Option.iter (report_trace obs config) tracer;
       if check then begin
         match Cluster.check_invariants s with
-        | Ok () -> Printf.printf "check: invariants hold (%d requests)\n" s.Cluster.requests
+        | Ok () -> Printf.printf "check: invariants hold (%d requests)\n" s.requests
         | Error msg ->
           Printf.eprintf "check: %s\n" msg;
           exit 1
       end
-    end
   in
   Cmd.v
     (Cmd.info "cluster"
        ~doc:"Run a rack of server instances behind an inter-server load balancer.")
     Term.(
-      const action $ system_arg $ workload_arg $ quantum_arg $ workers_arg $ policy_arg
-      $ instances_arg $ rtt_arg $ straggler_arg $ hedge_arg $ cancel_cost_arg $ steal_flag
-      $ arrival_arg $ rate_arg $ requests_arg $ seed_arg $ trace_file_arg $ breakdown_flag
-      $ check_flag $ sweep_flag $ points_arg $ jobs_arg $ engine_arg)
+      const action $ spec_term (requests_arg 60_000)
+      $ lb_or_central_policy_arg ~routing:"Inter-server load-balancing policy"
+          ~member:"instance"
+      $ instances_arg 4 "Server instances in the rack." $ rtt_arg
+      $ straggler_arg
+          "Make instance IDX a straggler that executes everything FACTOR times slower \
+           (repeatable)."
+      $ hedge_arg ~what:"Balancer-side request hedging"
+          ~how:
+            "duplicate a slow request onto the shortest-view other server; first completion \
+             wins, the loser is cancelled."
+      $ cancel_cost_arg
+          "Dispatcher cost of revoking a cancelled duplicate at the server (default: one \
+           requeue op)."
+      $ steal_arg
+          "Rack-level work stealing: a server whose balancer view drains to zero probes the \
+           fullest peer for one not-yet-started request."
+      $ arrival_arg
+      $ derived_rate_arg
+          "Total offered load in kRps (default: 75% of the rack's ideal capacity)."
+      $ observe_arg
+          ~trace_doc:"Export the all-instance trace as Chrome trace-event JSON (Perfetto)." ()
+      $ check_arg "Validate conservation invariants on the summary; non-zero exit on failure."
+      $ sweep_arg "Sweep offered load instead of running one point."
+      $ jobs_arg "Domains for the sweep fan-out (with --sweep)."
+      $ engine_arg)
 
 (* ---- frontier ---------------------------------------------------------- *)
 
@@ -971,16 +745,6 @@ let frontier_cmd =
       & opt (list string) [ "concord"; "concord-uipi"; "shinjuku" ]
       & info [ "systems" ] ~docv:"A,B,..."
           ~doc:"Comma-separated mechanism presets forming the configuration axis.")
-  in
-  let policies_arg =
-    Arg.(
-      value
-      & opt (list string)
-          [ "fcfs"; "srpt"; "srpt-noisy:0.5"; "srpt-noisy:1"; "srpt-noisy:2"; "gittins" ]
-      & info [ "policies" ] ~docv:"P,..."
-          ~doc:
-            (Printf.sprintf "Comma-separated central-queue policy specs (%s)."
-               Concord.Policy.spec_syntax))
   in
   let p_shorts_arg =
     Arg.(
@@ -1005,25 +769,12 @@ let frontier_cmd =
       & opt (list float) [ 0.85 ]
       & info [ "util" ] ~docv:"U,..." ~doc:"Utilization fractions of ideal capacity.")
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Domains for the cell fan-out.")
-  in
-  let csv_flag =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of the heat-table.")
-  in
   let action systems policies p_shorts short_us long_us utils quantum workers n_requests seed
       jobs csv =
     let configs =
       List.map
         (fun system ->
-          match Concord.configure ~system ?n_workers:workers ~quantum_us:quantum () with
-          | Ok c -> c
-          | Error e ->
-            prerr_endline e;
-            exit 1)
+          ok (Concord.configure ~system ?n_workers:workers ~quantum_us:quantum ()))
         systems
     in
     let workloads =
@@ -1031,15 +782,11 @@ let frontier_cmd =
         ~p_shorts
     in
     let points =
-      try
-        Concord.Sweep.run_frontier ~configs ~policies ~workloads ~utils ~n_requests ~seed
-          ?domains:jobs ()
-      with Invalid_argument e ->
-        prerr_endline e;
-        exit 1
+      Concord.Sweep.run_frontier ~configs ~policies ~workloads ~utils ~n_requests ~seed
+        ?domains:jobs ()
     in
-    if csv then print_string (Concord.Sweep.frontier_csv points)
-    else print_string (Concord.Sweep.render_frontier points)
+    print_string
+      (if csv then Concord.Sweep.frontier_csv points else Concord.Sweep.render_frontier points)
   in
   Cmd.v
     (Cmd.info "frontier"
@@ -1047,21 +794,20 @@ let frontier_cmd =
          "Cross mechanisms x central-queue policies x service-time dispersion at fixed \
           utilization (the policy-frontier study).")
     Term.(
-      const action $ systems_arg $ policies_arg $ p_shorts_arg $ short_arg $ long_arg
+      const action $ systems_arg
+      $ policies_arg
+          [ "fcfs"; "srpt"; "srpt-noisy:0.5"; "srpt-noisy:1"; "srpt-noisy:2"; "gittins" ]
+          (Printf.sprintf "Comma-separated central-queue policy specs (%s)."
+             Concord.Policy.spec_syntax)
+      $ p_shorts_arg $ short_arg $ long_arg
       $ utils_arg $ quantum_arg $ workers_arg
-      $ Arg.(value & opt int 40_000 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Arrivals per cell.")
-      $ seed_arg $ jobs_arg $ csv_flag)
+      $ requests_arg ~doc:"Arrivals per cell." 40_000
+      $ seed_arg $ jobs_arg "Domains for the cell fan-out."
+      $ csv_arg "Emit CSV instead of the heat-table.")
 
 (* ---- hedge-study ------------------------------------------------------- *)
 
 let hedge_study_cmd =
-  let rtts_arg =
-    Arg.(
-      value
-      & opt (list int) [ 0; 1_000; 5_000; 20_000 ]
-      & info [ "rtts" ] ~docv:"C,..."
-          ~doc:"Comma-separated inter-server RTTs in cycles (the staleness axis).")
-  in
   let hedges_arg =
     Arg.(
       value
@@ -1069,57 +815,20 @@ let hedge_study_cmd =
       & info [ "hedges" ] ~docv:"H,..."
           ~doc:
             (Printf.sprintf "Comma-separated hedge specs (%s)."
-               (String.concat ", " Repro_cluster.Hedge.all_names)))
-  in
-  let policies_arg =
-    Arg.(
-      value
-      & opt (list string) [ "po2c"; "jsq" ]
-      & info [ "policies" ] ~docv:"P,..."
-          ~doc:
-            (Printf.sprintf "Comma-separated LB routing policies (%s)."
-               (String.concat ", " Repro_cluster.Lb_policy.all_names)))
-  in
-  let steal_flag =
-    Arg.(value & flag & info [ "steal" ] ~doc:"Enable rack-level work stealing in every cell.")
-  in
-  let instances_arg =
-    Arg.(value & opt int 3 & info [ "instances" ] ~docv:"K" ~doc:"Server instances per rack.")
+               (String.concat ", " Hedge.all_names)))
   in
   let util_arg =
     Arg.(
       value & opt float 0.7
       & info [ "util" ] ~docv:"U" ~doc:"Utilization fraction of ideal rack capacity.")
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Domains for the cell fan-out.")
-  in
-  let csv_flag = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of the table.") in
-  let straggler_arg =
-    Arg.(
-      value
-      & opt_all (pair ~sep:':' int float) []
-      & info [ "straggler" ] ~docv:"IDX:FACTOR"
-          ~doc:
-            "Make instance IDX a straggler in every cell — the asymmetry hedging and \
-             stealing exist to absorb (repeatable).")
-  in
-  let action system workload quantum workers rtts hedges policies steal stragglers instances
-      util n_requests seed jobs csv =
-    let config, mix = resolve ~system ~workload ~quantum ~workers () in
+  let action s rtts hedges policies steal stragglers instances util jobs csv =
+    let config, mix = resolve s in
     let points =
-      try
-        Concord.Sweep.run_hedge_study ~config ~mix ~rtts ~hedges ~policies ~steal ~stragglers
-          ~instances ~util ~n_requests ~seed ?domains:jobs ()
-      with Invalid_argument e ->
-        prerr_endline e;
-        exit 1
+      Concord.Sweep.run_hedge_study ~config ~mix ~rtts ~hedges ~policies ~steal ~stragglers
+        ~instances ~util ~n_requests:s.n_requests ~seed:s.seed ?domains:jobs ()
     in
-    if csv then print_string (Concord.Sweep.hedge_csv points)
-    else print_string (Concord.Sweep.render_hedge points)
+    print_string (if csv then Concord.Sweep.hedge_csv points else Concord.Sweep.render_hedge points)
   in
   Cmd.v
     (Cmd.info "hedge-study"
@@ -1127,10 +836,21 @@ let hedge_study_cmd =
          "Cross inter-server RTT x hedge policy x LB routing policy at fixed utilization \
           (the tail-tolerance study).")
     Term.(
-      const action $ system_arg $ workload_arg $ quantum_arg $ workers_arg $ rtts_arg
-      $ hedges_arg $ policies_arg $ steal_flag $ straggler_arg $ instances_arg $ util_arg
-      $ Arg.(value & opt int 40_000 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Arrivals per cell.")
-      $ seed_arg $ jobs_arg $ csv_flag)
+      const action
+      $ spec_term (requests_arg ~doc:"Arrivals per cell." 40_000)
+      $ rtts_arg [ 0; 1_000; 5_000; 20_000 ]
+          "Comma-separated inter-server RTTs in cycles (the staleness axis)."
+      $ hedges_arg
+      $ policies_arg [ "po2c"; "jsq" ]
+          (Printf.sprintf "Comma-separated LB routing policies (%s)."
+             (String.concat ", " Lb_policy.all_names))
+      $ steal_arg "Enable rack-level work stealing in every cell."
+      $ straggler_arg
+          "Make instance IDX a straggler in every cell — the asymmetry hedging and \
+           stealing exist to absorb (repeatable)."
+      $ instances_arg 3 "Server instances per rack." $ util_arg
+      $ jobs_arg "Domains for the cell fan-out."
+      $ csv_arg "Emit CSV instead of the table.")
 
 (* ---- sls (6) -------------------------------------------------------------- *)
 
@@ -1141,12 +861,6 @@ let sls_cmd =
       & opt string "concord-sls"
       & info [ "variant" ] ~docv:"V" ~doc:"concord-sls | shenango | d-fcfs")
   in
-  let rate_arg =
-    Arg.(
-      required
-      & opt (some float) None
-      & info [ "rate"; "r" ] ~docv:"KRPS" ~doc:"Offered load in kRps.")
-  in
   let action variant workload quantum workers rate n_requests seed =
     let module Sls = Repro_runtime.Sls_server in
     let make =
@@ -1154,41 +868,27 @@ let sls_cmd =
       | "concord-sls" -> Sls.concord_sls
       | "shenango" -> Sls.shenango_like
       | "d-fcfs" -> Sls.partitioned_fcfs
-      | v ->
-        prerr_endline ("unknown SLS variant: " ^ v);
-        exit 1
+      | v -> invalid_arg ("unknown SLS variant: " ^ v)
     in
-    let config =
-      make ?n_workers:workers ~quantum_ns:(int_of_float (quantum *. 1e3)) ()
-    in
-    let mix =
-      match Concord.workload workload with
-      | Ok m -> m
-      | Error e ->
-        prerr_endline e;
-        exit 1
-    in
+    let config = make ?n_workers:workers ~quantum_ns:(int_of_float (quantum *. 1e3)) () in
+    let mix = ok (Concord.workload workload) in
     let s =
       Sls.run ~config ~mix
         ~arrival:(Concord.Arrival.Poisson { rate_rps = rate_rps_of_krps rate })
         ~n_requests ~seed ()
     in
     Printf.printf "%s on %s at %.1f kRps\n" config.Sls.name mix.Concord.Mix.name rate;
-    print_endline Concord.Metrics.summary_header;
-    print_endline (Concord.Metrics.summary_row s)
+    print_summary s
   in
   Cmd.v
     (Cmd.info "sls" ~doc:"Run a single-logical-queue (work-stealing) system (6).")
     Term.(
-      const action $ variant_arg $ workload_arg $ quantum_arg $ workers_arg $ rate_arg
-      $ requests_arg $ seed_arg)
+      const action $ variant_arg $ workload_arg () $ quantum_arg $ workers_arg
+      $ required_rate_arg $ requests_arg 60_000 $ seed_arg)
 
 (* ---- trace ----------------------------------------------------------------- *)
 
 let trace_cmd =
-  let rate_arg =
-    Arg.(value & opt float 150.0 & info [ "rate"; "r" ] ~docv:"KRPS" ~doc:"Offered load in kRps.")
-  in
   let request_arg =
     Arg.(
       value
@@ -1198,98 +898,51 @@ let trace_cmd =
   let last_arg =
     Arg.(value & opt int 60 & info [ "last" ] ~docv:"N" ~doc:"Show the last N events.")
   in
-  let trace_file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Export the trace as Chrome trace-event JSON (open in ui.perfetto.dev).")
-  in
   let csv_file_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "csv" ] ~docv:"FILE" ~doc:"Export the raw event stream as CSV.")
   in
-  let breakdown_flag =
-    Arg.(
-      value & flag
-      & info [ "breakdown" ] ~doc:"Print the per-request latency-breakdown percentile table.")
-  in
-  let check_flag =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Validate the trace: breakdown components must sum to each sojourn, and any \
-             exported JSON must be schema-valid. Non-zero exit on failure.")
-  in
-  let action system workload quantum workers rate n_requests seed request last trace_file
-      csv_file breakdown check =
-    let config, mix = resolve ~system ~workload ~quantum ~workers () in
-    let tracer =
-      Repro_runtime.Tracing.create ~capacity:(max 65_536 (n_requests * 64)) ()
-    in
+  let action s rate request last obs csv_file check =
+    let config, mix = resolve s in
+    let tracer = tracer s.n_requests in
     let (_ : Concord.Metrics.summary) =
       Repro_runtime.Server.run ~config ~mix
         ~arrival:(Concord.Arrival.Poisson { rate_rps = rate_rps_of_krps rate })
-        ~n_requests ~seed ~tracer ()
+        ~n_requests:s.n_requests ~seed:s.seed ~tracer ()
     in
     let entries =
       match request with
-      | Some id -> Repro_runtime.Tracing.of_request tracer ~request:id
+      | Some id -> Tracing.of_request tracer ~request:id
       | None ->
-        let all = Repro_runtime.Tracing.entries tracer in
+        let all = Tracing.entries tracer in
         let n = List.length all in
         List.filteri (fun i _ -> i >= n - last) all
     in
-    List.iter (fun e -> print_endline (Repro_runtime.Tracing.entry_to_string e)) entries;
-    let dropped = Repro_runtime.Tracing.dropped tracer in
+    List.iter (fun e -> print_endline (Tracing.entry_to_string e)) entries;
+    let dropped = Tracing.dropped tracer in
     if dropped > 0 then Printf.printf "(%d earlier events dropped from the ring)\n" dropped;
-    let cswitch =
-      Repro_hw.Costs.ns_of config.Concord.Config.costs
-        config.Concord.Config.costs.Repro_hw.Costs.context_switch_cycles
-    in
-    let breakdowns =
-      lazy (Repro_runtime.Breakdown.of_trace ~cswitch_cost_ns:cswitch tracer)
-    in
-    if breakdown then print_string (Repro_runtime.Breakdown.render (Lazy.force breakdowns));
+    report_trace obs config tracer;
     Option.iter
       (fun path ->
-        Repro_runtime.Trace_export.write_file ~path
-          (Repro_runtime.Trace_export.tracer_to_chrome_json tracer);
-        Printf.printf "trace written to %s (open in ui.perfetto.dev)\n" path)
-      trace_file;
-    Option.iter
-      (fun path ->
-        Repro_runtime.Trace_export.write_file ~path
-          (Repro_runtime.Trace_export.tracer_events_to_csv tracer);
+        Trace_export.write_file ~path (Trace_export.tracer_events_to_csv tracer);
         Printf.printf "events written to %s\n" path)
       csv_file;
     if check then begin
-      let failures = ref 0 in
-      let bs = Lazy.force breakdowns in
-      if bs = [] then begin
-        prerr_endline "check: no complete request lifecycles in the trace";
-        incr failures
-      end;
+      let fail, failed = check_failures () in
+      let bs = breakdowns config tracer in
+      if bs = [] then fail "check: no complete request lifecycles in the trace";
       List.iter
-        (fun b ->
-          match Repro_runtime.Breakdown.check b with
-          | Ok () -> ()
-          | Error msg ->
-            Printf.eprintf "check: %s\n" msg;
-            incr failures)
+        (fun b -> Result.iter_error (fun msg -> fail ("check: " ^ msg)) (Breakdown.check b))
         bs;
       Option.iter
         (fun path ->
-          match Repro_runtime.Trace_export.validate_chrome_file path with
+          match Trace_export.validate_chrome_file path with
           | Ok n -> Printf.printf "check: %s is valid Chrome trace JSON (%d events)\n" path n
-          | Error msg ->
-            Printf.eprintf "check: %s: %s\n" path msg;
-            incr failures)
-        trace_file;
-      if !failures > 0 then exit 1
+          | Error msg -> fail (Printf.sprintf "check: %s: %s" path msg))
+        obs.trace_file;
+      if failed () then exit 1
       else
         Printf.printf "check: %d lifecycles, components sum to sojourn for all\n"
           (List.length bs)
@@ -1298,10 +951,15 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace" ~doc:"Run a small simulation and print/export request-lifecycle events.")
     Term.(
-      const action $ system_arg $ workload_arg $ quantum_arg $ workers_arg $ rate_arg
-      $ Arg.(value & opt int 2_000 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Arrivals.")
-      $ seed_arg $ request_arg $ last_arg $ trace_file_arg $ csv_file_arg $ breakdown_flag
-      $ check_flag)
+      const action
+      $ spec_term (requests_arg ~doc:"Arrivals." 2_000)
+      $ rate_arg 150.0 $ request_arg $ last_arg
+      $ observe_arg
+          ~trace_doc:"Export the trace as Chrome trace-event JSON (open in ui.perfetto.dev)." ()
+      $ csv_file_arg
+      $ check_arg
+          "Validate the trace: breakdown components must sum to each sojourn, and any \
+           exported JSON must be schema-valid. Non-zero exit on failure.")
 
 (* ---- verify-probes ----------------------------------------------------------- *)
 
@@ -1339,9 +997,7 @@ let verify_probes_cmd =
     | None -> print_string (Verify.render rows)
     | Some "-" -> print_string (Verify.to_json rows)
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Verify.to_json rows);
-      close_out oc;
+      Trace_export.write_file ~path (Verify.to_json rows);
       Printf.printf "verify-probes report written to %s\n" path);
     if not (Verify.all_ok rows) then begin
       prerr_endline "verify-probes: FAILED (static bound violated or certificate broken)";
@@ -1404,31 +1060,22 @@ let overheads_cmd =
       & info [ "systems" ] ~docv:"A,B,..."
           ~doc:"Comma-separated system names (default: the built-in comparison set).")
   in
-  let rate_arg =
-    Arg.(value & opt float 150.0 & info [ "rate"; "r" ] ~docv:"KRPS" ~doc:"Offered load in kRps.")
-  in
   let action systems workload workers rate n_requests seed =
-    let mix =
-      match Concord.workload workload with
-      | Ok m -> m
-      | Error e ->
-        prerr_endline e;
-        exit 1
-    in
+    let mix = ok (Concord.workload workload) in
     let rows =
-      Repro_runtime.Breakdown.run_systems ?systems ~workload:mix ?n_workers:workers
+      Breakdown.run_systems ?systems ~workload:mix ?n_workers:workers
         ~rate_rps:(rate_rps_of_krps rate) ~n_requests ~seed ()
     in
     Printf.printf "mean per-request latency breakdown, %s at %.1f kRps (ns)\n"
       mix.Concord.Mix.name rate;
-    print_string (Repro_runtime.Breakdown.render_attribution rows)
+    print_string (Breakdown.render_attribution rows)
   in
   Cmd.v
     (Cmd.info "overheads"
        ~doc:"Attribute where each system's cycles go (Concord vs Shinjuku et al.).")
     Term.(
-      const action $ systems_arg $ workload_arg $ workers_arg $ rate_arg
-      $ Arg.(value & opt int 4_000 & info [ "requests"; "n" ] ~docv:"N" ~doc:"Arrivals per system.")
+      const action $ systems_arg $ workload_arg () $ workers_arg $ rate_arg 150.0
+      $ requests_arg ~doc:"Arrivals per system." 4_000
       $ seed_arg)
 
 let () =
@@ -1436,24 +1083,29 @@ let () =
     Cmd.info "concord-sim" ~version:"1.0.0"
       ~doc:"Simulation-based reproduction of Concord (SOSP 2023)."
   in
+  let cmd =
+    Cmd.group info
+      [
+        list_cmd;
+        figure_cmd;
+        sweep_cmd;
+        run_cmd;
+        frontier_cmd;
+        cluster_cmd;
+        hedge_study_cmd;
+        raft_cmd;
+        raft_study_cmd;
+        sls_cmd;
+        trace_cmd;
+        overheads_cmd;
+        verify_probes_cmd;
+        check_model_cmd;
+      ]
+  in
+  (* The one exit for bad input: a bad spec, flag value or output path. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd;
-            figure_cmd;
-            table1_cmd;
-            sweep_cmd;
-            run_cmd;
-            frontier_cmd;
-            cluster_cmd;
-            hedge_study_cmd;
-            replicate_cmd;
-            raft_cmd;
-            raft_study_cmd;
-            sls_cmd;
-            trace_cmd;
-            overheads_cmd;
-            verify_probes_cmd;
-            check_model_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception (Invalid_argument msg | Sys_error msg) ->
+      prerr_endline msg;
+      1)

@@ -24,10 +24,15 @@ let () =
       let plain = p999 (Concord.Systems.concord ()) in
       let batched = p999 (Concord.Systems.concord_batched ~batch:16 ()) in
       let replicated =
-        (Repro_cluster.Replication.run ~instances:2
-           ~config:(Concord.Systems.concord ~n_workers:7 ())
-           ~mix ~rate_rps:rate ~n_requests:40_000 ())
-          .Repro_cluster.Replication.p999_slowdown
+        (Repro_cluster.Cluster.run
+           ~cluster:
+             (Repro_cluster.Cluster.homogeneous ~policy:Repro_cluster.Lb_policy.Random
+                ~instances:2
+                (Concord.Systems.concord ~n_workers:7 ()))
+           ~mix
+           ~arrival:(Arrival.Poisson { rate_rps = rate })
+           ~n_requests:40_000 ())
+          .Repro_cluster.Cluster.cluster.Concord.Metrics.p999_slowdown
       in
       let sls =
         (Repro_runtime.Sls_server.run

@@ -40,18 +40,22 @@ let make ?(policy = Lb_policy.Po2c) ?(rtt_cycles = 0) ?(hedge = Hedge.Off)
   valid (Hedge.validate hedge);
   { policy; rtt_cycles; hedge; cancel_cost_cycles; steal; specs }
 
+let homogeneous_specs ~who ~stragglers n config =
+  let specs = Array.make n { config; speed_factor = 1.0 } in
+  List.iter
+    (fun (i, f) ->
+      if i < 0 || i >= n then invalid_arg (who ^ ": straggler index out of range");
+      if not (f >= 1.0) then invalid_arg (who ^ ": straggler factor must be >= 1");
+      specs.(i) <- { config; speed_factor = f })
+    stragglers;
+  specs
+
 let homogeneous ?policy ?rtt_cycles ?hedge ?cancel_cost_cycles ?steal ?(stragglers = [])
     ~instances config =
   if instances < 1 then invalid_arg "Cluster.homogeneous: need at least one instance";
-  (* [make] validates every spec, stragglers' factors included. *)
-  let specs = Array.make instances { config; speed_factor = 1.0 } in
-  List.iter
-    (fun (i, f) ->
-      if i < 0 || i >= instances then
-        invalid_arg "Cluster.homogeneous: straggler index out of range";
-      specs.(i) <- { config; speed_factor = f })
-    stragglers;
-  make ?policy ?rtt_cycles ?hedge ?cancel_cost_cycles ?steal specs
+  (* [make] validates every spec's config. *)
+  make ?policy ?rtt_cycles ?hedge ?cancel_cost_cycles ?steal
+    (homogeneous_specs ~who:"Cluster.homogeneous" ~stragglers instances config)
 
 type summary = {
   policy : Lb_policy.t;

@@ -1,9 +1,10 @@
 (** Rack-scale cluster layer: N Concord server instances under one clock.
 
     The paper's answer to the single-dispatcher bottleneck (§6) is
-    replicating single-dispatcher instances over disjoint core sets; at
-    rack scale the *inter-server* policy that feeds those instances
-    dominates tail latency (RackSched, SNIPPETS/PAPERS). This module runs
+    replicating single-dispatcher instances over disjoint core sets, which
+    is this rack under {!Lb_policy.Random} at [rtt_cycles = 0]; at rack
+    scale the *inter-server* policy that feeds those instances dominates
+    tail latency (RackSched, SNIPPETS/PAPERS). This module runs
     [N] full {!Repro_runtime.Server} instances — each with its own
     dispatcher, workers, JBSQ(k) and preemption mechanism, heterogeneous
     configurations allowed — behind a pluggable {!Lb_policy} load
@@ -68,7 +69,17 @@ val homogeneous :
   instances:int -> Config.t -> t
 (** [instances] identical servers; [stragglers] then overrides the listed
     indices' speed factors, e.g. [[ (2, 3.0) ]] makes server 2 a 3x
-    straggler. *)
+    straggler. Raises [Invalid_argument] as {!homogeneous_specs}. *)
+
+val homogeneous_specs :
+  who:string -> stragglers:(int * float) list -> int -> Config.t -> instance_spec array
+(** [homogeneous_specs ~who ~stragglers n config] is [n] copies of
+    [config] at speed factor 1, except that each [(i, f)] in [stragglers]
+    makes member [i] an [f]x straggler. This is the one straggler rule of
+    both tiers' [homogeneous] constructors: raises [Invalid_argument],
+    prefixed with [who], on an index outside [0, n) or a factor that is not
+    [>= 1] (a straggler is slower, never faster). A rack of mixed speeds is
+    built with {!spec} and {!make}. *)
 
 type summary = {
   policy : Lb_policy.t;

@@ -16,15 +16,10 @@ module Figures = Figures
 module Table1 = Table1
 
 let configure ?(system = "concord") ?n_workers ?(quantum_us = 5.0) () =
-  match Systems.by_name system with
-  | None ->
-    Error
-      (Printf.sprintf "unknown system %S (expected one of: %s)" system
-         (String.concat ", " Systems.all_names))
-  | Some make ->
-    let quantum_ns = int_of_float (quantum_us *. 1e3) in
-    if quantum_ns < 1 then Error "quantum must be positive"
-    else Ok (make ?n_workers ~quantum_ns ())
+  Result.bind (Systems.lookup system) (fun make ->
+      let quantum_ns = int_of_float (quantum_us *. 1e3) in
+      if quantum_ns < 1 then Error "quantum must be positive"
+      else Ok (make ?n_workers ~quantum_ns ()))
 
 (* Kvstore workloads accept a ":zipf=ALPHA" suffix that skews key
    popularity (hot shards): "leveldb:zipf=0.99" is YCSB's default skew. *)

@@ -569,15 +569,20 @@ let ablation_replication ?(scale = Quick) () =
   let series =
     List.map
       (fun (label, instances, workers) ->
-        let config = Systems.concord ~n_workers:workers () in
+        (* Replicas fed by a uniform random split: the rack under Random. *)
+        let cluster =
+          Repro_cluster.Cluster.homogeneous ~policy:Repro_cluster.Lb_policy.Random ~instances
+            (Systems.concord ~n_workers:workers ())
+        in
         let points =
           Pool.parallel_map
             (fun rate ->
               let s =
-                Repro_cluster.Replication.run ~instances ~config ~mix ~rate_rps:rate
+                Repro_cluster.Cluster.run ~cluster ~mix
+                  ~arrival:(Repro_workload.Arrival.Poisson { rate_rps = rate })
                   ~n_requests:n ()
               in
-              (rate /. 1e3, s.Repro_cluster.Replication.p999_slowdown))
+              (rate /. 1e3, s.Repro_cluster.Cluster.cluster.Metrics.p999_slowdown))
             rates
         in
         { Figure.label; points })

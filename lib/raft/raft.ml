@@ -103,16 +103,10 @@ let homogeneous ?read_lb ?rtt_cycles ?read_leases ?write_ratio ?hedge ?heartbeat
     ?kill_leader_at_ns ?cancel_cost_cycles ?(stragglers = []) ~nodes config =
   if nodes < 1 then invalid_arg "Raft.homogeneous: need at least one member";
   (* [make] validates every member's config. *)
-  let specs = Array.make nodes { Cluster.config; speed_factor = 1.0 } in
-  List.iter
-    (fun (i, f) ->
-      if i < 0 || i >= nodes then invalid_arg "Raft.homogeneous: straggler index out of range";
-      if f < 1.0 then invalid_arg "Raft.homogeneous: straggler factor must be >= 1";
-      specs.(i) <- { config; speed_factor = f })
-    stragglers;
   make ?read_lb ?rtt_cycles ?read_leases ?write_ratio ?hedge ?heartbeat_cycles
     ?election_timeout_cycles ?lease_cycles ?log_write_cycles ?follower_ae_cycles
-    ?kill_leader_at_ns ?cancel_cost_cycles specs
+    ?kill_leader_at_ns ?cancel_cost_cycles
+    (Cluster.homogeneous_specs ~who:"Raft.homogeneous" ~stragglers nodes config)
 
 (* ------------------------------------------------------------------ *)
 (* Summary                                                             *)

@@ -341,20 +341,24 @@ let default_systems =
 let run_systems ?(systems = default_systems) ?workload ?n_workers ?(rate_rps = 150_000.0)
     ?(n_requests = 4_000) ?(seed = 42) () =
   let mix = match workload with Some m -> m | None -> Repro_workload.Presets.ycsb_a in
-  List.filter_map
-    (fun name ->
-      match Systems.by_name name with
-      | None -> None
-      | Some make ->
-        let config = make ?n_workers () in
-        let tracer = Tracing.create ~capacity:(max 65_536 (n_requests * 64)) () in
-        let (_ : Metrics.summary) =
-          Server.run ~config ~mix
-            ~arrival:(Repro_workload.Arrival.Poisson { rate_rps })
-            ~n_requests ~seed ~tracer ()
-        in
-        let cswitch_cost_ns =
-          Costs.ns_of config.Config.costs config.Config.costs.Costs.context_switch_cycles
-        in
-        Some (attribution ~system:name (of_trace ~cswitch_cost_ns tracer)))
-    systems
+  (* Name every system before running any, so a typo fails at once. *)
+  let makes =
+    List.map
+      (fun name ->
+        match Systems.lookup name with Ok make -> (name, make) | Error e -> invalid_arg e)
+      systems
+  in
+  List.map
+    (fun (name, (make : Systems.args)) ->
+      let config = make ?n_workers () in
+      let tracer = Tracing.create ~capacity:(max 65_536 (n_requests * 64)) () in
+      let (_ : Metrics.summary) =
+        Server.run ~config ~mix
+          ~arrival:(Repro_workload.Arrival.Poisson { rate_rps })
+          ~n_requests ~seed ~tracer ()
+      in
+      let cswitch_cost_ns =
+        Costs.ns_of config.Config.costs config.Config.costs.Costs.context_switch_cycles
+      in
+      attribution ~system:name (of_trace ~cswitch_cost_ns tracer))
+    makes

@@ -101,6 +101,7 @@ val run_systems :
 (** Run a traced simulation of each named system (default: Concord vs
     Shinjuku vs Persephone vs the JBSQ/cooperation ablations) at one load
     point and attribute overheads — the Concord-vs-Shinjuku
-    where-do-the-cycles-go story as a table. Unknown names are skipped. *)
+    where-do-the-cycles-go story as a table. Raises [Invalid_argument]
+    with {!Systems.lookup}'s message on an unknown name, before any run. *)
 
 val default_systems : string list

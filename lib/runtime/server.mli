@@ -129,7 +129,8 @@ val run_detailed :
   unit ->
   Metrics.summary * Repro_engine.Stats.t
 (** Like {!run}, but also returns the raw post-warm-up slowdown samples so
-    callers (e.g. [Repro_cluster.Replication]) can merge several runs and recompute
-    joint percentiles. The returned samples are owned by the caller.
+    callers (e.g. the independent-replica oracle of the cluster tests) can
+    merge several runs and recompute joint percentiles. The returned
+    samples are owned by the caller.
     [events_out], when given, receives the total simulation events processed
     (the numerator of the benchmark suite's events/sec figure). *)

@@ -293,6 +293,7 @@ let handler t (_ : event Sim.t) = function
 let run ~config ~mix ~arrival ~n_requests ?(warmup_frac = 0.1) ?(drain_cap_ns = 400_000_000)
     ?(seed = 42) ?tracer () =
   if config.n_workers < 1 then invalid_arg "Sls_server.run: need at least one worker";
+  if config.quantum_ns < 1 then invalid_arg "Sls_server.run: quantum must be positive";
   if n_requests < 1 then invalid_arg "Sls_server.run: need at least one request";
   Arrival.validate arrival;
   let master = Rng.create ~seed in

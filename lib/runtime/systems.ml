@@ -123,3 +123,11 @@ let table : (string * args) list =
 
 let by_name name = List.assoc_opt name table
 let all_names = List.map fst table
+
+let lookup name =
+  match by_name name with
+  | Some make -> Ok make
+  | None ->
+    Error
+      (Printf.sprintf "unknown system %S (expected one of: %s)" name
+         (String.concat ", " all_names))

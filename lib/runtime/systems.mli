@@ -81,3 +81,7 @@ val by_name : string -> args option
     "srpt-noisy", "concord-adaptive", "locality". *)
 
 val all_names : string list
+
+val lookup : string -> (args, string) result
+(** {!by_name}, with the error every caller reports for an unknown name:
+    the name and {!all_names}. *)

@@ -248,6 +248,17 @@ let test_attribution_table () =
     (Astring_contains.contains rendered "concord"
     && Astring_contains.contains rendered "shinjuku")
 
+let test_attribution_rejects_unknown_system () =
+  (* An unknown name fails with the message every front end gives for
+     one, instead of leaving its row out of the table. *)
+  let expected =
+    match Concord.configure ~system:"nosuch" () with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "nosuch configured"
+  in
+  Alcotest.check_raises "unknown system" (Invalid_argument expected) (fun () ->
+      ignore (Breakdown.run_systems ~systems:[ "concord"; "nosuch" ] ~n_requests:200 ()))
+
 let suite =
   [
     Alcotest.test_case "components sum to sojourn (SQ/JBSQ x mechanisms)" `Slow
@@ -262,4 +273,6 @@ let suite =
     Alcotest.test_case "events CSV shape" `Quick test_csv_export_row_count;
     Alcotest.test_case "breakdown CSV shape" `Quick test_breakdown_csv;
     Alcotest.test_case "per-system attribution table" `Quick test_attribution_table;
+    Alcotest.test_case "attribution rejects an unknown system" `Quick
+      test_attribution_rejects_unknown_system;
   ]

@@ -5,7 +5,6 @@
 module Cluster = Repro_cluster.Cluster
 module Lb_policy = Repro_cluster.Lb_policy
 module Hedge = Repro_cluster.Hedge
-module Replication = Repro_cluster.Replication
 module Systems = Repro_runtime.Systems
 module Metrics = Repro_runtime.Metrics
 module Mix = Repro_workload.Mix
@@ -283,7 +282,12 @@ let test_bad_specs_rejected_at_construction () =
   let what = Lb_policy.name jbsq0 in
   Alcotest.(check bool) (what ^ " unparsable") true (Result.is_error (Lb_policy.of_string what));
   rejects what (fun () -> ignore (Cluster.homogeneous ~policy:jbsq0 ~instances:3 config));
-  rejects what (fun () -> ignore (Repro_raft.Raft.homogeneous ~read_lb:jbsq0 ~nodes:3 config))
+  rejects what (fun () -> ignore (Repro_raft.Raft.homogeneous ~read_lb:jbsq0 ~nodes:3 config));
+  (* A straggler is slower, never faster, on both tiers. *)
+  let stragglers = [ (0, 0.5) ] in
+  let what = "straggler factor" in
+  rejects what (fun () -> ignore (Cluster.homogeneous ~stragglers ~instances:3 config));
+  rejects what (fun () -> ignore (Repro_raft.Raft.homogeneous ~stragglers ~nodes:3 config))
 
 let test_hedging_rescues_straggler_tail () =
   (* An oblivious balancer keeps feeding a 6x straggler; duplicate-and-
@@ -377,25 +381,46 @@ let test_sweep_cluster_bit_identical_across_domains () =
 
 (* --- replication equivalence ------------------------------------------- *)
 
+(* The oracle: each replica simulated in isolation on its own thinned
+   Poisson stream (rate/K, n/K arrivals, seed + 1,000,003 i), sample sets
+   merged. Returns (p50, p99, summed goodput, total workers). *)
+let independent_replicas ~instances ~config ~mix ~rate_rps ~n_requests ~seed =
+  let runs =
+    List.init instances (fun i ->
+        Repro_runtime.Server.run_detailed ~config ~mix
+          ~arrival:(Arrival.Poisson { rate_rps = rate_rps /. float_of_int instances })
+          ~n_requests:(max 1 (n_requests / instances))
+          ~seed:(seed + (1_000_003 * i)) ())
+  in
+  let merged = Repro_engine.Stats.merge_all (List.map snd runs) in
+  ( Repro_engine.Stats.percentile merged 50.0,
+    Repro_engine.Stats.percentile merged 99.0,
+    List.fold_left (fun acc (s, _) -> acc +. s.Metrics.goodput_rps) 0.0 runs,
+    instances * config.Repro_runtime.Config.n_workers )
+
 let test_replication_equivalence () =
   (* Independent replicas on thinned Poisson streams and the shared-clock
      cluster under Random are the same queueing system; their slowdown
      distributions must agree up to sampling noise. *)
   let config = small_config () in
   let mix = fixed_mix 5_000 in
-  let args = (1.4e6, 24_000) in
-  let rate_rps, n_requests = args in
-  let shared = Replication.run ~instances:3 ~config ~mix ~rate_rps ~n_requests () in
-  let indep = Replication.run_independent ~instances:3 ~config ~mix ~rate_rps ~n_requests () in
+  let rate_rps, n_requests = (1.4e6, 24_000) in
+  let shared =
+    Cluster.run
+      ~cluster:(Cluster.homogeneous ~policy:Lb_policy.Random ~instances:3 config)
+      ~mix ~arrival:(Arrival.Poisson { rate_rps }) ~n_requests ()
+  in
+  let p50, p99, goodput, workers =
+    independent_replicas ~instances:3 ~config ~mix ~rate_rps ~n_requests ~seed:42
+  in
   let close name tol a b =
     let rel = Float.abs (a -. b) /. Float.max a b in
     if rel > tol then Alcotest.failf "%s: cluster %.3f vs independent %.3f (rel %.3f)" name a b rel
   in
-  close "p50" 0.10 shared.Replication.p50_slowdown indep.Replication.p50_slowdown;
-  close "p99" 0.25 shared.Replication.p99_slowdown indep.Replication.p99_slowdown;
-  close "goodput" 0.10 shared.Replication.goodput_rps indep.Replication.goodput_rps;
-  Alcotest.(check int) "same worker count" shared.Replication.total_workers
-    indep.Replication.total_workers
+  close "p50" 0.10 shared.Cluster.cluster.Metrics.p50_slowdown p50;
+  close "p99" 0.25 shared.Cluster.cluster.Metrics.p99_slowdown p99;
+  close "goodput" 0.10 shared.Cluster.cluster.Metrics.goodput_rps goodput;
+  Alcotest.(check int) "same worker count" shared.Cluster.total_workers workers
 
 let suite =
   [

@@ -5,7 +5,8 @@
 module Rng = Repro_engine.Rng
 module Zipf = Repro_engine.Zipf
 module Sls = Repro_runtime.Sls_server
-module Replication = Repro_cluster.Replication
+module Cluster = Repro_cluster.Cluster
+module Lb_policy = Repro_cluster.Lb_policy
 module Systems = Repro_runtime.Systems
 module Metrics = Repro_runtime.Metrics
 module Mix = Repro_workload.Mix
@@ -92,6 +93,12 @@ let test_sls_no_preempt_variants () =
   in
   Alcotest.(check bool) "concord-sls preempts long requests" true (c.Metrics.preemptions > 0)
 
+let test_sls_rejects_non_positive_quantum () =
+  (* A 0 ns quantum would preempt at every scheduler scan. *)
+  Alcotest.check_raises "quantum >= 1ns"
+    (Invalid_argument "Sls_server.run: quantum must be positive") (fun () ->
+      ignore (run_sls ~config:(Sls.concord_sls ~quantum_ns:0 ()) ~n:100 ()))
+
 let test_sls_stealing_beats_partitioned () =
   (* High-dispersion load: stealing (single logical queue) must crush the
      d-FCFS tail, the paper's core single-queue argument. *)
@@ -177,37 +184,41 @@ let test_sls_single_worker_matches_lindley () =
 
 (* --- replication (6) --------------------------------------------------- *)
 
+(* Replicas with disjoint cores fed by a uniform random split: the rack
+   under the Random policy, [config] describing one replica. *)
+let replicate ~instances ~config ~mix ~rate_rps ~n_requests =
+  Cluster.run
+    ~cluster:(Cluster.homogeneous ~policy:Lb_policy.Random ~instances config)
+    ~mix ~arrival:(Arrival.Poisson { rate_rps }) ~n_requests ()
+
 let test_replication_merges_instances () =
   let config = Systems.concord ~n_workers:4 () in
   let s =
-    Replication.run ~instances:3 ~config ~mix:(fixed_mix 5_000) ~rate_rps:1.2e6
-      ~n_requests:9_000 ()
+    replicate ~instances:3 ~config ~mix:(fixed_mix 5_000) ~rate_rps:1.2e6 ~n_requests:9_000
   in
-  Alcotest.(check int) "instances" 3 (List.length s.Replication.per_instance);
-  Alcotest.(check int) "workers total" 12 s.Replication.total_workers;
-  Alcotest.(check bool) "slowdowns sane" true (s.Replication.p50_slowdown >= 1.0)
+  Alcotest.(check int) "instances" 3 (Array.length s.Cluster.per_instance);
+  Alcotest.(check int) "workers total" 12 s.Cluster.total_workers;
+  Alcotest.(check bool) "slowdowns sane" true (s.Cluster.cluster.Metrics.p50_slowdown >= 1.0)
 
 let test_replication_scales_dispatcher_bound () =
   (* Fixed(1) at 5M total: one dispatcher saturates; two replicas do not. *)
   let mix = fixed_mix 1_000 in
-  let one =
-    Replication.run ~instances:1 ~config:(Systems.concord ~n_workers:14 ()) ~mix
-      ~rate_rps:5.0e6 ~n_requests:40_000 ()
+  let p999 ~instances ~n_workers =
+    (replicate ~instances ~config:(Systems.concord ~n_workers ()) ~mix ~rate_rps:5.0e6
+       ~n_requests:40_000)
+      .Cluster.cluster.Metrics.p999_slowdown
   in
-  let two =
-    Replication.run ~instances:2 ~config:(Systems.concord ~n_workers:7 ()) ~mix
-      ~rate_rps:5.0e6 ~n_requests:40_000 ()
-  in
-  Alcotest.(check bool) "one instance saturated" true (one.Replication.p999_slowdown > 100.0);
-  Alcotest.(check bool) "two instances fine" true
-    (two.Replication.p999_slowdown < one.Replication.p999_slowdown /. 4.0)
+  let one = p999 ~instances:1 ~n_workers:14 in
+  let two = p999 ~instances:2 ~n_workers:7 in
+  Alcotest.(check bool) "one instance saturated" true (one > 100.0);
+  Alcotest.(check bool) "two instances fine" true (two < one /. 4.0)
 
 let test_replication_validation () =
   Alcotest.check_raises "instances >= 1"
-    (Invalid_argument "Replication.run: need at least one instance") (fun () ->
+    (Invalid_argument "Cluster.homogeneous: need at least one instance") (fun () ->
       ignore
-        (Replication.run ~instances:0 ~config:(Systems.concord ()) ~mix:(fixed_mix 1_000)
-           ~rate_rps:1.0 ~n_requests:10 ()))
+        (replicate ~instances:0 ~config:(Systems.concord ()) ~mix:(fixed_mix 1_000)
+           ~rate_rps:1.0 ~n_requests:10))
 
 (* --- ingress batching (6) ------------------------------------------------ *)
 
@@ -255,6 +266,8 @@ let suite =
     Alcotest.test_case "zipfian kv mix" `Quick test_zipf_kv_mix;
     Alcotest.test_case "sls conservation" `Quick test_sls_conservation;
     Alcotest.test_case "sls preemption variants" `Quick test_sls_no_preempt_variants;
+    Alcotest.test_case "sls rejects a non-positive quantum" `Quick
+      test_sls_rejects_non_positive_quantum;
     Alcotest.test_case "stealing beats partitioned queues" `Quick
       test_sls_stealing_beats_partitioned;
     Alcotest.test_case "sls outgrows the physical dispatcher" `Slow
