@@ -235,6 +235,100 @@ let test_golden_quantum_paths () =
          preemptions=0" );
     ]
 
+(* The LevelDB-backed paths, captured before the store's bulk load
+   stopped going through the memtable and before kvstore mixes drew their
+   arrivals on a second domain: a zippydb and a get/scan run with their
+   event counts, and the metered outcome (service ns, lock windows, what
+   was found) of one fixed operation sequence against three stores: a
+   populated one, an empty one bulk-loaded with duplicate keys, and one
+   that already held tables, a memtable and a tombstone when the same
+   duplicate-laden load landed on it. A skip-list level drawn more or
+   fewer times shifts every later write's metered cost. *)
+let kv_row mix_of rate =
+  let module Kv = Repro_kvstore.Kv_workload in
+  standalone_row (config_of "concord") (mix_of (Kv.populate ~seed:42 ()) ~seed:42) rate
+
+let store_ops ?(keys = [ "user00000005"; "user00000007"; "user00000009"; "user00015001" ]) store
+    =
+  let module Store = Repro_kvstore.Store in
+  let show tag (o : Store.outcome) =
+    Printf.sprintf "%s:%d[%s]%s" tag o.Store.service_ns
+      (String.concat ","
+         (Array.to_list (Array.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) o.lock_windows)))
+      (match o.found with
+       | Some v -> Printf.sprintf "=%s" (if String.length v > 8 then String.sub v 0 8 else v)
+       | None -> Printf.sprintf "#%d" o.scanned)
+  in
+  let k = Array.of_list keys in
+  let value = String.make 100 'v' in
+  (* [List.map] applies in list order, so the operations run top to bottom. *)
+  let ops =
+    List.map
+      (fun (tag, op) -> show tag (op ()))
+      [
+        ("get", fun () -> Store.get store ~key:k.(0));
+        ("get", fun () -> Store.get store ~key:"user99999999");
+        ("put", fun () -> Store.put store ~key:k.(1) ~value);
+        ("get", fun () -> Store.get store ~key:k.(1));
+        ("del", fun () -> Store.delete store ~key:k.(2));
+        ("get", fun () -> Store.get store ~key:k.(2));
+        ("put", fun () -> Store.put store ~key:k.(3) ~value);
+        ("put", fun () -> Store.put store ~key:"user00000000" ~value);
+        ("scan", fun () -> Store.scan store);
+      ]
+  in
+  Printf.sprintf "%s live=%d entries=%d" (String.concat " " ops) (Store.population store)
+    (Store.total_entries store)
+
+let dup_pairs =
+  [ ("k3", "a"); ("k1", "b"); ("k3", "c"); ("k2", "d"); ("k1", "e"); ("k5", "f"); ("k2", "g") ]
+
+let dup_keys = [ "k1"; "k3"; "k2"; "k9" ]
+
+let test_golden_leveldb () =
+  let module Kv = Repro_kvstore.Kv_workload in
+  let module Store = Repro_kvstore.Store in
+  let loaded_into store =
+    Store.load store dup_pairs;
+    store_ops ~keys:dup_keys store
+  in
+  let non_empty () =
+    let store = Store.create ~flush_threshold:4 ~seed:9 () in
+    List.iter
+      (fun (key, value) -> ignore (Store.put store ~key ~value))
+      [ ("k1", "x"); ("k4", "y"); ("k6", "z"); ("k2", "w"); ("k7", "u"); ("k5", "t") ];
+    ignore (Store.delete store ~key:"k6" );
+    ignore (Store.delete store ~key:"k5" );
+    store
+  in
+  List.iter
+    (fun (name, run, expected) -> Alcotest.(check string) name expected (run ()))
+    [
+      ( "zippydb/concord",
+        (fun () -> kv_row (fun s ~seed -> Kv.zippydb_mix s ~seed) 300e3),
+        "p50=1.379746835443038 p99=1.857487922705314 goodput=305950.67259289342 events=83290 \
+         preemptions=9327" );
+      ( "get-scan/concord",
+        (fun () -> kv_row (fun s ~seed -> Kv.get_scan_mix s ~seed) 20e3),
+        "p50=1.5933333333333333 p99=1.921875 goodput=20845.195632894454 events=838098 \
+         preemptions=117157" );
+      ( "ops after populate",
+        (fun () -> store_ops (Kv.populate ~seed:42 ())),
+        "get:564[25-90]=&-4;BIPW get:558[25-90]#0 put:1931[25-1931]#0 get:126[25-90]=vvvvvvvv \
+         del:1809[25-1809]#0 get:144[25-90]#0 put:2033[25-2033]#0 put:2027[25-2027]#0 \
+         scan:494861[25-90]#15000 live=15000 entries=15004" );
+      ( "ops after load into empty",
+        (fun () -> loaded_into (Store.create ~seed:5 ())),
+        "get:198[25-90]=e get:162[25-90]#0 put:1952[25-1952]#0 get:174[25-90]=vvvvvvvv \
+         del:1842[25-1842]#0 get:168[25-90]#0 put:1958[25-1958]#0 put:1997[25-1997]#0 \
+         scan:293[25-90]#5 live=5 entries=8" );
+      ( "ops after load into non-empty",
+        (fun () -> loaded_into (non_empty ())),
+        "get:198[25-90]=e get:162[25-90]#0 put:1934[25-1934]#0 get:150[25-90]=vvvvvvvv \
+         del:1854[25-1854]#0 get:168[25-90]#0 put:2036[25-2036]#0 put:1991[25-1991]#0 \
+         scan:392[25-90]#7 live=7 entries=10" );
+    ]
+
 let test_golden_standalone () =
   List.iter
     (fun name ->
@@ -468,6 +562,8 @@ let suite =
     Alcotest.test_case "hedged, Gittins and Raft runs bit-identical" `Quick test_golden_paths;
     Alcotest.test_case "windowed-engine racks bit-identical" `Quick test_golden_par;
     Alcotest.test_case "quantum-timer paths bit-identical" `Quick test_golden_quantum_paths;
+    Alcotest.test_case "LevelDB runs and store outcomes bit-identical" `Quick
+      test_golden_leveldb;
     Alcotest.test_case "Sim.run allocates zero words/event" `Quick test_sim_run_zero_alloc;
     Alcotest.test_case "Heap add+pop allocates zero words/op" `Quick
       test_heap_churn_zero_alloc;
