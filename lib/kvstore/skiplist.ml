@@ -32,6 +32,8 @@ let random_level t =
   let rec go lvl = if lvl < max_level && Rng.bool t.rng then go (lvl + 1) else lvl in
   go 1
 
+let draw_level t = ignore (random_level t : int)
+
 let charge_step meter = match meter with None -> () | Some m -> Cost_meter.node_step m
 let charge_compare meter = match meter with None -> () | Some m -> Cost_meter.key_compare m
 

@@ -17,6 +17,12 @@ val length : t -> int
 val insert : ?meter:Cost_meter.t -> t -> key:string -> entry -> unit
 (** Insert or overwrite. *)
 
+val draw_level : t -> unit
+(** Draw one node level from the list's RNG and drop it: exactly what
+    inserting a key new to the list takes from the RNG. A bulk load that
+    builds its table without inserting calls it once per such key, so
+    every later insert draws the levels it would have drawn. *)
+
 val find : ?meter:Cost_meter.t -> t -> key:string -> entry option
 (** [Some Tombstone] means "deleted here" (shadowing older tables). *)
 

@@ -35,38 +35,62 @@ let total_entries t =
   Skiplist.length t.memtable
   + List.fold_left (fun acc table -> acc + Plain_table.length table) 0 t.tables
 
-(* Merge every source into one fresh table, newest source winning per key
-   and tombstones dropped (a full compaction has nothing underneath to
+(* The memtable's entries in key order. *)
+let memtable_entries t =
+  Array.of_list (List.rev (Skiplist.fold t.memtable ~init:[] ~f:(fun acc k e -> (k, e) :: acc)))
+
+(* Two key-sorted entry arrays merged into one, [newer] winning a key both
+   hold. *)
+let merge_newer newer older =
+  let n1 = Array.length newer and n2 = Array.length older in
+  if n2 = 0 then newer
+  else if n1 = 0 then older
+  else begin
+    let out = Array.make (n1 + n2) newer.(0) in
+    let rec go i j k =
+      if i = n1 then begin
+        Array.blit older j out k (n2 - j);
+        k + n2 - j
+      end
+      else if j = n2 then begin
+        Array.blit newer i out k (n1 - i);
+        k + n1 - i
+      end
+      else begin
+        let c = String.compare (fst newer.(i)) (fst older.(j)) in
+        out.(k) <- (if c <= 0 then newer.(i) else older.(j));
+        go (if c <= 0 then i + 1 else i) (if c >= 0 then j + 1 else j) (k + 1)
+      end
+    in
+    Array.sub out 0 (go 0 0 0)
+  end
+
+let is_value (_, e) = match e with Skiplist.Value _ -> true | Skiplist.Tombstone -> false
+
+(* Replace every source with one table: [newest] over the memtable's
+   entries [mem] over the tables, the newest source winning per key and
+   tombstones dropped (a full compaction has nothing underneath to
    shadow). Unmetered: LevelDB compacts on a background thread. *)
-let compact t =
-  let merged = Hashtbl.create (max 16 (total_entries t)) in
-  (* Oldest tables first so newer writes overwrite. *)
-  List.iter
-    (fun table ->
-      Array.iter (fun (k, e) -> Hashtbl.replace merged k e) (Plain_table.entries table))
-    (List.rev t.tables);
-  ignore
-    (Skiplist.fold t.memtable ~init:() ~f:(fun () k e -> Hashtbl.replace merged k e));
-  let live =
-    (Hashtbl.fold
-       (fun k e acc -> match e with Skiplist.Value _ -> (k, e) :: acc | Skiplist.Tombstone -> acc)
-       merged [])
-    [@lint.deterministic "order-insensitive: the array below is sorted before use"]
+let fold_into_one_table t ~newest ~mem =
+  let merged =
+    List.fold_left merge_newer newest (mem :: List.map Plain_table.entries t.tables)
   in
-  let arr = Array.of_list live in
-  Array.sort (fun (a, _) (b, _) -> String.compare a b) arr;
-  t.tables <- (if Array.length arr = 0 then [] else [ Plain_table.of_sorted arr ]);
+  let live =
+    if Array.for_all is_value merged then merged
+    else Array.of_list (List.filter is_value (Array.to_list merged))
+  in
+  t.tables <- (if Array.length live = 0 then [] else [ Plain_table.of_sorted live ]);
   t.memtable <- Skiplist.create ~rng:t.rng ();
   (* The memtable is durable in the tables now; its log can go. *)
   Wal.truncate t.wal
+
+let compact t = fold_into_one_table t ~newest:[||] ~mem:(memtable_entries t)
 
 (* Minor flush: freeze the memtable into a new L0 table (newest-first in
    [tables]), keeping tombstones so they continue to shadow older tables.
    Unmetered: background work in LevelDB. *)
 let flush t =
-  let entries =
-    Array.of_list (List.rev (Skiplist.fold t.memtable ~init:[] ~f:(fun acc k e -> (k, e) :: acc)))
-  in
+  let entries = memtable_entries t in
   if Array.length entries > 0 then t.tables <- Plain_table.of_sorted entries :: t.tables;
   t.memtable <- Skiplist.create ~rng:t.rng ();
   Wal.truncate t.wal
@@ -81,13 +105,56 @@ let maybe_flush t =
     if List.length t.tables > max_tables then compact t
   end
 
+(* The loaded pairs as one key-sorted entry array, the last value per key
+   winning, as successive memtable inserts would leave them. The sort is
+   stable and skipped for input already in key order. *)
+let sorted_last_wins pairs =
+  let arr = Array.of_list pairs in
+  let n = Array.length arr in
+  let key i = fst arr.(i) in
+  let rec ascending i = i >= n || (String.compare (key (i - 1)) (key i) < 0 && ascending (i + 1)) in
+  if not (ascending 1) then Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) arr;
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    if i = n - 1 || not (String.equal (key i) (key (i + 1))) then begin
+      arr.(!kept) <- arr.(i);
+      incr kept
+    end
+  done;
+  let entries = Array.make !kept ("", Skiplist.Tombstone) in
+  for i = 0 to !kept - 1 do
+    let k, v = arr.(i) in
+    entries.(i) <- (k, Skiplist.Value v)
+  done;
+  entries
+
+(* Keys both sorted arrays hold. *)
+let count_common a b =
+  let rec go i j acc =
+    if i = Array.length a || j = Array.length b then acc
+    else begin
+      let c = String.compare (fst a.(i)) (fst b.(j)) in
+      if c = 0 then go (i + 1) (j + 1) (acc + 1)
+      else if c < 0 then go (i + 1) j acc
+      else go i (j + 1) acc
+    end
+  in
+  go 0 0 0
+
+(* The pairs become one sorted table merged over what the store held, as
+   if each had been inserted into the memtable before a full compaction,
+   without building the memtable: an insert of a key the memtable lacks
+   draws a node level, so the load draws one per such key and leaves the
+   store's RNG (and every later operation's metered cost) where the
+   inserts would have. *)
 let load t pairs =
-  List.iter
-    (fun (key, value) ->
-      Skiplist.insert t.memtable ~key (Skiplist.Value value);
-      Hashtbl.replace t.live_keys key ())
-    pairs;
-  compact t
+  let loaded = sorted_last_wins pairs in
+  let mem = memtable_entries t in
+  for _ = 1 to Array.length loaded - count_common loaded mem do
+    Skiplist.draw_level t.memtable
+  done;
+  List.iter (fun (key, _) -> Hashtbl.replace t.live_keys key ()) pairs;
+  fold_into_one_table t ~newest:loaded ~mem
 
 let finish t ~found ~scanned =
   {

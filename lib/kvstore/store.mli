@@ -25,7 +25,10 @@ val create : ?flush_threshold:int -> seed:int -> unit -> t
     background compaction. *)
 
 val load : t -> (string * string) list -> unit
-(** Bulk-load initial data, unmetered, compacted into a single table. *)
+(** Bulk-load initial data, unmetered: the pairs (the last value per key
+    winning) merge over everything the store held into a single table,
+    exactly as inserting each into the memtable and then {!compact}ing
+    would leave it, the store's RNG included. *)
 
 val population : t -> int
 (** Number of distinct keys ever inserted and not shadowed by a tombstone
