@@ -98,21 +98,54 @@ let partition (a : float array) lo hi =
   done;
   !j
 
-(* Recurse on the smaller side first, so the stack stays logarithmic even
-   on adversarial (e.g. already-sorted) inputs. *)
-let rec sort_range (a : float array) lo hi =
+(* Heapsort of [a.(lo..hi)]: O(n log n) on any input. *)
+let heapsort (a : float array) lo hi =
+  let rec sift root len =
+    let child = (2 * root) + 1 in
+    if child < len then begin
+      let child =
+        if child + 1 < len && a.(lo + child) < a.(lo + child + 1) then child + 1 else child
+      in
+      if a.(lo + root) < a.(lo + child) then begin
+        swap a (lo + root) (lo + child);
+        sift child len
+      end
+    end
+  in
+  let n = hi - lo + 1 in
+  for root = (n / 2) - 1 downto 0 do
+    sift root n
+  done;
+  for last = n - 1 downto 1 do
+    swap a lo (lo + last);
+    sift 0 last
+  done
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+
+(* Introsort: quicksort that recurses on the smaller side first, so the
+   stack stays logarithmic, and hands a range to heapsort once [depth]
+   partitions have not brought it down to insertion-sort size. A crafted
+   input can defeat the median-of-three pivots (McIlroy's adversary
+   makes every partition split off two samples); the depth limit of
+   2 log2 n bounds the whole sort at O(n log n) anyway. *)
+let rec intro_sort (a : float array) lo hi ~depth =
   if hi - lo < 32 then insertion_sort a lo hi
+  else if depth = 0 then heapsort a lo hi
   else begin
     let j = partition a lo hi in
+    let depth = depth - 1 in
     if j - lo < hi - j then begin
-      sort_range a lo j;
-      sort_range a (j + 1) hi
+      intro_sort a lo j ~depth;
+      intro_sort a (j + 1) hi ~depth
     end
     else begin
-      sort_range a (j + 1) hi;
-      sort_range a lo j
+      intro_sort a (j + 1) hi ~depth;
+      intro_sort a lo j ~depth
     end
   end
+
+let sort_range a lo hi = intro_sort a lo hi ~depth:(2 * log2 (hi - lo + 1))
 
 (* Introselect: put the [k]-th smallest sample of [a.(lo..hi)] at [a.(k)],
    with everything in [lo..k-1] <= it and everything in [k+1..hi] >= it.
@@ -129,8 +162,6 @@ let rec select (a : float array) lo hi k ~budget =
     if k <= j then select a lo j k ~budget:(budget - 1)
     else select a (j + 1) hi k ~budget:(budget - 1)
   end
-
-let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 let sort_floats (a : float array) n = if n > 1 then sort_range a 0 (n - 1)
 

@@ -4,7 +4,9 @@
     {!t} and then query percentiles. {!percentile} sorts the backing array
     once and reuses the sorted order until new samples arrive;
     {!percentiles} answers several ranks at once by selection, without a
-    sort. Both reorder the stored samples; {!mean} and {!count} do not
+    sort. The sort is an introsort (median-of-three quicksort that hands a
+    range to heapsort after [2 log2 n] partitions), so both stay
+    O(n log n) on any input, crafted ones included. Both reorder the stored samples; {!mean} and {!count} do not
     depend on that order. *)
 
 type t
@@ -43,7 +45,8 @@ val percentiles : t -> float array -> float array
     multi-rank introselect instead of a sort: the highest rank is selected
     first, and each lower one within the samples left of the previous
     answer. A select whose partitions keep failing to narrow its range
-    sorts what is left of it after at most [2 log2 n] partition passes.
+    sorts what is left of it, with the same introsort, after at most
+    [2 log2 n] partition passes.
     [ps] may be in any order and repeat ranks. Leaves the samples partly
     ordered; a later {!percentile} still sorts them. Raises
     [Invalid_argument] when [t] is empty or a [p] is out of range. *)

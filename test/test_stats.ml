@@ -235,6 +235,134 @@ let test_percentiles_adversarial_100k () =
       ("organ-pipe", fun i -> float_of_int (Int.min i (n - i)));
     ]
 
+(* McIlroy's "A Killer Adversary for Quicksort" (Software: Practice and
+   Experience 29(4), 1999), aimed at Stats' own partition. A replica of
+   its quicksort (median-of-three pivot, Hoare partition, smaller side
+   first, insertion sort below 32 samples, no depth limit) sorts item ids
+   under a comparator that decides their values lazily: every item starts
+   as "gas", above every decided value, and when two gas items meet, the
+   one that is not the current pivot candidate is frozen at the next
+   smallest value, which keeps each pivot as small as the comparisons
+   allow. The decided values are an input on which the same quicksort
+   makes the same comparisons. The replica stops after [rounds]
+   partitions, each of which split off a few samples; the items still gas
+   then take the next values in array order, which keeps every answer
+   given so far. *)
+exception Enough
+
+type adversary = {
+  value : int array;  (* by item id; [gas] while undecided *)
+  gas : int;
+  mutable solid : int;  (* the next value to decide *)
+  mutable candidate : int;  (* the gas item last compared: the likely pivot *)
+  mutable rounds_left : int;
+}
+
+let freeze k x =
+  k.value.(x) <- k.solid;
+  k.solid <- k.solid + 1
+
+let cmp k x y =
+  if k.value.(x) = k.gas && k.value.(y) = k.gas then
+    if x = k.candidate then freeze k x else freeze k y;
+  if k.value.(x) = k.gas then k.candidate <- x
+  else if k.value.(y) = k.gas then k.candidate <- y;
+  k.value.(x) - k.value.(y)
+
+let swap (a : int array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let replica_insertion k (a : int array) lo hi =
+  for i = lo + 1 to hi do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && cmp k a.(!j) x > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+let replica_partition k (a : int array) lo hi =
+  if k.rounds_left = 0 then raise Enough;
+  k.rounds_left <- k.rounds_left - 1;
+  let mid = lo + ((hi - lo) / 2) in
+  if cmp k a.(mid) a.(lo) < 0 then swap a lo mid;
+  if cmp k a.(hi) a.(lo) < 0 then swap a lo hi;
+  if cmp k a.(hi) a.(mid) < 0 then swap a mid hi;
+  let pivot = a.(mid) in
+  let i = ref lo and j = ref hi in
+  while !i <= !j do
+    while cmp k a.(!i) pivot < 0 do
+      incr i
+    done;
+    while cmp k a.(!j) pivot > 0 do
+      decr j
+    done;
+    if !i <= !j then begin
+      swap a !i !j;
+      incr i;
+      decr j
+    end
+  done;
+  !j
+
+let rec replica_sort k a lo hi =
+  if hi - lo < 32 then replica_insertion k a lo hi
+  else begin
+    let j = replica_partition k a lo hi in
+    if j - lo < hi - j then begin
+      replica_sort k a lo j;
+      replica_sort k a (j + 1) hi
+    end
+    else begin
+      replica_sort k a (j + 1) hi;
+      replica_sort k a lo j
+    end
+  end
+
+let mcilroy_killer ~n ~rounds =
+  let k = { value = Array.make n n; gas = n; solid = 0; candidate = -1; rounds_left = rounds } in
+  let a = Array.init n Fun.id in
+  (try replica_sort k a 0 (n - 1) with Enough -> ());
+  Array.iter (fun x -> if k.value.(x) = k.gas then freeze k x) a;
+  Array.map float_of_int k.value
+
+let cpu_seconds f =
+  let t0 = Sys.time () in
+  let r = f () in
+  (r, Sys.time () -. t0)
+
+(* 2,000 adversarial partitions of ~100k samples: without a depth limit
+   the sort (or the select's fallback sort) pays ~2e8 comparisons on this
+   input, ~0.3 s; the heapsort backstop stops partitioning after
+   2 log2 n = 32 and the whole sort costs ~10 ms. *)
+let test_killer_input_100k () =
+  let n = 100_000 in
+  let killer = mcilroy_killer ~n ~rounds:2_000 in
+  let expected = Array.copy killer in
+  Array.sort Float.compare expected;
+  let stats () =
+    let t = Stats.create ~capacity:n () in
+    Array.iter (Stats.add t) killer;
+    t
+  in
+  let bound = 0.1 in
+  let sorted, sort_s = cpu_seconds (fun () -> Stats.values (Stats.merge_all [ stats () ])) in
+  Alcotest.(check bool) "sorts to Array.sort Float.compare's order" true (sorted = expected);
+  let ps = [| 99.9; 99.0; 50.0; 0.0; 100.0 |] in
+  let t = stats () in
+  let got, select_s = cpu_seconds (fun () -> Stats.percentiles t ps) in
+  let rank p =
+    expected.(Int.max 0 (int_of_float (ceil ((p *. float_of_int n /. 100.0) -. 1e-9)) - 1))
+  in
+  Alcotest.(check (array (float 0.0))) "selects the sorted ranks" (Array.map rank ps) got;
+  if sort_s > bound || select_s > bound then
+    Alcotest.failf "killer input: %.3f s of CPU to sort, %.3f s to select (bound %.2f s)" sort_s
+      select_s bound
+
 (* The mean is the sum in insertion order. These samples sum to a
    different float in sorted order (the small ones are absorbed by 1e17),
    so a mean recomputed over the reordered samples would move. *)
@@ -276,6 +404,8 @@ let suite =
     Alcotest.test_case "online accumulator matches direct" `Quick test_online_matches_direct;
     Alcotest.test_case "percentiles on 100k adversarial inputs" `Quick
       test_percentiles_adversarial_100k;
+    Alcotest.test_case "McIlroy killer input sorts and selects in O(n log n)" `Quick
+      test_killer_input_100k;
     Alcotest.test_case "mean independent of percentile queries" `Quick
       test_mean_independent_of_queries;
     QCheck_alcotest.to_alcotest prop_percentile_matches_oracle;
