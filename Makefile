@@ -2,7 +2,7 @@
 .PHONY: all check build test bench bench-json bench-json-quick bench-e2e bench-e2e-compare \
 	bench-e2e-pairs profile \
 	trace-smoke cluster-smoke cli-smoke \
-	verify-probes-smoke policy-smoke hedge-smoke raft-smoke par-smoke model-smoke lint clean
+	verify-probes-smoke policy-smoke hedge-smoke raft-smoke par-smoke model-smoke kv-smoke lint clean
 
 all: build
 
@@ -116,11 +116,21 @@ par-smoke:
 	dune exec bin/concord_sim.exe -- cluster --instances 3 --policy random --steal \
 		--straggler 0:4 --rtt-cycles 4000 -n 4000 --engine par:2 --check
 
+# LevelDB smoke test: the two kvstore-backed mixes, whose generators run
+# real store operations, through a standalone run with --check's
+# conservation invariants. On a host with a second core their arrivals are
+# drawn by a producer domain (Prefetch), so this also runs the hand-off
+# end to end.
+kv-smoke:
+	dune exec bin/concord_sim.exe -- run -w leveldb-zippydb -r 300 -n 20000 --check
+	dune exec bin/concord_sim.exe -- run -w leveldb -r 20 -n 4000 --check
+
 # Model-checker smoke test: explore every DPOR-inequivalent interleaving
 # of the engine's Atomics protocols (SPSC mailbox, sense-reversing
-# barrier, work-sharing pool) to quiescence, and prove the checker still
-# bites by requiring every seeded-bug fixture (MPSC misuse, publication
-# reorder, missing sense reversal, SPSC contract) to be caught. Non-zero
+# barrier, work-sharing pool, prefetch stream) to quiescence, and prove the
+# checker still bites by requiring every seeded-bug fixture (MPSC misuse,
+# publication reorder, missing sense reversal, SPSC contract, a prefetch
+# producer that grows the ring) to be caught. Non-zero
 # exit on any violation of a good scenario, any uncaught seeded bug, or
 # any exploration that silently hit its schedule cap. Per-scenario caps
 # bound the wall time (the whole registry runs in seconds).
@@ -132,20 +142,23 @@ model-smoke:
 # iteration, bare Domain/Atomic outside engine/), Par_sim party bodies
 # must not touch unmediated shared mutable state (domain-escape pass),
 # and every [@lint.deterministic] waiver must still suppress something
-# (stale waivers are findings). Also proves the lint itself still bites,
+# (stale waivers are findings). Prefetch producers count as party bodies
+# too. Also proves the lint itself still bites,
 # via --expect-fail fixtures.
 lint:
 	dune exec tools/lint.exe -- lib
 	dune exec tools/lint.exe -- --expect-fail tools/fixtures/bad_random.ml
 	dune exec tools/lint.exe -- --expect-fail tools/fixtures/bad_domain.ml
 	dune exec tools/lint.exe -- --expect-fail tools/fixtures/bad_escape.ml
+	dune exec tools/lint.exe -- --expect-fail tools/fixtures/bad_prefetch.ml
 	dune exec tools/lint.exe -- --expect-fail tools/fixtures/stale_waiver.ml
 
 # What CI (and every PR) must keep green.
 check:
 	dune build && dune runtest && $(MAKE) lint && $(MAKE) trace-smoke && $(MAKE) cluster-smoke \
 		&& $(MAKE) cli-smoke && $(MAKE) policy-smoke && $(MAKE) hedge-smoke && $(MAKE) raft-smoke \
-		&& $(MAKE) par-smoke && $(MAKE) model-smoke && $(MAKE) verify-probes-smoke \
+		&& $(MAKE) par-smoke && $(MAKE) model-smoke && $(MAKE) kv-smoke \
+		&& $(MAKE) verify-probes-smoke \
 		&& $(MAKE) bench-json-quick
 
 bench:

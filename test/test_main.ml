@@ -8,6 +8,7 @@ let () =
       ("engine.stats", Test_stats.suite);
       ("engine.histogram", Test_histogram.suite);
       ("engine.pool", Test_pool.suite);
+      ("engine.prefetch", Test_prefetch.suite);
       ("engine.par-sim", Test_par_sim.suite);
       ("engine.sim", Test_sim.suite);
       ("engine.ring", Test_ring.suite);

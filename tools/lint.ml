@@ -19,7 +19,9 @@
 
    Domain-escape pass: at every [Par_sim.run_windows] call site, the
    [~shard_step] / [~shard_next] arguments are the {e party bodies} —
-   code that runs on a shard's domain concurrently with the other shards.
+   code that runs on a shard's domain concurrently with the other shards
+   — and so is the producer (the positional argument) of every
+   [Prefetch.start], which runs on its own domain beside the consumer.
    The pass walks those bodies (resolving same-file [let]-bound names and
    following calls to same-file functions, transitively) and flags
    non-[Atomic] shared mutable state reached without mediation:
@@ -192,8 +194,9 @@ let escape ~loc msg =
   else
     report ~loc
       (Printf.sprintf
-         "domain-escape: %s reachable from a Par_sim party body; mediate through \
-          Mailbox/Atomic or waive with [@%s \"why this site is shard-private\"]"
+         "domain-escape: %s reachable from a party body (Par_sim shard or Prefetch \
+          producer); mediate through Mailbox/Atomic or waive with [@%s \"why this site is \
+          domain-private\"]"
          msg waiver_attr)
 
 (* Same-file [let]-bound names (any nesting depth) -> their expressions;
@@ -301,8 +304,14 @@ let rec walk_escape ~locals ~visited ~queue ~mediated (e : Parsetree.expression)
         let it = { default_iterator with expr = (fun _ c -> walk ~mediated:false c) } in
         default_iterator.expr it e)
 
+let is_prefetch_start (txt : Longident.t) =
+  match txt with
+  | Longident.Ldot (prefix, "start") -> String.equal (Longident.last prefix) "Prefetch"
+  | _ -> false
+
 (* Party roots: the ~shard_step / ~shard_next arguments of every
-   run_windows application in the file. *)
+   run_windows application in the file, and the producer of every
+   Prefetch.start. *)
 let escape_scan ast =
   let roots : Parsetree.expression list ref = ref [] in
   let open Ast_iterator in
@@ -316,6 +325,9 @@ let escape_scan ast =
           | Asttypes.Labelled ("shard_step" | "shard_next") -> roots := a :: !roots
           | _ -> ())
         args
+    | Parsetree.Pexp_apply ({ pexp_desc = Parsetree.Pexp_ident { txt; _ }; _ }, args)
+      when is_prefetch_start txt ->
+      List.iter (fun (lbl, a) -> if lbl = Asttypes.Nolabel then roots := a :: !roots) args
     | _ -> ());
     default_iterator.expr it e
   in
