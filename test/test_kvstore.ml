@@ -355,6 +355,49 @@ let test_full_compaction_bounds_tables () =
   Alcotest.(check (option string)) "latest value survives" (Some "7")
     (Store.get store ~key:"01").Store.found
 
+(* A bulk load merges the pairs (the last value per key winning) over
+   whatever the store holds: tables, a memtable and tombstones from
+   random writes under a small flush threshold. Afterwards every key reads
+   as a map model says, the live count matches, a full scan visits exactly
+   the live keys, and the loaded store keeps serving writes. *)
+let prop_load_matches_model =
+  let key = QCheck.Gen.map (Printf.sprintf "k%02d") (QCheck.Gen.int_bound 30) in
+  let a_write = QCheck.Gen.(pair key (opt (map string_of_int (int_bound 99)))) in
+  let a_pair = QCheck.Gen.(pair key (map string_of_int (int_bound 99))) in
+  QCheck.Test.make ~count:200 ~name:"bulk load merges over any store state like a map"
+    QCheck.(make Gen.(pair (list_size (int_bound 40) a_write) (list_size (int_bound 40) a_pair)))
+    (fun (writes, pairs) ->
+      let module M = Map.Make (String) in
+      let store = Store.create ~flush_threshold:3 ~seed:31 () in
+      let model =
+        List.fold_left
+          (fun m (key, value) ->
+            match value with
+            | Some value ->
+              ignore (Store.put store ~key ~value);
+              M.add key value m
+            | None ->
+              ignore (Store.delete store ~key);
+              M.remove key m)
+          M.empty writes
+      in
+      Store.load store pairs;
+      let model = List.fold_left (fun m (k, v) -> M.add k v m) model pairs in
+      let reads_match m =
+        List.for_all
+          (fun i ->
+            let key = Printf.sprintf "k%02d" i in
+            (Store.get store ~key).Store.found = M.find_opt key m)
+          (List.init 31 Fun.id)
+      in
+      let loaded_ok =
+        reads_match model
+        && Store.population store = M.cardinal model
+        && (Store.scan store).Store.scanned = M.cardinal model
+      in
+      ignore (Store.put store ~key:"k00" ~value:"after");
+      loaded_ok && reads_match (M.add "k00" "after" model))
+
 let leveled_suite =
   [
     Alcotest.test_case "minor flush creates tables" `Quick test_minor_flush_creates_tables;
@@ -362,6 +405,7 @@ let leveled_suite =
     Alcotest.test_case "tombstones shadow across tables" `Quick
       test_tombstone_shadows_across_tables;
     Alcotest.test_case "full compaction bounds tables" `Quick test_full_compaction_bounds_tables;
+    QCheck_alcotest.to_alcotest prop_load_matches_model;
   ]
 
 let suite = suite @ leveled_suite
