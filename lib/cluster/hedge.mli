@@ -30,7 +30,7 @@ val validate : t -> (unit, string) result
 (** [Ok ()] when every parameter is in range: a non-negative fixed delay, a
     percentile in (0, 100), a budget in (0, 1] ([nan] is never in range).
     Otherwise an error naming the spec. {!of_string} and the tiers'
-    constructors ([Cluster.make], [Raft.make]) apply it. *)
+    constructors ([Cluster.make], [Raft.homogeneous]) apply it. *)
 
 val of_string : string -> (t, string) result
 (** Parses ["off" | "fixed:<ns>" | "pct:<p>" | "adaptive:<budget>"], then

@@ -26,7 +26,7 @@ val name : t -> string
 
 val validate : t -> (unit, string) result
 (** [Ok ()] unless [t] is [Jbsq n] with [n < 1]; the error names the spec.
-    {!of_string} and the tiers' constructors ([Cluster.make], [Raft.make])
+    {!of_string} and the tiers' constructors ([Cluster.make], [Raft.homogeneous])
     apply it. *)
 
 val of_string : string -> (t, string) result

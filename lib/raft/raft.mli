@@ -23,9 +23,8 @@
       heartbeat extends every reachable member's lease, and any alive
       member holding an unexpired lease may serve a read locally (checked
       against the simulated clock at dispatch — the lease-expiry safety
-      check; [make] additionally enforces
-      [lease_cycles <= election_timeout_cycles] so no new leader can be
-      elected while an old-term lease is still valid). Reads at the leader
+      check; the lease is no longer than the election timeout, so no new
+      leader can be elected while an old-term lease is still valid). Reads at the leader
       are linearizable; follower lease reads are bounded-staleness (at
       most one lease of lag), which is what the SNIPPETS systems ship.
       Without [read_leases], reads ride the full consensus round — the
@@ -72,17 +71,6 @@ type t = {
           hedged — duplicating a write would double-commit through
           consensus; the run asserts this guard and
           {!check_invariants} re-checks [writes_hedged = 0]. *)
-  heartbeat_cycles : int;  (** leader heartbeat period *)
-  election_timeout_cycles : int;
-      (** minimum election timeout; each member redraws uniformly in
-          [min, 2*min) on every reset *)
-  lease_cycles : int;  (** lease extension granted by a quorum heartbeat *)
-  log_write_cycles : int;
-      (** durable log append (fsync-class) on the appending member,
-          executed as a mini-request by that member's instance *)
-  follower_ae_cycles : int;
-      (** AppendEntries processing (decode + append + fsync) at a
-          follower, executed as a mini-request by the follower's instance *)
   kill_leader_at_ns : int option;
       (** crash the current leader at this simulated time: it stops
           heartbeating, voting and acking; survivors elect a replacement *)
@@ -90,44 +78,12 @@ type t = {
   specs : Cluster.instance_spec array;
 }
 
-val make :
-  ?read_lb:Lb_policy.t ->
-  ?rtt_cycles:int ->
-  ?read_leases:bool ->
-  ?write_ratio:float ->
-  ?hedge:Hedge.t ->
-  ?heartbeat_cycles:int ->
-  ?election_timeout_cycles:int ->
-  ?lease_cycles:int ->
-  ?log_write_cycles:int ->
-  ?follower_ae_cycles:int ->
-  ?kill_leader_at_ns:int ->
-  ?cancel_cost_cycles:int ->
-  Cluster.instance_spec array ->
-  t
-(** Defaults (at the 2 GHz reference clock): [Po2c] read routing,
-    [rtt_cycles = 880_000] (440 us), leases on, [write_ratio = 0.5], no
-    hedging, heartbeat 100 us, election timeout 500 us, lease 500 us (a
-    lease must outlive the RTT, or the leader's own lease expires before
-    the quorum ack that would renew it arrives), log write 140 us,
-    follower AppendEntries 180 us — calibrated so a 50 us direct
-    operation lands near the Concord/Ra consensus table: ~3.8x at one
-    member, ~15x+ at three. Validates every member config, and rejects
-    [lease_cycles > election_timeout_cycles] (lease safety) and any
-    [read_lb] or [hedge] that {!Lb_policy.validate} or {!Hedge.validate}
-    refuses. *)
-
 val homogeneous :
   ?read_lb:Lb_policy.t ->
   ?rtt_cycles:int ->
   ?read_leases:bool ->
   ?write_ratio:float ->
   ?hedge:Hedge.t ->
-  ?heartbeat_cycles:int ->
-  ?election_timeout_cycles:int ->
-  ?lease_cycles:int ->
-  ?log_write_cycles:int ->
-  ?follower_ae_cycles:int ->
   ?kill_leader_at_ns:int ->
   ?cancel_cost_cycles:int ->
   ?stragglers:(int * float) list ->
@@ -135,7 +91,28 @@ val homogeneous :
   Config.t ->
   t
 (** [nodes] identical members; [stragglers] overrides speed factors as in
-    {!Cluster.homogeneous}. *)
+    {!Cluster.homogeneous}. Defaults (at the 2 GHz reference clock):
+    [Po2c] read routing, [rtt_cycles = 880_000] (440 us), leases on,
+    [write_ratio = 0.5], no hedging. Validates the config and rejects any
+    [read_lb] or [hedge] that {!Lb_policy.validate} or {!Hedge.validate}
+    refuses.
+
+    The protocol's timings are constants: heartbeat 100 us; election
+    timeout 500 us, redrawn uniformly below twice that on every reset;
+    lease 500 us, extended by each quorum-acknowledged heartbeat (a lease
+    must outlive the RTT, or the leader's own lease expires before the
+    quorum ack that would renew it arrives, and it never exceeds the
+    election timeout); durable log append 140 us at the leader and
+    AppendEntries processing (decode + append + fsync) 180 us at each
+    follower, each a mini-request through that member's own instance —
+    calibrated so a 50 us direct operation lands near the Concord/Ra
+    consensus table: ~3.8x at one member, ~15x+ at three. *)
+
+val capacity_rps : t -> Repro_workload.Mix.t -> float
+(** Ideal direct capacity of the group, every member running the first
+    member's config: all members' workers over the mean service time,
+    with each write also paying the leader's durable append and one
+    AppendEntries mini per follower. *)
 
 type summary = {
   nodes : int;
