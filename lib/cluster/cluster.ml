@@ -14,7 +14,8 @@ module Server = Repro_runtime.Server
 type instance_spec = { config : Config.t; speed_factor : float }
 
 let spec ?(speed_factor = 1.0) config =
-  if speed_factor <= 0.0 then invalid_arg "Cluster.spec: speed_factor must be positive";
+  if not (speed_factor > 0.0 && Float.is_finite speed_factor) then
+    invalid_arg "Cluster.spec: speed_factor must be positive and finite";
   Config.validate config;
   { config; speed_factor }
 
@@ -46,6 +47,7 @@ let homogeneous_specs ~who ~stragglers n config =
     (fun (i, f) ->
       if i < 0 || i >= n then invalid_arg (who ^ ": straggler index out of range");
       if not (f >= 1.0) then invalid_arg (who ^ ": straggler factor must be >= 1");
+      if not (Float.is_finite f) then invalid_arg (who ^ ": straggler factor must be finite");
       specs.(i) <- { config; speed_factor = f })
     stragglers;
   specs

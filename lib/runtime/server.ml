@@ -141,10 +141,15 @@ type 'e t = {
 
 (* Straggler scaling: a slow instance pays proportionally more wall time
    for the same cycle budget, both in its dispatcher micro-ops and in
-   application execution. [speed = 1.0] is the exact identity. *)
+   application execution. [speed = 1.0] is the exact identity. A cost
+   beyond the int range raises rather than wrapping to a bogus value. *)
 let scaled_ns costs ~speed cycles =
   let n = Costs.ns_of costs cycles in
-  if speed = 1.0 then n else int_of_float (ceil (float_of_int n *. speed))
+  if speed = 1.0 then n
+  else
+    let ns = ceil (float_of_int n *. speed) in
+    if ns < float_of_int max_int then int_of_float ns
+    else invalid_arg "Server: a straggler-scaled op cost overflows the int range"
 
 let trace t ~request kind =
   match t.tracer with
@@ -799,8 +804,8 @@ let on_disp_op_done t =
 let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
     ?(speed_factor = 1.0) ?cancel_cost_cycles ?tracer ?on_complete ?on_cancelled () =
   Config.validate config;
-  if speed_factor <= 0.0 then
-    invalid_arg "Server.Instance.create: speed_factor must be positive";
+  if not (speed_factor > 0.0 && Float.is_finite speed_factor) then
+    invalid_arg "Server.Instance.create: speed_factor must be positive and finite";
   (match cancel_cost_cycles with
   | Some c when c < 0 -> invalid_arg "Server.Instance.create: cancel_cost_cycles must be >= 0"
   | _ -> ());

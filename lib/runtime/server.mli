@@ -47,7 +47,8 @@ module Instance : sig
       [rng] drives this instance's preemption-lateness draws — give each
       instance its own split stream. [speed_factor] > 1 models a straggler:
       dispatcher micro-ops and application execution take proportionally
-      more wall time (1.0, the default, is the exact fast path).
+      more wall time (1.0, the default, is the exact fast path). It must be
+      finite, and one that scales an op cost past the int range raises.
       [cancel_cost_cycles] is the dispatcher cost of executing one
       {!cancel} (default: the requeue cost — one queue operation).
       [on_complete] fires after each completion is recorded; [on_cancelled]

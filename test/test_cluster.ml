@@ -283,11 +283,25 @@ let test_bad_specs_rejected_at_construction () =
   Alcotest.(check bool) (what ^ " unparsable") true (Result.is_error (Lb_policy.of_string what));
   rejects what (fun () -> ignore (Cluster.homogeneous ~policy:jbsq0 ~instances:3 config));
   rejects what (fun () -> ignore (Repro_raft.Raft.homogeneous ~read_lb:jbsq0 ~nodes:3 config));
-  (* A straggler is slower, never faster, on both tiers. *)
-  let stragglers = [ (0, 0.5) ] in
-  let what = "straggler factor" in
-  rejects what (fun () -> ignore (Cluster.homogeneous ~stragglers ~instances:3 config));
-  rejects what (fun () -> ignore (Repro_raft.Raft.homogeneous ~stragglers ~nodes:3 config))
+  (* A straggler is slower, never faster, on both tiers, and finitely so. *)
+  List.iter
+    (fun f ->
+      let stragglers = [ (0, f) ] in
+      let what = "straggler factor" in
+      rejects what (fun () -> ignore (Cluster.homogeneous ~stragglers ~instances:3 config));
+      rejects what (fun () -> ignore (Repro_raft.Raft.homogeneous ~stragglers ~nodes:3 config)))
+    [ 0.5; Float.infinity ];
+  rejects "speed_factor" (fun () -> ignore (Cluster.spec ~speed_factor:Float.nan config));
+  (* A finite factor whose scaled op costs overflow an int of ns fails when
+     the instances price them, before the run handles any event. *)
+  let decisions = ref 0 in
+  match
+    run_rack ~stragglers:[ (0, 1e18) ] ~n:100
+      ~on_decision:(fun ~views:_ ~lengths:_ ~chosen:_ -> incr decisions)
+      ()
+  with
+  | _ -> Alcotest.fail "a 1e18 straggler ran"
+  | exception Invalid_argument _ -> Alcotest.(check int) "no event handled" 0 !decisions
 
 let test_hedging_rescues_straggler_tail () =
   (* An oblivious balancer keeps feeding a 6x straggler; duplicate-and-
