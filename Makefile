@@ -34,9 +34,10 @@ cluster-smoke:
 # table holds inputs the library rejects after the flags parse (no
 # requests, no workers, no group members), inputs it must not accept (a
 # zero quantum, an unknown system name, a straggler faster than its
-# peers, a sweep of no points), and the spec rejections that already
-# worked (rate, system, workload, figure, SLS variant, policy, engine,
-# hedge, arrival, write ratio).
+# peers or infinitely slow, one so slow its op costs overflow, a leader
+# kill at a time the clock cannot hold, a sweep of no points), and the
+# spec rejections that already worked (rate, system, workload, figure,
+# SLS variant, policy, engine, hedge, arrival, write ratio).
 CLI_SMOKE_LINES = \
 	'run -r 150 -n 0' 'run -r 150 --workers 0' 'sweep -n 0 --points 2' 'trace -n 0' \
 	'overheads -n 0' 'sls -r 100 -n 0' 'cluster -n 0' 'raft -n 0' 'raft-study -n 0' \
@@ -46,7 +47,9 @@ CLI_SMOKE_LINES = \
 	'run -r nan' 'run -r 150 -s nosuch' 'run -r 150 -w nosuch' 'figure nosuch' \
 	'sls -r 100 --variant bogus' 'run -r 150 --policy bogus' 'cluster --policy bogus' \
 	'cluster --engine par:0' 'cluster --hedge bogus' 'cluster --arrival bogus' \
-	'raft --write-ratio 2'
+	'raft --write-ratio 2' \
+	'cluster --straggler 0:inf' 'cluster --straggler 0:1e18' 'raft --straggler 1:inf' \
+	'raft --kill-leader-at nan' 'raft --kill-leader-at inf' 'raft --kill-leader-at 1e30'
 cli-smoke:
 	dune build bin/concord_sim.exe
 	@n=0; for a in $(CLI_SMOKE_LINES); do \
@@ -94,13 +97,18 @@ hedge-smoke:
 # Replicated-tier smoke test: a 3-node Raft group must keep the protocol
 # invariants (commit monotone, one leader per term, no committed-entry
 # loss, writes never hedged) through a steady run AND through a leader
-# kill + re-election; --check exits non-zero on any violation.
+# kill + re-election; --check exits non-zero on any violation. The
+# 5-node failover with a straggler truncates logs, so it also checks the
+# truncation-below-commit and committed-entry-loss invariants on a run
+# that truncates.
 raft-smoke:
 	dune exec bin/concord_sim.exe -- raft --nodes 3 -n 4000 --check
 	dune exec bin/concord_sim.exe -- raft --nodes 3 -n 4000 \
 		--kill-leader-at 60000 --check
 	dune exec bin/concord_sim.exe -- raft --nodes 3 -n 4000 \
 		--hedge fixed:150000 --straggler 1:3 --check
+	dune exec bin/concord_sim.exe -- raft --nodes 5 -n 8000 \
+		--kill-leader-at 100000 --straggler 2:4 --check
 
 # Parallel-engine smoke test: the rack under the conservative time-window
 # engine with 2 domains must keep the same conservation invariants as the
