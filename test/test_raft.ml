@@ -152,6 +152,23 @@ let test_hedge_reads_never_writes () =
     (s.Raft.hedge_wins + (s.Raft.hedge_cancels - s.Raft.hedge_wins));
   Alcotest.(check bool) "losing legs cancelled" true (s.Raft.hedge_cancels >= s.Raft.hedge_wins)
 
+(* --- capacity -------------------------------------------------------------- *)
+
+(* With no writes, capacity is every member's workers over the mean service
+   time; each write adds the leader's durable append and one AppendEntries
+   mini per follower. The CLI's default load point is 40% of it, the rate of
+   the 5-member straggler failover golden row. *)
+let test_capacity_rps () =
+  let mix = Repro_workload.Presets.ycsb_a in
+  let config = Systems.concord () in
+  let reads_only = Raft.homogeneous ~write_ratio:0.0 ~nodes:5 config in
+  Alcotest.(check (float 0.0)) "no writes: direct capacity"
+    (float_of_int (5 * config.Repro_runtime.Config.n_workers) /. Mix.mean_service_ns mix *. 1e9)
+    (Raft.capacity_rps reads_only mix);
+  let raft = Raft.homogeneous ~nodes:5 ~stragglers:[ (2, 4.0) ] config in
+  Alcotest.(check string) "40% of a 5-member group's capacity" "58272.632674297609"
+    (Printf.sprintf "%.17g" (0.4 *. Raft.capacity_rps raft mix))
+
 (* --- Instance.cancel after completion (documented no-op) ------------------ *)
 
 type cancel_ev = Inst of Server.event | Cancel_now
@@ -201,6 +218,7 @@ let suite =
     Alcotest.test_case "failover is deterministic" `Quick test_failover_deterministic;
     Alcotest.test_case "hedging duplicates reads, never writes" `Quick
       test_hedge_reads_never_writes;
+    Alcotest.test_case "capacity prices writes through consensus" `Quick test_capacity_rps;
     Alcotest.test_case "cancel after completion is a no-op" `Quick
       test_cancel_completed_request_is_noop;
   ]
