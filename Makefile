@@ -202,15 +202,16 @@ bench-e2e-compare:
 
 # Interleaved before/after of one bench/e2e workload (tools/bench_pairs.sh):
 # N pairs of two bench_e2e.exe builds, alternating which runs first, then
-# each side's median and quartiles and the pairs B won.
+# each side's median and quartiles of METRIC and the pairs B won.
 N ?= 10
 SEED ?= 42
 SECS ?= 4
+METRIC ?= host_ns_per_req
 bench-e2e-pairs:
 	@if [ -z "$(A)" ] || [ -z "$(B)" ] || [ -z "$(W)" ]; then \
-		echo "usage: make bench-e2e-pairs A=old.exe B=new.exe W=WORKLOAD [N=10] [SEED=42] [SECS=4]" >&2; \
+		echo "usage: make bench-e2e-pairs A=old.exe B=new.exe W=WORKLOAD [N=10] [SEED=42] [SECS=4] [METRIC=host_ns_per_req]" >&2; \
 		exit 2; fi
-	sh tools/bench_pairs.sh $(A) $(B) $(W) $(N) $(SEED) $(SECS)
+	sh tools/bench_pairs.sh $(A) $(B) $(W) $(N) $(SEED) $(SECS) $(METRIC)
 
 # Flat PC-sampling profile of one bench/e2e workload: tools/sprof.c, preloaded
 # into bench_e2e.exe, samples the main thread (the main domain; other

@@ -186,7 +186,7 @@ let max_value t =
    that at least p% of the samples are <= it. *)
 let rank_index t who p =
   if t.size = 0 then invalid_arg (who ^ ": empty");
-  if p < 0.0 || p > 100.0 then invalid_arg (who ^ ": p out of range");
+  if not (p >= 0.0 && p <= 100.0) then invalid_arg (who ^ ": p out of range");
   let rank = int_of_float (ceil ((p *. float_of_int t.size /. 100.0) -. 1e-9)) in
   Int.max 0 (Int.min (t.size - 1) (rank - 1))
 

@@ -54,6 +54,12 @@ val percentiles : t -> float array -> float array
 val median : t -> float
 (** [median t] is [percentile t 50.0]. *)
 
+val sort_floats : float array -> int -> unit
+(** [sort_floats a n] sorts [a.(0 .. n-1)] into ascending order in place,
+    with the introsort {!percentile} uses: direct float comparisons, no
+    boxing, O(n log n) on any input. On finite samples the result equals
+    [Array.sort compare]'s. *)
+
 val values : t -> float array
 (** Copy of the samples in stored order: insertion order until a
     percentile query reorders them. *)

@@ -31,6 +31,7 @@
    is memoryless), so Gittins collapses to FCFS among started requests. *)
 
 module Rng = Repro_engine.Rng
+module Stats = Repro_engine.Stats
 
 type t = {
   ages : float array;  (* increasing, ages.(0) = 0 *)
@@ -108,8 +109,8 @@ let of_mix ?grid ?(samples = default_samples) ?(seed = default_seed) (mix : Mix.
     Array.init samples (fun _ ->
         float_of_int (Mix.sample mix rng).Mix.service_ns)
   in
-  Array.sort compare xs;
   let n = Array.length xs in
+  Stats.sort_floats xs n;
   let nf = float_of_int n in
   (* Empirical CDF via binary search: count of samples <= x. *)
   let cdf x =

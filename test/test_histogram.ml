@@ -101,6 +101,83 @@ let prop_percentile_upper_bound =
           Repro_engine.Histogram.percentile h p >= exact)
         [ 50.0; 90.0; 99.0 ])
 
+let test_nan_p_rejected () =
+  let h = Histogram.create () in
+  Histogram.record h 10;
+  Alcotest.check_raises "NaN p" (Invalid_argument "Histogram.percentile: p out of range")
+    (fun () -> ignore (Histogram.percentile h Float.nan))
+
+(* [percentile] against its definition: bucket each recorded value (clamped
+   at [max_value]) by the HDR layout, count the buckets, and scan the
+   counts from the lowest bucket up to the nearest rank. *)
+let model_upper ~bits ~max_value v =
+  let v = min v max_value in
+  if v < 1 lsl bits then v
+  else begin
+    let rec msb v = if v <= 1 then 0 else 1 + msb (v lsr 1) in
+    let k = msb v - bits + 1 in
+    (((v lsr k) + 1) lsl k) - 1
+  end
+
+let scan_percentile uppers p =
+  let counts =
+    List.fold_left
+      (fun acc u ->
+        match acc with (u', c) :: rest when u' = u -> (u, c + 1) :: rest | _ -> (u, 1) :: acc)
+      [] (List.sort compare uppers)
+    |> List.rev
+  in
+  let total = List.length uppers in
+  let rank = max 1 (int_of_float (ceil ((p *. float_of_int total /. 100.0) -. 1e-9))) in
+  let rec scan acc = function
+    | [ (u, _) ] -> u
+    | (u, c) :: rest -> if acc + c >= rank then u else scan (acc + c) rest
+    | [] -> assert false
+  in
+  scan 0 counts
+
+let ps_near = [ 0.0; 1e-9; 0.1; 49.99; 50.0; 50.01; 99.0; 99.9; 99.99; 100.0 ]
+
+let gen_case =
+  let open QCheck.Gen in
+  let* bits = int_range 2 9 in
+  let* max_value = oneof [ int_range 2 5_000; return 10_000_000_000 ] in
+  let value =
+    oneof [ int_range 0 300; int_range 0 1_000_000; int_range max_value (max_value + 1_000) ]
+  in
+  let* a = list_size (int_range 1 120) value in
+  let* b = list_size (int_range 0 120) value in
+  let* c = list_size (int_range 0 40) value in
+  let* p = float_range 0.0 100.0 in
+  return (bits, max_value, a, b, c, p)
+
+let print_case (bits, max_value, a, b, c, p) =
+  let ints l = String.concat "; " (List.map string_of_int l) in
+  Printf.sprintf "bits %d, max_value %d, p %g\na [%s]\nb [%s]\nc [%s]" bits max_value p (ints a)
+    (ints b) (ints c)
+
+let prop_percentile_is_linear_scan =
+  QCheck.Test.make ~count:300 ~name:"percentile equals a linear scan of the bucket counts"
+    (QCheck.make ~print:print_case gen_case)
+    (fun (bits, max_value, a, b, c, p) ->
+      let create () = Histogram.create ~max_value ~significant_bits:bits () in
+      let fill vs =
+        let h = create () in
+        List.iter (Histogram.record h) vs;
+        h
+      in
+      let agrees h vs =
+        let uppers = List.map (model_upper ~bits ~max_value) vs in
+        List.for_all (fun p -> Histogram.percentile h p = scan_percentile uppers p) (p :: ps_near)
+      in
+      (* [a] recorded; [b] merged in; [c] recorded after the merge. *)
+      let h = fill a in
+      let ok_a = agrees h a in
+      Histogram.merge_into ~src:(fill b) ~dst:h;
+      let ok_merged = agrees h (a @ b) in
+      List.iter (Histogram.record h) c;
+      ok_a && ok_merged && agrees h (a @ b @ c))
+
 let suite =
   [
     Alcotest.test_case "empty histogram" `Quick test_empty;
@@ -112,5 +189,7 @@ let suite =
     Alcotest.test_case "mean exact on small values" `Quick test_mean_exact_below_sub_bits;
     Alcotest.test_case "mean unbiased within a bucket" `Quick test_mean_unbiased_within_bucket;
     Alcotest.test_case "merge" `Quick test_merge;
+    Alcotest.test_case "NaN p rejected" `Quick test_nan_p_rejected;
     QCheck_alcotest.to_alcotest prop_percentile_upper_bound;
+    QCheck_alcotest.to_alcotest prop_percentile_is_linear_scan;
   ]

@@ -182,6 +182,143 @@ let prop_trace_is_time_sorted =
       in
       sorted trace && List.length trace = List.length times)
 
+(* [Sim.run] against a sorted-list model of the queue. A script seeds
+   events (some armed), gives the n-th event to fire a list of actions, and
+   cuts the run into [~until] segments; a [Stop] ends a segment early. The
+   model keeps the pending events as a list sorted by (time, id), and ids
+   are handed out in schedule order, so its head is the event due next. *)
+type action = Sched of int | Arm of int | Cancel of int | Stop
+
+type script = {
+  seeds : (int * bool) list; (* time, armed *)
+  reactions : action list list;
+  untils : int option list; (* then one final segment with no horizon *)
+}
+
+let show_script sc =
+  let action = function
+    | Sched d -> Printf.sprintf "Sched %d" d
+    | Arm d -> Printf.sprintf "Arm %d" d
+    | Cancel k -> Printf.sprintf "Cancel %d" k
+    | Stop -> "Stop"
+  in
+  let list f l = "[" ^ String.concat "; " (List.map f l) ^ "]" in
+  Printf.sprintf "seeds %s\nreactions %s\nuntils %s"
+    (list (fun (t, a) -> Printf.sprintf "(%d, %b)" t a) sc.seeds)
+    (list (list action) sc.reactions)
+    (list (function None -> "None" | Some u -> string_of_int u) sc.untils)
+
+let gen_script =
+  let open QCheck.Gen in
+  let action =
+    frequency
+      [
+        (4, map (fun d -> Sched d) (int_range 0 20));
+        (3, map (fun d -> Arm d) (int_range 0 20));
+        (2, map (fun k -> Cancel k) (int_range 0 10));
+        (1, return Stop);
+      ]
+  in
+  let* seeds = list_size (int_range 1 20) (pair (int_range 0 50) bool) in
+  let* reactions = list_size (int_range 0 40) (list_size (int_range 0 3) action) in
+  let* untils =
+    list_size (int_range 0 4)
+      (frequency
+         [ (4, map Option.some (int_range 0 200)); (1, return (Some max_int)); (1, return None) ])
+  in
+  return { seeds; reactions; untils }
+
+(* Seeds [sc]'s events and returns the step each firing takes, keeping
+   the ids of pending armed events (newest first). [schedule ~arm time id]
+   enqueues, [cancel id] removes, [stop] ends the segment. Both sides run
+   it, so only the queue differs. *)
+let replay sc ~schedule ~cancel ~stop =
+  let next_id = ref 0 and armed = ref [] and fired = ref 0 in
+  let add ~arm time =
+    let id = !next_id in
+    incr next_id;
+    if arm then armed := id :: !armed;
+    schedule ~arm time id
+  in
+  List.iter (fun (time, arm) -> add ~arm time) sc.seeds;
+  let on_fire ~now id =
+    armed := List.filter (( <> ) id) !armed;
+    let acts = Option.value (List.nth_opt sc.reactions !fired) ~default:[] in
+    incr fired;
+    List.iter
+      (function
+        | Sched d -> add ~arm:false (now + d)
+        | Arm d -> add ~arm:true (now + d)
+        | Cancel k -> (
+          match !armed with
+          | [] -> ()
+          | l ->
+            let id = List.nth l (k mod List.length l) in
+            armed := List.filter (( <> ) id) l;
+            cancel id)
+        | Stop -> stop ())
+      acts
+  in
+  on_fire
+
+let run_sim sc =
+  let sim = Sim.create ~capacity:1 () in
+  let timers = Hashtbl.create 16 in
+  let on_fire =
+    replay sc
+      ~schedule:(fun ~arm time id ->
+        if not arm then Sim.schedule_after sim ~delay:(time - Sim.now sim) id
+        else Hashtbl.replace timers id (Sim.arm_at sim ~time id))
+      ~cancel:(fun id -> Sim.cancel sim (Hashtbl.find timers id))
+      ~stop:(fun () -> Sim.stop sim)
+  in
+  let log = ref [] in
+  let handler s id =
+    log := `Fire (Sim.now s, id) :: !log;
+    on_fire ~now:(Sim.now s) id
+  in
+  List.iter
+    (fun until ->
+      Sim.run sim ?until ~handler ();
+      log := `Segment (Sim.next_time sim, Sim.pending sim) :: !log)
+    (sc.untils @ [ None ]);
+  (List.rev !log, Sim.events_processed sim)
+
+let run_model sc =
+  let pending = ref [] and stopped = ref false in
+  let on_fire =
+    replay sc
+      ~schedule:(fun ~arm:_ time id -> pending := List.merge compare !pending [ (time, id) ])
+      ~cancel:(fun id -> pending := List.filter (fun (_, j) -> j <> id) !pending)
+      ~stop:(fun () -> stopped := true)
+  in
+  let log = ref [] and fired = ref 0 in
+  List.iter
+    (fun until ->
+      let horizon = Option.value until ~default:max_int in
+      stopped := false;
+      let rec loop () =
+        match !pending with
+        | (time, id) :: rest when (not !stopped) && time <= horizon ->
+          pending := rest;
+          incr fired;
+          log := `Fire (time, id) :: !log;
+          on_fire ~now:time id;
+          loop ()
+        | _ -> ()
+      in
+      loop ();
+      let next = match !pending with [] -> max_int | (time, _) :: _ -> time in
+      log := `Segment (next, List.length !pending) :: !log)
+    (sc.untils @ [ None ]);
+  (List.rev !log, !fired)
+
+let prop_fires_in_model_order =
+  QCheck.Test.make ~count:500
+    ~name:"run fires events in the (time, schedule order) of a sorted list"
+    (QCheck.make ~print:show_script gen_script)
+    (fun sc -> run_sim sc = run_model sc)
+
 let suite =
   [
     Alcotest.test_case "events fire in time order" `Quick test_time_order;
@@ -198,4 +335,5 @@ let suite =
     Alcotest.test_case "a handler's own event has left the queue" `Quick
       test_firing_event_has_left_the_queue;
     QCheck_alcotest.to_alcotest prop_trace_is_time_sorted;
+    QCheck_alcotest.to_alcotest prop_fires_in_model_order;
   ]

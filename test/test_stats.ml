@@ -380,6 +380,26 @@ let test_mean_independent_of_queries () =
   Alcotest.(check (float 0.0)) "merge_all sums its sorted result" 0.0
     (Stats.mean (Stats.merge_all [ of_list [ 0.1; 1e17; 0.2; -1e17; 0.3 ] ]))
 
+let test_nan_p_rejected () =
+  let t = of_list [ 3.0; 1.0; 2.0 ] in
+  Alcotest.check_raises "percentile" (Invalid_argument "Stats.percentile: p out of range")
+    (fun () -> ignore (Stats.percentile t Float.nan));
+  Alcotest.check_raises "percentiles" (Invalid_argument "Stats.percentiles: p out of range")
+    (fun () -> ignore (Stats.percentiles t [| 50.0; Float.nan |]))
+
+let prop_sort_floats_prefix =
+  QCheck.Test.make ~count:200 ~name:"sort_floats sorts the prefix as Array.sort compare does"
+    QCheck.(pair (list (map float_of_int (int_range 0 50))) small_nat)
+    (fun (xs, n) ->
+      let a = Array.of_list xs in
+      let n = min n (Array.length a) in
+      let expected = Array.copy a in
+      let head = Array.sub a 0 n in
+      Array.sort compare head;
+      Array.blit head 0 expected 0 n;
+      Stats.sort_floats a n;
+      a = expected)
+
 let prop_mean_bounded =
   QCheck.Test.make ~count:300 ~name:"mean lies between min and max"
     QCheck.(list_of_size (Gen.int_range 1 60) (float_range (-50.0) 50.0))
@@ -410,5 +430,7 @@ let suite =
       test_mean_independent_of_queries;
     QCheck_alcotest.to_alcotest prop_percentile_matches_oracle;
     QCheck_alcotest.to_alcotest prop_sort_matches_float_compare;
+    Alcotest.test_case "NaN p rejected" `Quick test_nan_p_rejected;
     QCheck_alcotest.to_alcotest prop_mean_bounded;
+    QCheck_alcotest.to_alcotest prop_sort_floats_prefix;
   ]
