@@ -205,13 +205,12 @@ let pop t ~worker =
   end
   | List_queue { q; _ } -> Dlq.pop_head q
   | Rank_queue { fresh; started; _ } ->
-    (* Unsafe heap accessors: no (key, value) tuple or nested option per
+    (* Unboxed heap accessors: no (key, value) tuple or nested option per
        pop. Ties between the two heaps go to [fresh], as before. *)
     let no_fresh = Heap.is_empty fresh and no_started = Heap.is_empty started in
     if no_fresh && no_started then None
     else if
-      no_started
-      || ((not no_fresh) && Heap.unsafe_min_key fresh <= Heap.unsafe_min_key started)
+      no_started || ((not no_fresh) && Heap.next_key fresh <= Heap.next_key started)
     then Some (Heap.pop_unsafe fresh)
     else Some (Heap.pop_unsafe started)
 
