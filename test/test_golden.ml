@@ -303,6 +303,52 @@ let test_golden_quantum_paths () =
          preemptions=0" );
     ]
 
+(* The single-logical-queue server on a handler mix whose long requests
+   hold a lock through most of their middle, so a quantum's stop often
+   falls inside the window and is deferred to its end: Concord-SLS, which
+   preempts, and the two run-to-completion variants, with and without
+   stealing. A 20 us drain cap censors what is still running after the
+   last arrival. Captured before the SLS server shared the standalone
+   server's preemption-point rule. *)
+let sls_row config =
+  let mix =
+    Concord.Work.(
+      handler_mix ~name:"locked"
+        [
+          ("short", 0.9, seq [ spin 800.0; locked (spin 400.0); spin 800.0 ]);
+          ("long", 0.1, seq [ spin 4_000.0; locked (spin 12_000.0); spin 24_000.0 ]);
+        ])
+  in
+  let s =
+    Repro_runtime.Sls_server.run ~config:(config ~n_workers:4 ()) ~mix
+      ~arrival:(poisson 450e3) ~n_requests:4_000 ~drain_cap_ns:20_000 ()
+  in
+  let open Repro_runtime.Metrics in
+  Printf.sprintf
+    "completed=%d censored=%d p50=%.17g p99=%.17g p999=%.17g mean=%.17g preemptions=%d \
+     goodput=%.17g"
+    s.completed s.censored s.p50_slowdown s.p99_slowdown s.p999_slowdown s.mean_slowdown
+    s.preemptions s.goodput_rps
+
+let test_golden_sls () =
+  let module Sls = Repro_runtime.Sls_server in
+  List.iter
+    (fun (name, config, expected) -> Alcotest.(check string) name expected (sls_row config))
+    [
+      ( "concord-sls/locked",
+        (fun ~n_workers () -> Sls.concord_sls ~n_workers ()),
+        "completed=3998 censored=2 p50=1.26735 p99=15.481999999999999 p999=20.650500000000001 \
+         mean=2.6619619791666742 preemptions=2078 goodput=468545.16206284362" );
+      ( "shenango/locked",
+        (fun ~n_workers () -> Sls.shenango_like ~n_workers ()),
+        "completed=3999 censored=1 p50=1.1499999999999999 p99=28.3935 p999=49.343499999999999 \
+         mean=4.1194378263887907 preemptions=0 goodput=468406.08139203157" );
+      ( "d-fcfs/locked",
+        (fun ~n_workers () -> Sls.partitioned_fcfs ~n_workers ()),
+        "completed=3978 censored=22 p50=6.0110000000000001 p99=65.616 p999=90.915000000000006 \
+         mean=13.222602819444505 preemptions=0 goodput=466078.58439246373" );
+    ]
+
 (* The LevelDB-backed paths, captured before the store's bulk load
    stopped going through the memtable and before kvstore mixes drew their
    arrivals on a second domain: a zippydb and a get/scan run with their
@@ -633,6 +679,7 @@ let suite =
     Alcotest.test_case "quantum-timer paths bit-identical" `Quick test_golden_quantum_paths;
     Alcotest.test_case "LevelDB runs and store outcomes bit-identical" `Quick
       test_golden_leveldb;
+    Alcotest.test_case "SLS server runs bit-identical" `Quick test_golden_sls;
     Alcotest.test_case "Sim.run allocates zero words/event" `Quick test_sim_run_zero_alloc;
     Alcotest.test_case "Heap add+pop allocates zero words/op" `Quick
       test_heap_churn_zero_alloc;
