@@ -50,14 +50,20 @@ CLI_SMOKE_LINES = \
 	'raft --write-ratio 2' \
 	'cluster --straggler 0:inf' 'cluster --straggler 0:1e18' 'raft --straggler 1:inf' \
 	'raft --kill-leader-at nan' 'raft --kill-leader-at inf' 'raft --kill-leader-at 1e30'
+# bench/main.exe must refuse an unknown figure id, a --jobs that is not a
+# positive integer and an unknown flag before any figure runs.
+BENCH_SMOKE_LINES = \
+	'fig99 --no-micro' '--no-micro --jobs 0 fig2' '--no-micro --jobs=abc fig2' \
+	'--no-micro --bogus fig2'
 cli-smoke:
-	dune build bin/concord_sim.exe
-	@n=0; for a in $(CLI_SMOKE_LINES); do \
+	dune build bin/concord_sim.exe bench/main.exe
+	@n=0; exe=bin/concord_sim.exe; for a in $(CLI_SMOKE_LINES) -- $(BENCH_SMOKE_LINES); do \
+		if [ "$$a" = -- ]; then exe=bench/main.exe; continue; fi; \
 		n=$$((n + 1)); \
-		if _build/default/bin/concord_sim.exe $$a > /dev/null 2> _build/cli-smoke.err; then \
-			echo "cli-smoke: concord-sim $$a exited 0" >&2; exit 1; fi; \
+		if _build/default/$$exe $$a > /dev/null 2> _build/cli-smoke.err; then \
+			echo "cli-smoke: $$exe $$a exited 0" >&2; exit 1; fi; \
 		if [ ! -s _build/cli-smoke.err ] || grep -q 'internal error\|Fatal error' _build/cli-smoke.err; \
-		then echo "cli-smoke: concord-sim $$a failed without a clean message:" >&2; \
+		then echo "cli-smoke: $$exe $$a failed without a clean message:" >&2; \
 			cat _build/cli-smoke.err >&2; exit 1; fi; \
 	done; \
 	echo "cli-smoke: all $$n bad command lines rejected with a message"

@@ -15,6 +15,9 @@
                                               # (add --quick for the <30s variant
                                               #  make check runs)
 
+   An unknown flag, a --jobs that is not a positive integer or an unknown
+   figure id is reported on stderr and exits 1 before anything runs.
+
    To inspect one canonical traced run (Concord on YCSB-A at 150 kRps) as
    a latency-breakdown table or a Perfetto trace, use
    [concord-sim run -w ycsb-a -r 150 -n 4000 --breakdown [--trace F]]. *)
@@ -58,10 +61,9 @@ let microbenches () =
            for i = 0 to 999 do
              Repro_engine.Heap.add h ~key:((i * 7919) mod 1000) i
            done;
-           let rec drain () =
-             match Repro_engine.Heap.pop h with Some _ -> drain () | None -> ()
-           in
-           drain ()))
+           while Repro_engine.Heap.next_key h <> max_int do
+             ignore (Repro_engine.Heap.pop_unsafe h)
+           done))
   in
   let rng_bench =
     let rng = Repro_engine.Rng.create ~seed:1 in
@@ -114,7 +116,7 @@ let microbenches () =
     for _ = 1 to 100_000 do
       Repro_engine.Stats.add stats (Repro_engine.Rng.float rng)
     done;
-    Test.make ~name:"engine.stats p99.9 of 100k (incl. sort)"
+    Test.make ~name:"engine.stats p99.9 of 100k (select)"
       (Staged.stage (fun () ->
            Repro_engine.Stats.add stats 0.5;
            ignore (Repro_engine.Stats.percentile stats 99.9)))
@@ -139,59 +141,81 @@ let microbenches () =
   List.iter benchmark
     [ heap_bench; rng_bench; skiplist_bench; server_bench; cluster_bench; percentile_bench ]
 
+type options = {
+  full : bool;
+  no_micro : bool;
+  quick : bool;
+  jobs : int option;
+  json : string option;
+  ids : string list;
+}
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench/main.exe: " ^ msg);
+      exit 1)
+    fmt
+
+let jobs_of s =
+  match int_of_string_opt s with
+  | Some n when n >= 1 -> n
+  | Some _ | None -> fail "--jobs %s: not a positive integer" s
+
+let known_ids = "table1" :: List.map fst Concord.Figures.all
+
+(* Every argument is a flag this harness knows or a figure id; anything
+   else stops the run before any figure starts. *)
+let parse args =
+  let prefixed p a = String.starts_with ~prefix:p a in
+  let suffix p a = String.sub a (String.length p) (String.length a - String.length p) in
+  let rec go o = function
+    | [] -> { o with ids = List.rev o.ids }
+    | "--full" :: rest -> go { o with full = true } rest
+    | "--no-micro" :: rest -> go { o with no_micro = true } rest
+    | "--quick" :: rest -> go { o with quick = true } rest
+    | "--jobs" :: v :: rest -> go { o with jobs = Some (jobs_of v) } rest
+    | "--json" :: v :: rest -> go { o with json = Some v } rest
+    | [ ("--jobs" | "--json") as flag ] -> fail "%s needs a value" flag
+    | a :: rest when prefixed "--jobs=" a ->
+      go { o with jobs = Some (jobs_of (suffix "--jobs=" a)) } rest
+    | a :: rest when prefixed "--json=" a -> go { o with json = Some (suffix "--json=" a) } rest
+    | a :: _ when String.length a > 1 && a.[0] = '-' ->
+      fail "unknown flag %s (flags: --full --no-micro --jobs N --json FILE --quick)" a
+    | id :: rest ->
+      if not (List.mem id known_ids) then
+        fail "unknown figure id %s (ids: %s)" id (String.concat " " known_ids);
+      go { o with ids = id :: o.ids } rest
+  in
+  go { full = false; no_micro = false; quick = false; jobs = None; json = None; ids = [] } args
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let full = List.mem "--full" args in
-  let no_micro = List.mem "--no-micro" args in
-  let rec parse_json = function
-    | [] -> None
-    | "--json" :: v :: _ -> Some v
-    | a :: rest ->
-      if String.length a > 7 && String.sub a 0 7 = "--json=" then
-        Some (String.sub a 7 (String.length a - 7))
-      else parse_json rest
-  in
-  (match parse_json args with
-  | Some path -> Core_bench.run ~path ~quick:(List.mem "--quick" args)
+  let o = parse (List.tl (Array.to_list Sys.argv)) in
+  match o.json with
+  | Some path -> Core_bench.run ~path ~quick:o.quick
   | None ->
-  (* --jobs N / --jobs=N: total domains used per parallel fan-out. *)
-  let jobs_of s = Option.bind (int_of_string_opt s) (fun n -> if n >= 1 then Some n else None) in
-  let rec parse_jobs = function
-    | [] -> None
-    | "--jobs" :: v :: _ -> jobs_of v
-    | a :: rest ->
-      (match String.length a > 7 && String.sub a 0 7 = "--jobs=" with
-      | true -> jobs_of (String.sub a 7 (String.length a - 7))
-      | false -> parse_jobs rest)
-  in
-  Option.iter
-    (fun jobs ->
-      let cores = Domain.recommended_domain_count () in
-      if jobs > cores then
-        Printf.eprintf
-          "warning: --jobs %d exceeds this machine's %d recommended domain(s); results stay \
-           identical but oversubscription slows the run\n\
-           %!"
-          jobs cores;
-      Repro_engine.Pool.set_default_jobs jobs)
-    (parse_jobs args);
-  let rec drop_flags = function
-    | [] -> []
-    | "--jobs" :: _ :: rest -> drop_flags rest
-    | a :: rest when String.length a > 1 && a.[0] = '-' -> drop_flags rest
-    | a :: rest -> a :: drop_flags rest
-  in
-  let ids = drop_flags args in
-  let scale = if full then Concord.Figures.Full else Concord.Figures.Quick in
-  let t0 = Unix.gettimeofday () in
-  Printf.printf
-    "Concord (SOSP 2023) reproduction benchmarks -- %s scale, %d job%s\n\
-     ================================================================\n\n\
-     %!"
-    (if full then "full" else "quick")
-    (Repro_engine.Pool.default_jobs ())
-    (if Repro_engine.Pool.default_jobs () = 1 then "" else "s");
-  if ids = [] || List.mem "table1" ids then run_table1 ();
-  run_figures ~scale ~ids:(List.filter (fun i -> i <> "table1") ids);
-  if not no_micro then microbenches ();
-  Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0))
+    (* --jobs N / --jobs=N: total domains used per parallel fan-out. *)
+    Option.iter
+      (fun jobs ->
+        let cores = Domain.recommended_domain_count () in
+        if jobs > cores then
+          Printf.eprintf
+            "warning: --jobs %d exceeds this machine's %d recommended domain(s); results stay \
+             identical but oversubscription slows the run\n\
+             %!"
+            jobs cores;
+        Repro_engine.Pool.set_default_jobs jobs)
+      o.jobs;
+    let scale = if o.full then Concord.Figures.Full else Concord.Figures.Quick in
+    let t0 = Unix.gettimeofday () in
+    Printf.printf
+      "Concord (SOSP 2023) reproduction benchmarks -- %s scale, %d job%s\n\
+       ================================================================\n\n\
+       %!"
+      (if o.full then "full" else "quick")
+      (Repro_engine.Pool.default_jobs ())
+      (if Repro_engine.Pool.default_jobs () = 1 then "" else "s");
+    if o.ids = [] || List.mem "table1" o.ids then run_table1 ();
+    run_figures ~scale ~ids:(List.filter (fun i -> i <> "table1") o.ids);
+    if not o.no_micro then microbenches ();
+    Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

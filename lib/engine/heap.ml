@@ -11,8 +11,9 @@
    minor collections. [slots] is a permutation of [0 .. cap-1]: positions
    below [size] hold the live entries' slots, and positions from [size] up
    hold the free ones, so no separate free list is needed. [add] takes
-   [slots.(size)]; a pop or [remove] parks the freed slot at the vacated
-   position [size]; [grow] fills the new tail with fresh slot numbers. A
+   [slots.(size)]; a root refill or [remove] parks the freed slot at the
+   vacated position [size]; [grow] fills the new tail with fresh slot
+   numbers. A
    freed payload stays reachable from [vals] until its slot is reused.
 
    Position index. [pos] is the inverse permutation of [slots]: for every
@@ -33,11 +34,11 @@
    hole and sifts it down from the root, where it stops within a level or
    two, instead of a pop sifting the last entry all the way down and the
    push sifting back up. [remove] works around the hole; every other
-   operation first settles it, refilling it from the last entry as a pop
-   does. While the hole is open, [size] counts it, [slots.(0)] holds a
-   free slot, and [keys.(0)]/[seqs.(0)] still hold the taken entry's
-   (key, seq), which orders before every entry left, so no sift ever
-   moves an entry into the hole. *)
+   operation first settles it, refilling it from the last entry. While
+   the hole is open, [size] counts it, [slots.(0)] holds a free slot, and
+   [keys.(0)]/[seqs.(0)] still hold the taken entry's (key, seq), which
+   orders before every entry left, so no sift ever moves an entry into
+   the hole. *)
 
 type 'a t = {
   mutable keys : int array;
@@ -171,7 +172,7 @@ let remove_at h i =
   Array.unsafe_set h.pos s n;
   s
 
-(* Refill an open hole from the last entry, as [pop] removes a root. *)
+(* Refill an open hole from the last entry. *)
 let refill h =
   h.hole <- false;
   ignore (remove_at h 0 : int)
@@ -215,8 +216,6 @@ let add_removable h ~key v =
 
 let add h ~key v = ignore (add_removable h ~key v : handle)
 
-let min_key h = if is_empty h then None else Some h.keys.(0)
-
 (* With the hole open, the removed entry sits below the root, and the last
    entry that refills its position never sifts into the hole (see the top
    of the file). Its freed slot then swaps with the hole's, so the free
@@ -239,11 +238,11 @@ let remove h (hd : handle) =
     Array.unsafe_set h.pos s0 n
   end
 
-(* Non-allocating variants of [min_key]/[pop] for the event-loop hot path.
-   [next_key] answers [max_int] for an empty heap, so a loop that reads
-   the key settles the hole once and needs no [is_empty] before it; the
-   [pop_unsafe] that follows finds the root settled. [pop_unsafe] raises
-   on an empty heap and leaves the hole open (see the top of the file). *)
+(* The one reader and the one pop. [next_key] answers [max_int] for an
+   empty heap, so a loop that reads the key settles the hole once and
+   needs no [is_empty] before it; the [pop_unsafe] that follows finds the
+   root settled. [pop_unsafe] raises on an empty heap and leaves the hole
+   open (see the top of the file). Neither allocates. *)
 let next_key h =
   settle h;
   if h.size = 0 then max_int else Array.unsafe_get h.keys 0
@@ -253,21 +252,6 @@ let pop_unsafe h =
   if h.size = 0 then invalid_arg "Heap.pop_unsafe: empty";
   h.hole <- true;
   Array.unsafe_get h.vals (Array.unsafe_get h.slots 0)
-
-let pop h =
-  if is_empty h then None
-  else begin
-    let key = h.keys.(0) in
-    let v = Array.unsafe_get h.vals (remove_at h 0) in
-    Some (key, v)
-  end
-
-(* [next_seq] is not reset, so no handle taken before the clear can match
-   an entry added after it. Ties compare seqs only relative to each other,
-   so later entries keep their FIFO order either way. *)
-let clear h =
-  h.hole <- false;
-  h.size <- 0
 
 let iter h ~f =
   settle h;

@@ -15,12 +15,12 @@
     pending entry be removed through the {!handle} that {!add_removable}
     returned.
 
-    {!pop_unsafe} removes the minimum but leaves its position empty: the
-    next {!add} fills it and sifts down from the root, which is cheap when,
-    as in an event loop, the entry added next is due soon. {!remove} works
-    with the position still empty; every other function first refills it
-    from the last entry, as {!pop} does. None of this changes which entry
-    comes out next. *)
+    The minimum is read with {!next_key} and taken with {!pop_unsafe},
+    which leaves its position empty: the next {!add} fills it and sifts
+    down from the root, which is cheap when, as in an event loop, the entry
+    added next is due soon. {!remove} works with the position still empty;
+    every other function first refills it from the last entry. None of
+    this changes which entry comes out next. *)
 
 type 'a t
 (** A min-heap holding values of type ['a]. *)
@@ -54,28 +54,18 @@ val remove : 'a t -> handle -> unit
     [Invalid_argument] if [hd] is not pending: already popped, already
     removed, or never returned by {!add_removable}. *)
 
-val min_key : 'a t -> int option
-(** Smallest key present, or [None] if the heap is empty. O(1). *)
-
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the entry with the smallest key (FIFO among equal
-    keys). O(log n). *)
-
 val next_key : 'a t -> int
-(** Smallest key present, or [max_int] if the heap is empty: {!min_key}
-    without the option box. O(1), allocation-free. Where an entry may have
-    key [max_int], tell the two apart with {!is_empty}. *)
+(** Smallest key present, or [max_int] if the heap is empty. O(1),
+    allocation-free. Where an entry may have key [max_int], tell the two
+    apart with {!is_empty}. *)
 
 val pop_unsafe : 'a t -> 'a
-(** Remove the minimum entry and return its value without allocating; read
-    the key beforehand with {!next_key}. The entry's handle is dead from
-    this call on. The root position stays empty until the next operation,
-    which is then cheaper if it is an {!add} of a small key. O(log n).
-    Raises [Invalid_argument] on an empty heap. *)
-
-val clear : 'a t -> unit
-(** Remove all entries; none of their handles is pending afterwards. Does
-    not shrink the backing array. *)
+(** Remove the minimum entry (FIFO among equal keys) and return its value
+    without allocating; read the key beforehand with {!next_key}. The
+    entry's handle is dead from this call on. The root position stays
+    empty until the next operation, which is then cheaper if it is an
+    {!add} of a small key. O(log n). Raises [Invalid_argument] on an empty
+    heap. *)
 
 val iter : 'a t -> f:(key:int -> 'a -> unit) -> unit
 (** Apply [f] to every entry in unspecified order. *)

@@ -2,8 +2,8 @@
 
     Records non-negative integer values (nanoseconds in this codebase) into
     buckets whose width grows geometrically, giving a bounded relative
-    quantile error with O(1) memory regardless of sample count. Used when an
-    experiment runs too many requests to retain raw samples. *)
+    quantile error with O(1) memory regardless of sample count. The hedge
+    trigger keeps its slowdown estimate in one. *)
 
 type t
 
@@ -21,14 +21,5 @@ val count : t -> int
 
 val percentile : t -> float -> int
 (** [percentile t p] is an upper bound of the bucket containing the
-    nearest-rank [p]-th percentile. Raises [Invalid_argument] when empty. *)
-
-val mean : t -> float
-(** Approximate mean using bucket midpoints. *)
-
-val max_recorded : t -> int
-(** Upper bound of the highest non-empty bucket (0 when empty). *)
-
-val merge_into : src:t -> dst:t -> unit
-(** Add all of [src]'s counts into [dst]. The histograms must have been
-    created with identical parameters. *)
+    nearest-rank [p]-th percentile. Raises [Invalid_argument] when empty or
+    [p] is out of [0, 100]. *)

@@ -107,8 +107,6 @@ module Make (P : Primitives.S) = struct
              (function Some r -> r | None -> assert false (* every task completed *))
              results)
     end
-
-  let parallel_iter ?domains f xs = ignore (parallel_map ?domains (fun x -> f x; ()) xs)
 end
 
 include Make (Primitives.Real)

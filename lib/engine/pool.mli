@@ -24,7 +24,6 @@ module Make (P : Primitives.S) : sig
   val set_default_jobs : int -> unit
   val in_pool : unit -> bool
   val parallel_map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-  val parallel_iter : ?domains:int -> ('a -> unit) -> 'a list -> unit
 end
 
 val default_jobs : unit -> int
@@ -59,7 +58,3 @@ val parallel_map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 
     If any application of [f] raises, the first exception (in task order)
     is re-raised after all spawned domains have been joined. *)
-
-val parallel_iter : ?domains:int -> ('a -> unit) -> 'a list -> unit
-(** [parallel_iter ?domains f xs] is [ignore (parallel_map ?domains f xs)]
-    without retaining results. *)

@@ -49,15 +49,3 @@ let pop_unsafe t =
 let peek_unsafe t =
   if is_empty t then invalid_arg "Ring.peek_unsafe: empty";
   t.buf.(t.head land t.mask)
-
-let clear t =
-  for i = t.head to t.tail - 1 do
-    t.buf.(i land t.mask) <- t.dummy
-  done;
-  t.head <- 0;
-  t.tail <- 0
-
-let iter t ~f =
-  for i = t.head to t.tail - 1 do
-    f t.buf.(i land t.mask)
-  done

@@ -24,9 +24,3 @@ val pop_unsafe : 'a t -> 'a
 
 val peek_unsafe : 'a t -> 'a
 (** The head without removing it. Raises [Invalid_argument] when empty. *)
-
-val clear : 'a t -> unit
-(** Remove all entries (dummy-fills occupied slots); keeps the capacity. *)
-
-val iter : 'a t -> f:('a -> unit) -> unit
-(** Apply [f] head-to-tail without disturbing the ring. *)

@@ -170,11 +170,3 @@ let categorical t ~weights =
       if x < acc then i else scan (i + 1) acc
   in
   scan 0 0.0
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t ~bound:(i + 1) in
-    let x = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- x
-  done

@@ -49,6 +49,3 @@ val pareto : t -> scale:float -> shape:float -> float
 
 val categorical : t -> weights:float array -> int
 (** Index drawn proportionally to [weights] (non-negative, not all zero). *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -6,12 +6,11 @@ type cell = { mutable v : float }
 type t = {
   mutable data : float array;
   mutable size : int;
-  mutable sorted : bool; (* whether data.(0..size-1) is currently sorted *)
   sum : cell; (* the samples summed in the order [add] saw them *)
 }
 
 let create ?(capacity = 1024) () =
-  { data = Array.make (max capacity 1) 0.0; size = 0; sorted = true; sum = { v = 0.0 } }
+  { data = Array.make (max capacity 1) 0.0; size = 0; sum = { v = 0.0 } }
 
 let add t x =
   if t.size = Array.length t.data then begin
@@ -21,42 +20,20 @@ let add t x =
   end;
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
-  t.sorted <- false;
   t.sum.v <- t.sum.v +. x
 
 let count t = t.size
 let is_empty t = t.size = 0
 let mean t = if t.size = 0 then 0.0 else t.sum.v /. float_of_int t.size
 
-(* A collection born from stored samples ([merge], [merge_all]) sums them
-   in stored order. *)
-let of_data data size ~sorted =
-  let sum = ref 0.0 in
-  for i = 0 to size - 1 do
-    sum := !sum +. data.(i)
-  done;
-  { data; size; sorted; sum = { v = !sum } }
-
-let stddev t =
-  if t.size < 2 then 0.0
-  else begin
-    let m = mean t in
-    let sum = ref 0.0 in
-    for i = 0 to t.size - 1 do
-      let d = t.data.(i) -. m in
-      sum := !sum +. (d *. d)
-    done;
-    sqrt (!sum /. float_of_int t.size)
-  end
-
-(* In-place sort over [a.(lo..hi)] specialised to float arrays. Going
-   through [Array.sort Float.compare] boxes both floats on every comparison
-   (the closure takes them as [float] arguments through a generic call),
-   which made percentile queries the second-hottest path in the whole
-   simulator; direct [<] comparisons on an unboxed float array cost one
-   instruction each. Samples are finite (slowdowns, latencies, shares), so
-   NaN ordering is not a concern; for all-finite data the result is exactly
-   what [Float.compare] would produce. *)
+(* In-place sort and select over [a.(lo..hi)] specialised to float
+   arrays. Going through [Array.sort Float.compare] boxes both floats on
+   every comparison (the closure takes them as [float] arguments through a
+   generic call), which once made percentile queries the second-hottest
+   path in the whole simulator; direct [<] comparisons on an unboxed float
+   array cost one instruction each. Samples are finite (slowdowns,
+   latencies, shares), so NaN ordering is not a concern; for all-finite
+   data the result is exactly what [Float.compare] would produce. *)
 let swap (a : float array) i j =
   let x = a.(i) in
   a.(i) <- a.(j);
@@ -152,8 +129,7 @@ let sort_range a lo hi = intro_sort a lo hi ~depth:(2 * log2 (hi - lo + 1))
    Each partition keeps only the side holding [k]; once [budget]
    partitions have not narrowed the range to insertion-sort size, the
    pivots are bad for this input and the rest of the range is sorted
-   instead: at worst [budget] partition passes on top of the sort a
-   percentile query would pay. *)
+   instead: at worst [budget] partition passes on top of a full sort. *)
 let rec select (a : float array) lo hi k ~budget =
   if hi - lo < 32 then insertion_sort a lo hi
   else if budget = 0 then sort_range a lo hi
@@ -165,23 +141,6 @@ let rec select (a : float array) lo hi k ~budget =
 
 let sort_floats (a : float array) n = if n > 1 then sort_range a 0 (n - 1)
 
-let ensure_sorted t =
-  if not t.sorted then begin
-    (* Sort the live prefix in place: no [Array.sub]/[blit] round trip. *)
-    sort_floats t.data t.size;
-    t.sorted <- true
-  end
-
-let min_value t =
-  if t.size = 0 then invalid_arg "Stats.min_value: empty";
-  ensure_sorted t;
-  t.data.(0)
-
-let max_value t =
-  if t.size = 0 then invalid_arg "Stats.max_value: empty";
-  ensure_sorted t;
-  t.data.(t.size - 1)
-
 (* Nearest rank: the index, in sorted order, of the smallest sample such
    that at least p% of the samples are <= it. *)
 let rank_index t who p =
@@ -190,66 +149,37 @@ let rank_index t who p =
   let rank = int_of_float (ceil ((p *. float_of_int t.size /. 100.0) -. 1e-9)) in
   Int.max 0 (Int.min (t.size - 1) (rank - 1))
 
+(* Put the sample of sorted index [k] at [data.(k)], selecting within
+   [data.(0..hi)]. *)
+let select_rank t ~hi k = select t.data 0 hi k ~budget:(2 * log2 (hi + 1))
+
 let percentile t p =
-  let idx = rank_index t "Stats.percentile" p in
-  ensure_sorted t;
-  t.data.(idx)
+  let k = rank_index t "Stats.percentile" p in
+  select_rank t ~hi:(t.size - 1) k;
+  t.data.(k)
 
 let percentiles t ps =
   let idx = Array.map (rank_index t "Stats.percentiles") ps in
-  if not t.sorted then begin
-    (* Highest rank first: a select leaves only samples <= its answer to
-       its left, so each lower rank is selected within that prefix. *)
-    let ranks = Array.copy idx in
-    Array.sort (fun a b -> Int.compare b a) ranks;
-    let hi = ref (t.size - 1) in
-    Array.iter
-      (fun k ->
-        if k <= !hi then begin
-          select t.data 0 !hi k ~budget:(2 * log2 (!hi + 1));
-          hi := k - 1
-        end)
-      ranks
-  end;
+  (* Highest rank first: a select leaves only samples <= its answer to its
+     left, so each lower rank is selected within that prefix. *)
+  let ranks = Array.copy idx in
+  Array.sort (fun a b -> Int.compare b a) ranks;
+  let hi = ref (t.size - 1) in
+  Array.iter
+    (fun k ->
+      if k <= !hi then begin
+        select_rank t ~hi:!hi k;
+        hi := k - 1
+      end)
+    ranks;
   Array.map (fun k -> t.data.(k)) idx
 
-let median t = percentile t 50.0
 let values t = Array.sub t.data 0 t.size
 
-let merge a b =
-  if a.sorted && b.sorted then begin
-    (* Linear merge of two sorted runs; the result is sorted, so the next
-       percentile query skips its O(n log n) sort. *)
-    let n = a.size + b.size in
-    let data = Array.make (max n 1) 0.0 in
-    let i = ref 0 and j = ref 0 in
-    for k = 0 to n - 1 do
-      if !i < a.size && (!j >= b.size || a.data.(!i) <= b.data.(!j)) then begin
-        data.(k) <- a.data.(!i);
-        incr i
-      end
-      else begin
-        data.(k) <- b.data.(!j);
-        incr j
-      end
-    done;
-    of_data data n ~sorted:true
-  end
-  else begin
-    let t = create ~capacity:(a.size + b.size) () in
-    for i = 0 to a.size - 1 do
-      add t a.data.(i)
-    done;
-    for i = 0 to b.size - 1 do
-      add t b.data.(i)
-    done;
-    t
-  end
-
 let merge_all ts =
-  (* One allocation and one sort for the whole list: folding [merge] pairwise
-     into a growing accumulator re-copies the accumulated prefix on every
-     step (quadratic in total sample count when inputs arrive unsorted). *)
+  (* One allocation and one sort for the whole list. The sort fixes the
+     order the merged mean sums the samples in, whatever order queries
+     left each input's samples in. *)
   let n = List.fold_left (fun acc t -> acc + t.size) 0 ts in
   let data = Array.make (max n 1) 0.0 in
   let off = ref 0 in
@@ -259,24 +189,8 @@ let merge_all ts =
       off := !off + t.size)
     ts;
   sort_floats data n;
-  of_data data n ~sorted:true
-
-module Online = struct
-  (* All-float record: OCaml stores it flat (unboxed fields), so [add]
-     mutates in place without allocating. With an [int] count mixed in,
-     every float-field update would box a fresh float. Counts stay exact
-     as floats up to 2^53 samples. *)
-  type acc = { mutable n : float; mutable m : float; mutable m2 : float }
-
-  let create () = { n = 0.0; m = 0.0; m2 = 0.0 }
-
-  let add acc x =
-    acc.n <- acc.n +. 1.0;
-    let delta = x -. acc.m in
-    acc.m <- acc.m +. (delta /. acc.n);
-    acc.m2 <- acc.m2 +. (delta *. (x -. acc.m))
-
-  let count acc = int_of_float acc.n
-  let mean acc = acc.m
-  let stddev acc = if acc.n < 2.0 then 0.0 else sqrt (acc.m2 /. acc.n)
-end
+  let sum = ref 0.0 in
+  for i = 0 to n - 1 do
+    sum := !sum +. data.(i)
+  done;
+  { data; size = n; sum = { v = !sum } }

@@ -685,7 +685,7 @@ module Group (R : sig val run : run end) = struct
       let soj = float_of_int (Request.sojourn_ns req) in
       if c.is_write then Stats.add write_soj soj else Stats.add read_soj soj
     end;
-    if not c.is_write then
+    if hedge_on && not c.is_write then
       Hedge.observe estimator ~sojourn_ns:(Request.sojourn_ns req)
         ~service_ns:req.Request.service_ns;
     (match c.dup with
@@ -1026,9 +1026,7 @@ module Group (R : sig val run : run end) = struct
     let client =
       Metrics.summarize client_metrics ~offered_rps ~span_ns ~n_workers:total_workers ~class_names
     in
-    (* A select, not the full sort [Stats.percentile] runs on first use;
-       the value is the same. *)
-    let pct s p = if Stats.is_empty s then 0.0 else (Stats.percentiles s [| p |]).(0) in
+    let pct s p = if Stats.is_empty s then 0.0 else Stats.percentile s p in
     let mean s = if Stats.is_empty s then 0.0 else Stats.mean s in
     let leader_p99 =
       match !leader with

@@ -108,13 +108,11 @@ type summary = {
 }
 
 let summarize t ~offered_rps ~span_ns ~n_workers ~class_names =
-  (* Selection, not a sort: six order statistics of sample sets that can
-     hold every request of the run. *)
-  let pcts s ps =
-    if Stats.is_empty s then Array.map (fun _ -> 0.0) ps else Stats.percentiles s ps
+  let pct s p = if Stats.is_empty s then 0.0 else Stats.percentile s p in
+  let slowdown =
+    if Stats.is_empty t.slowdowns then [| 0.0; 0.0; 0.0 |]
+    else Stats.percentiles t.slowdowns [| 50.0; 99.0; 99.9 |]
   in
-  let pct s p = (pcts s [| p |]).(0) in
-  let slowdown = pcts t.slowdowns [| 50.0; 99.0; 99.9 |] in
   let span = max span_ns 1 in
   let measured_span =
     if t.measured_completions > 1 then max 1 (t.last_measured_ns - t.first_measured_ns)

@@ -103,15 +103,6 @@ module Dlq = struct
         else scan n.next (i + 1)
     in
     scan t.head 0
-
-  let iter t ~f =
-    let rec go = function
-      | None -> ()
-      | Some n ->
-        f n.req;
-        go n.next
-    in
-    go t.head
 end
 
 (* How many queue entries the locality policy may inspect; bounded so the
@@ -224,13 +215,6 @@ let has_not_started t =
   match t with
   | List_queue { q; _ } -> q.Dlq.n_fresh > 0
   | Rank_queue { fresh; _ } -> not (Heap.is_empty fresh)
-
-let iter t ~f =
-  match t with
-  | List_queue { q; _ } -> Dlq.iter q ~f
-  | Rank_queue { fresh; started; _ } ->
-    Heap.iter fresh ~f:(fun ~key:_ r -> f r);
-    Heap.iter started ~f:(fun ~key:_ r -> f r)
 
 (* ---- spec parsing ----------------------------------------------------- *)
 

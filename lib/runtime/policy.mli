@@ -77,7 +77,3 @@ val pop_not_started : t -> Request.t option
 
 val has_not_started : t -> bool
 (** O(1). *)
-
-val iter : t -> f:(Request.t -> unit) -> unit
-(** Visit queued requests in policy order (approximate for the rank
-    queues). *)

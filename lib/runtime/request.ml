@@ -69,6 +69,30 @@ let defer_past_locks t p =
   in
   scan 0
 
+(* A segment that started at wall time [seg_start_ns] with
+   [seg_start_progress] done advances one ns of progress per [mult] ns of
+   wall time. *)
+let progress_at t ~seg_start_ns ~seg_start_progress ~mult at =
+  let wall = Int.max 0 (at - seg_start_ns) in
+  Int.min t.service_ns (seg_start_progress + int_of_float (float_of_int wall /. mult))
+
+let time_of_progress ~seg_start_ns ~seg_start_progress ~mult p =
+  seg_start_ns + int_of_float (ceil (float_of_int (p - seg_start_progress) *. mult))
+
+let stop_point t ~seg_start_ns ~seg_start_progress ~mult ~completion_at ~candidate =
+  let p = progress_at t ~seg_start_ns ~seg_start_progress ~mult candidate in
+  let p' = defer_past_locks t p in
+  if p' >= t.service_ns then None
+  else begin
+    let stop_time =
+      if p' = p then Int.max candidate (time_of_progress ~seg_start_ns ~seg_start_progress ~mult p)
+      else time_of_progress ~seg_start_ns ~seg_start_progress ~mult p'
+    in
+    if stop_time >= completion_at then None else Some (stop_time, p')
+  end
+
+let probe_spacing t ~default = if t.probe_spacing_ns > 0.0 then t.probe_spacing_ns else default
+
 let sojourn_ns t =
   if not (is_complete t) then invalid_arg "Request.sojourn_ns: not complete";
   t.completion_ns - t.arrival_ns

@@ -59,6 +59,25 @@ val defer_past_locks : t -> int -> int
     otherwise the end of the window containing [p] (clamped to
     [service_ns]). *)
 
+val stop_point :
+  t ->
+  seg_start_ns:int ->
+  seg_start_progress:int ->
+  mult:float ->
+  completion_at:int ->
+  candidate:int ->
+  (int * int) option
+(** Where a preemption wished for at wall time [candidate] stops a
+    segment that started at [seg_start_ns] with [seg_start_progress] done,
+    runs [mult] ns of wall time per ns of progress and completes at
+    [completion_at]: [Some (stop_time, stop_progress)], with the stop
+    deferred past any lock window ({!defer_past_locks}) and never before
+    [candidate]; or [None] when the request would complete first. *)
+
+val probe_spacing : t -> default:float -> float
+(** The request's mean probe spacing, or [default] (the cost model's) when
+    its profile leaves it at 0. *)
+
 val sojourn_ns : t -> int
 (** Completion minus arrival. Raises if not complete. *)
 

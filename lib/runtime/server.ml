@@ -166,48 +166,19 @@ let discard_cancelled t (req : Request.t) =
     match t.on_cancelled with None -> () | Some f -> f req
   end
 
-(* ------------------------------------------------------------------ *)
-(* Progress arithmetic                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Progress (un-instrumented ns) a segment has accumulated by wall time
-   [at], given its start anchors and instrumentation multiplier. *)
-let progress_at ~seg_start_ns ~seg_start_progress ~mult ~service at =
-  let wall = Int.max 0 (at - seg_start_ns) in
-  Int.min service (seg_start_progress + int_of_float (float_of_int wall /. mult))
-
-(* Wall time at which a segment reaches progress [p]. *)
-let time_of_progress ~seg_start_ns ~seg_start_progress ~mult p =
-  seg_start_ns + int_of_float (ceil (float_of_int (p - seg_start_progress) *. mult))
-
 (* Resolve where a preemption wished for at wall time [candidate] actually
-   stops the request: never inside a lock window (safety-first, §3.1), and
-   under the Whole_request lock model never before the request completes
-   (the Shinjuku prototype's whole-API-call approach). Returns [None] when
-   the request will complete first, or [Some (stop_time, stop_progress)]. *)
-let resolve_stop t (req : Request.t) ~seg_start_ns ~seg_start_progress ~mult ~completion_at
-    ~candidate =
+   stops the request: never inside a lock window (safety-first, §3.1,
+   {!Request.stop_point}), and under the Whole_request lock model never
+   before the request completes (the Shinjuku prototype's whole-API-call
+   approach). Returns [None] when the request will complete first, or
+   [Some (stop_time, stop_progress)]. *)
+let resolve_stop t req ~seg_start_ns ~seg_start_progress ~mult ~completion_at ~candidate =
   match t.config.lock_model with
   | Config.Whole_request -> None
   | Config.Fine_grained ->
-    let p =
-      progress_at ~seg_start_ns ~seg_start_progress ~mult ~service:req.Request.service_ns
-        candidate
-    in
-    let p' = Request.defer_past_locks req p in
-    if p' >= req.Request.service_ns then None
-    else begin
-      let stop_time =
-        if p' = p then
-          Int.max candidate (time_of_progress ~seg_start_ns ~seg_start_progress ~mult p)
-        else time_of_progress ~seg_start_ns ~seg_start_progress ~mult p'
-      in
-      if stop_time >= completion_at then None else Some (stop_time, p')
-    end
+    Request.stop_point req ~seg_start_ns ~seg_start_progress ~mult ~completion_at ~candidate
 
-let probe_spacing t (req : Request.t) =
-  if req.Request.probe_spacing_ns > 0.0 then req.Request.probe_spacing_ns
-  else t.default_spacing_ns
+let probe_spacing t req = Request.probe_spacing req ~default:t.default_spacing_ns
 
 (* Adaptive preemption quantum (LibPreemptible-style): the base quantum is
    shrunk by central-queue backlog — q * w / (w + backlog), so the quantum

@@ -78,22 +78,6 @@ type t = {
   default_spacing_ns : float;
 }
 
-let progress_at t (w : worker) at =
-  match w.cur with
-  | None -> 0
-  | Some req ->
-    let wall = max 0 (at - w.seg_start_ns) in
-    min req.Request.service_ns
-      (w.seg_start_progress + int_of_float (float_of_int wall /. t.worker_mult))
-
-let time_of_progress t (w : worker) p =
-  w.seg_start_ns
-  + int_of_float (ceil (float_of_int (p - w.seg_start_progress) *. t.worker_mult))
-
-let probe_spacing t (req : Request.t) =
-  if req.Request.probe_spacing_ns > 0.0 then req.Request.probe_spacing_ns
-  else t.default_spacing_ns
-
 let trace t ~request kind =
   match t.tracer with
   | None -> ()
@@ -194,23 +178,18 @@ let on_quantum t (w : worker) ~epoch =
         in
         let lateness =
           Mechanism.yield_lateness_ns t.config.mechanism ~costs:t.config.costs ~rng:t.mech_rng
-            ~probe_spacing_ns:(probe_spacing t req)
+            ~probe_spacing_ns:(Request.probe_spacing req ~default:t.default_spacing_ns)
         in
-        let candidate = now + scan_delay + lateness in
-        let p = progress_at t w candidate in
-        let p' = Request.defer_past_locks req p in
-        if p' < req.Request.service_ns then begin
-          let stop_time =
-            if p' = p then max candidate (time_of_progress t w p)
-            else time_of_progress t w p'
-          in
-          if stop_time < w.completion_at then begin
-            w.epoch <- w.epoch + 1;
-            w.stop_progress <- p';
-            Sim.schedule_at t.sim ~time:stop_time
-              (Ev_preempt_stop { w = w.wid; epoch = w.epoch })
-          end
-        end
+        match
+          Request.stop_point req ~seg_start_ns:w.seg_start_ns
+            ~seg_start_progress:w.seg_start_progress ~mult:t.worker_mult
+            ~completion_at:w.completion_at ~candidate:(now + scan_delay + lateness)
+        with
+        | None -> ()
+        | Some (stop_time, progress) ->
+          w.epoch <- w.epoch + 1;
+          w.stop_progress <- progress;
+          Sim.schedule_at t.sim ~time:stop_time (Ev_preempt_stop { w = w.wid; epoch = w.epoch })
       end
   end
 

@@ -4,49 +4,47 @@ module Heap = Repro_engine.Heap
 
 let check = Alcotest.(check int)
 
+(* Take the minimum as [Sim.run] does: read its key, then pop it. *)
+let pop h =
+  if Heap.is_empty h then None
+  else begin
+    let k = Heap.next_key h in
+    Some (k, Heap.pop_unsafe h)
+  end
+
+(* Every (key, value) left, in the order the heap gives them up. *)
+let drain h =
+  let rec go acc = match pop h with None -> List.rev acc | Some e -> go (e :: acc) in
+  go []
+
 let test_empty () =
   let h = Heap.create () in
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
   check "length" 0 (Heap.length h);
-  Alcotest.(check (option int)) "min_key" None (Heap.min_key h);
-  Alcotest.(check bool) "pop" true (Heap.pop h = None)
+  check "next_key" max_int (Heap.next_key h);
+  Alcotest.check_raises "pop_unsafe" (Invalid_argument "Heap.pop_unsafe: empty") (fun () ->
+      ignore (Heap.pop_unsafe h))
 
 let test_single () =
   let h = Heap.create () in
   Heap.add h ~key:5 "x";
   check "length" 1 (Heap.length h);
-  Alcotest.(check (option int)) "min_key" (Some 5) (Heap.min_key h);
-  (match Heap.pop h with
-  | Some (5, "x") -> ()
-  | Some _ | None -> Alcotest.fail "wrong pop");
+  check "next_key" 5 (Heap.next_key h);
+  Alcotest.(check string) "pop_unsafe" "x" (Heap.pop_unsafe h);
   Alcotest.(check bool) "drained" true (Heap.is_empty h)
 
 let test_ordering () =
   let h = Heap.create () in
   List.iter (fun k -> Heap.add h ~key:k k) [ 9; 3; 7; 1; 8; 2; 6; 4; 5; 0 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (drain [])
+  Alcotest.(check (list int)) "sorted" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (List.map fst (drain h))
 
 let test_fifo_ties () =
   let h = Heap.create () in
   List.iter (fun v -> Heap.add h ~key:1 v) [ "a"; "b"; "c" ];
   Heap.add h ~key:0 "first";
-  let order =
-    List.init 4 (fun _ -> match Heap.pop h with Some (_, v) -> v | None -> "?")
-  in
-  Alcotest.(check (list string)) "fifo among equal keys" [ "first"; "a"; "b"; "c" ] order
-
-let test_clear () =
-  let h = Heap.create () in
-  for i = 0 to 99 do
-    Heap.add h ~key:i i
-  done;
-  Heap.clear h;
-  check "cleared" 0 (Heap.length h);
-  Heap.add h ~key:1 42;
-  check "usable after clear" 1 (Heap.length h)
+  Alcotest.(check (list string))
+    "fifo among equal keys" [ "first"; "a"; "b"; "c" ]
+    (List.map snd (drain h))
 
 let test_iter () =
   let h = Heap.create () in
@@ -61,7 +59,7 @@ let test_growth () =
     Heap.add h ~key:i i
   done;
   check "grew" 1001 (Heap.length h);
-  Alcotest.(check (option int)) "min" (Some 0) (Heap.min_key h)
+  check "min" 0 (Heap.next_key h)
 
 let test_unsafe_accessors () =
   let h = Heap.create () in
@@ -73,22 +71,15 @@ let test_unsafe_accessors () =
   check "last pop" 80 (Heap.pop_unsafe h);
   Alcotest.(check bool) "drained" true (Heap.is_empty h)
 
-let prop_unsafe_matches_pop =
-  QCheck.Test.make ~count:300 ~name:"pop_unsafe drains in exactly pop's order"
+(* Entries come out in (key, insertion) order: a stable sort by key. *)
+let prop_pop_unsafe_stable =
+  QCheck.Test.make ~count:300 ~name:"pop_unsafe is a stable sort"
     QCheck.(list small_int)
     (fun keys ->
-      let a = Heap.create () and b = Heap.create () in
-      List.iteri
-        (fun i k ->
-          Heap.add a ~key:k i;
-          Heap.add b ~key:k i)
-        keys;
-      let rec go () =
-        match Heap.pop a with
-        | None -> Heap.is_empty b
-        | Some (k, v) -> Heap.next_key b = k && Heap.pop_unsafe b = v && go ()
-      in
-      go ())
+      let h = Heap.create () in
+      List.iteri (fun i k -> Heap.add h ~key:k i) keys;
+      let by_key (a, _) (b, _) = compare a b in
+      drain h = List.stable_sort by_key (List.mapi (fun i k -> (k, i)) keys))
 
 let prop_pop_sorted =
   QCheck.Test.make ~count:300 ~name:"heap pops keys in nondecreasing order"
@@ -96,12 +87,8 @@ let prop_pop_sorted =
     (fun keys ->
       let h = Heap.create () in
       List.iter (fun k -> Heap.add h ~key:k k) keys;
-      let rec drain prev =
-        match Heap.pop h with
-        | None -> true
-        | Some (k, _) -> k >= prev && drain k
-      in
-      drain min_int)
+      let rec sorted prev = function [] -> true | k :: rest -> k >= prev && sorted k rest in
+      sorted min_int (List.map fst (drain h)))
 
 let prop_conserves_elements =
   QCheck.Test.make ~count:300 ~name:"heap pops exactly the multiset pushed"
@@ -109,10 +96,7 @@ let prop_conserves_elements =
     (fun keys ->
       let h = Heap.create () in
       List.iteri (fun i k -> Heap.add h ~key:k i) keys;
-      let rec drain acc =
-        match Heap.pop h with None -> acc | Some (_, v) -> drain (v :: acc)
-      in
-      List.sort compare (drain []) = List.init (List.length keys) (fun i -> i))
+      List.sort compare (List.map snd (drain h)) = List.init (List.length keys) (fun i -> i))
 
 (* A handle stays dead once its entry pops or is removed, even after a
    later entry takes over the freed slot (the very next add does). *)
@@ -123,7 +107,7 @@ let test_remove_dead_handle () =
       (fun () -> Heap.remove h hd)
   in
   let a = Heap.add_removable h ~key:1 "a" in
-  ignore (Heap.pop h);
+  ignore (Heap.pop_unsafe h);
   dead a;
   let b = Heap.add_removable h ~key:2 "b" in
   dead a;
@@ -131,7 +115,7 @@ let test_remove_dead_handle () =
   Heap.remove h b;
   dead b;
   let c = Heap.add_removable h ~key:3 "c" in
-  Heap.clear h;
+  Heap.remove h c;
   ignore (Heap.add_removable h ~key:4 "d");
   dead c;
   dead (-1);
@@ -152,9 +136,10 @@ let test_remove_dead_handle () =
    and the heap starts at capacity 1, so it grows after pops and removals
    have already permuted its slot array. Every popped (key, value) must
    match the model, and after every step [iter] must visit exactly the
-   model's multiset. [Remove i] removes the model's i-th entry (mod its
-   length) through its handle; [Remove_dead i] retries a handle whose entry
-   already popped, was removed or was cleared, which must raise.
+   model's multiset and [next_key] the model's smallest key. [Remove i]
+   removes the model's i-th entry (mod its length) through its handle;
+   [Remove_dead i] retries a handle whose entry already popped or was
+   removed, which must raise.
    [Pop_unsafe ops] pops the minimum, which leaves the root empty, then
    runs [ops] (adds, removes and further pops) with the hole still open;
    the checks after the step settle it. [Next_key ops] pops as [Sim.run]
@@ -162,24 +147,20 @@ let test_remove_dead_handle () =
    hole when it comes among another pop's [ops]. *)
 type op =
   | Add of int
-  | Pop
   | Pop_unsafe of op list
   | Next_key of op list
   | Remove of int
   | Remove_dead of int
-  | Clear
   | Iter
 
 let rec show_op = function
   | Add k -> Printf.sprintf "add %d" k
-  | Pop -> "pop"
   | Pop_unsafe ops ->
     Printf.sprintf "pop_unsafe [%s]" (String.concat "; " (List.map show_op ops))
   | Next_key ops ->
     Printf.sprintf "next_key [%s]" (String.concat "; " (List.map show_op ops))
   | Remove i -> Printf.sprintf "remove #%d" i
   | Remove_dead i -> Printf.sprintf "remove dead #%d" i
-  | Clear -> "clear"
   | Iter -> "iter"
 
 let arb_script =
@@ -203,13 +184,11 @@ let arb_script =
       frequency
         [
           (6, add);
-          (3, return Pop);
           (5, map (fun ops -> Pop_unsafe ops) in_hole);
           (5, map (fun ops -> Next_key ops) in_hole);
           (3, remove);
           (1, remove_dead);
           (1, return Iter);
-          (1, return Clear);
         ])
   in
   QCheck.make ~print:QCheck.Print.(list show_op) QCheck.Gen.(list_size (int_range 0 300) op)
@@ -251,9 +230,6 @@ let prop_matches_sorted_model =
           Hashtbl.replace handles v (Heap.add_removable h ~key:k v);
           model := insert k v !model;
           true
-        | Pop ->
-          let expected = pop_model () in
-          Heap.pop h = expected
         | Pop_unsafe ops -> (
           match pop_model () with
           | None -> (
@@ -281,18 +257,13 @@ let prop_matches_sorted_model =
             match Heap.remove h (nth l i) with
             | () -> false
             | exception Invalid_argument _ -> true))
-        | Clear ->
-          Heap.clear h;
-          List.iter (fun (_, v) -> retire v) !model;
-          model := [];
-          true
         | Iter -> List.length (visited ()) = Heap.length h
       in
       List.for_all
         (fun op ->
           step op
           && Heap.length h = List.length !model
-          && Heap.min_key h = (match !model with [] -> None | (k, _) :: _ -> Some k)
+          && Heap.next_key h = (match !model with [] -> max_int | (k, _) :: _ -> k)
           && visited () = List.sort compare !model)
         script)
 
@@ -302,12 +273,11 @@ let suite =
     Alcotest.test_case "single element" `Quick test_single;
     Alcotest.test_case "pops in key order" `Quick test_ordering;
     Alcotest.test_case "FIFO among equal keys" `Quick test_fifo_ties;
-    Alcotest.test_case "clear resets" `Quick test_clear;
     Alcotest.test_case "iter visits every entry" `Quick test_iter;
     Alcotest.test_case "grows past initial capacity" `Quick test_growth;
     Alcotest.test_case "unsafe accessors" `Quick test_unsafe_accessors;
     Alcotest.test_case "removing a dead handle raises" `Quick test_remove_dead_handle;
-    QCheck_alcotest.to_alcotest prop_unsafe_matches_pop;
+    QCheck_alcotest.to_alcotest prop_pop_unsafe_stable;
     QCheck_alcotest.to_alcotest prop_pop_sorted;
     QCheck_alcotest.to_alcotest prop_conserves_elements;
     QCheck_alcotest.to_alcotest prop_matches_sorted_model;

@@ -47,13 +47,6 @@ let test_exception_propagates () =
   Alcotest.check_raises "first failing task's exception" (Boom 5) (fun () ->
       ignore (Pool.parallel_map ~domains:4 f (List.init 20 (fun i -> i))))
 
-let test_parallel_iter () =
-  (* Effects from every task are visible after the join. *)
-  let hits = Array.make 32 0 in
-  Pool.parallel_iter ~domains:4 (fun i -> hits.(i) <- i + 1) (List.init 32 (fun i -> i));
-  Alcotest.(check bool) "all tasks ran" true
-    (Array.for_all Fun.id (Array.mapi (fun i v -> v = i + 1) hits))
-
 let test_default_jobs_override () =
   let saved = Pool.default_jobs () in
   Pool.set_default_jobs 3;
@@ -100,7 +93,6 @@ let suite =
     Alcotest.test_case "uneven task cost" `Quick test_uneven_work;
     Alcotest.test_case "nested calls run inline" `Quick test_nested_calls;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
-    Alcotest.test_case "parallel_iter" `Quick test_parallel_iter;
     Alcotest.test_case "default jobs override" `Quick test_default_jobs_override;
     Alcotest.test_case "sweep bit-identical across domains" `Quick test_sweep_bit_identical;
     Alcotest.test_case "kv-backed sweep falls back to sequential" `Quick

@@ -37,22 +37,6 @@ let test_growth_preserves_order () =
   done;
   Alcotest.(check bool) "drained" true (Ring.is_empty r)
 
-let test_clear () =
-  let r = Ring.create ~capacity:4 ~dummy:0 () in
-  List.iter (Ring.push r) [ 1; 2; 3 ];
-  Ring.clear r;
-  check "cleared" 0 (Ring.length r);
-  Ring.push r 9;
-  check "usable after clear" 9 (Ring.pop_unsafe r)
-
-let test_iter () =
-  let r = Ring.create ~capacity:4 ~dummy:0 () in
-  List.iter (Ring.push r) [ 1; 2; 3; 4; 5 ];
-  ignore (Ring.pop_unsafe r);
-  let seen = ref [] in
-  Ring.iter r ~f:(fun x -> seen := x :: !seen);
-  Alcotest.(check (list int)) "iterates oldest-first" [ 2; 3; 4; 5 ] (List.rev !seen)
-
 let prop_matches_queue =
   (* Drive a ring and a Stdlib.Queue with the same operation sequence:
      positive ints push the value, non-positive ints pop (when non-empty).
@@ -79,7 +63,5 @@ let suite =
     Alcotest.test_case "empty ring" `Quick test_empty;
     Alcotest.test_case "FIFO order" `Quick test_fifo;
     Alcotest.test_case "growth preserves order across wrap" `Quick test_growth_preserves_order;
-    Alcotest.test_case "clear resets" `Quick test_clear;
-    Alcotest.test_case "iter oldest-first" `Quick test_iter;
     QCheck_alcotest.to_alcotest prop_matches_queue;
   ]

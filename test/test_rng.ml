@@ -98,15 +98,6 @@ let test_categorical_rejects_zero () =
     (Invalid_argument "Rng.categorical: weights must sum to a positive value") (fun () ->
       ignore (Rng.categorical rng ~weights:[| 0.0; 0.0 |]))
 
-let test_shuffle_permutation () =
-  let rng = Rng.create ~seed:11 in
-  let a = Array.init 100 (fun i -> i) in
-  Rng.shuffle rng a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check bool) "shuffle is a permutation" true (sorted = Array.init 100 (fun i -> i));
-  Alcotest.(check bool) "shuffle moved something" true (a <> Array.init 100 (fun i -> i))
-
 let prop_lognormal_positive =
   QCheck.Test.make ~count:200 ~name:"lognormal samples are positive"
     QCheck.(pair (float_bound_exclusive 3.0) (float_bound_exclusive 2.0))
@@ -127,6 +118,5 @@ let suite =
     Alcotest.test_case "pareto support" `Quick test_pareto_support;
     Alcotest.test_case "categorical follows weights" `Slow test_categorical_weights;
     Alcotest.test_case "categorical rejects all-zero" `Quick test_categorical_rejects_zero;
-    Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
     QCheck_alcotest.to_alcotest prop_lognormal_positive;
   ]

@@ -16,15 +16,15 @@ let test_empty () =
   Alcotest.check_raises "percentile of empty" (Invalid_argument "Stats.percentile: empty")
     (fun () -> ignore (Stats.percentile t 50.0))
 
-let test_mean_stddev () =
+let test_mean () =
   let t = of_list [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean t);
-  Alcotest.(check (float 1e-9)) "population stddev" 2.0 (Stats.stddev t)
+  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean t)
 
+(* The extreme ranks are the minimum and the maximum. *)
 let test_min_max () =
   let t = of_list [ 3.0; -1.0; 7.5 ] in
-  Alcotest.(check (float 1e-9)) "min" (-1.0) (Stats.min_value t);
-  Alcotest.(check (float 1e-9)) "max" 7.5 (Stats.max_value t)
+  Alcotest.(check (float 1e-9)) "min" (-1.0) (Stats.percentile t 0.0);
+  Alcotest.(check (float 1e-9)) "max" 7.5 (Stats.percentile t 100.0)
 
 let test_percentile_nearest_rank () =
   let t = of_list (List.init 100 (fun i -> float_of_int (i + 1))) in
@@ -41,57 +41,56 @@ let test_percentile_after_growth () =
   Alcotest.(check (float 1e-9)) "p99.9 of 1..1000" 999.0 (Stats.percentile t 99.9)
 
 let test_interleaved_add_query () =
-  (* Percentile queries sort in place; later adds must still be seen. *)
+  (* Percentile queries reorder in place; later adds must still be seen. *)
   let t = of_list [ 5.0; 1.0; 3.0 ] in
-  ignore (Stats.median t);
+  ignore (Stats.percentile t 50.0);
   Stats.add t 100.0;
-  Alcotest.(check (float 1e-9)) "new max visible" 100.0 (Stats.max_value t);
+  Alcotest.(check (float 1e-9)) "new max visible" 100.0 (Stats.percentile t 100.0);
   Alcotest.(check int) "count" 4 (Stats.count t)
 
 let test_merge () =
   let a = of_list [ 1.0; 2.0 ] and b = of_list [ 3.0 ] in
-  let m = Stats.merge a b in
+  let m = Stats.merge_all [ a; b ] in
   Alcotest.(check int) "merged count" 3 (Stats.count m);
   Alcotest.(check (float 1e-9)) "merged mean" 2.0 (Stats.mean m)
 
 let test_merge_sorted_inputs () =
-  (* After a percentile query each input is in sorted state; the merge must
-     produce the correctly interleaved sorted result (regression: it used
-     to discard the invariant and re-sort on the next query). *)
+  (* A percentile query leaves each input partly ordered; the merge must
+     still come back fully sorted, interleaving the inputs. *)
   let a = of_list [ 5.0; 1.0; 3.0 ] and b = of_list [ 4.0; 2.0; 6.0 ] in
-  ignore (Stats.median a);
-  ignore (Stats.median b);
-  let m = Stats.merge a b in
+  ignore (Stats.percentile a 50.0);
+  ignore (Stats.percentile b 50.0);
+  let m = Stats.merge_all [ a; b ] in
   Alcotest.(check bool) "interleaved sorted values" true
     (Stats.values m = [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |]);
   Alcotest.(check (float 1e-9)) "percentiles correct" 6.0 (Stats.percentile m 100.0);
-  Alcotest.(check (float 1e-9)) "median correct" 3.0 (Stats.median m);
-  (* Unsorted inputs still merge correctly (concatenation path). *)
+  Alcotest.(check (float 1e-9)) "median correct" 3.0 (Stats.percentile m 50.0);
+  (* A merged collection merges again like any other. *)
   let c = of_list [ 9.0; 7.0 ] in
-  let m2 = Stats.merge m c in
+  let m2 = Stats.merge_all [ m; c ] in
   Alcotest.(check int) "count" 8 (Stats.count m2);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.max_value m2)
+  Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.percentile m2 100.0)
 
 let test_merge_all () =
-  (* merge_all must agree with the pairwise-merge fold and come back in
-     sorted state regardless of input sortedness. *)
+  (* merge_all must hold exactly the inputs' samples, sorted, whether or
+     not a query has reordered an input. *)
   let mk l = of_list l in
-  let parts =
-    [ mk [ 5.0; 1.0; 3.0 ]; mk []; mk [ 4.0; 2.0 ]; mk [ 6.0; 0.5; 7.5; 2.5 ] ]
-  in
-  (* Put one input in sorted state to mix both internal representations. *)
-  ignore (Stats.median (List.nth parts 0));
+  let lists = [ [ 5.0; 1.0; 3.0 ]; []; [ 4.0; 2.0 ]; [ 6.0; 0.5; 7.5; 2.5 ] ] in
+  let parts = List.map mk lists in
+  (* Reorder one input with a query. *)
+  ignore (Stats.percentile (List.nth parts 0) 50.0);
   let m = Stats.merge_all parts in
-  let folded = List.fold_left Stats.merge (Stats.create ()) parts in
+  let expected = Array.of_list (List.concat lists) in
+  Array.sort Float.compare expected;
   Alcotest.(check int) "count" 9 (Stats.count m);
-  Alcotest.(check bool) "born sorted" true
-    (let v = Stats.values m in
-     Array.for_all (fun ok -> ok) (Array.mapi (fun i x -> i = 0 || v.(i - 1) <= x) v));
+  Alcotest.(check (array (float 0.0))) "born sorted" expected (Stats.values m);
   List.iter
     (fun p ->
+      let rank = int_of_float (ceil ((p *. 9.0 /. 100.0) -. 1e-9)) in
       Alcotest.(check (float 1e-9))
-        (Printf.sprintf "p%.0f invariant" p)
-        (Stats.percentile folded p) (Stats.percentile m p))
+        (Printf.sprintf "p%.0f is the nearest rank" p)
+        expected.(Int.max 0 (rank - 1))
+        (Stats.percentile m p))
     [ 0.0; 25.0; 50.0; 90.0; 99.0; 100.0 ];
   (* Inputs are untouched. *)
   Alcotest.(check int) "input count intact" 4 (Stats.count (List.nth parts 3));
@@ -99,7 +98,7 @@ let test_merge_all () =
   Alcotest.(check int) "empty list" 0 (Stats.count (Stats.merge_all []));
   Alcotest.(check (float 1e-9))
     "singleton" 3.0
-    (Stats.median (Stats.merge_all [ mk [ 3.0 ] ]))
+    (Stats.percentile (Stats.merge_all [ mk [ 3.0 ] ]) 50.0)
 
 let test_merge_all_degenerate () =
   (* The pinned contract for role summaries with no members: merging
@@ -108,7 +107,6 @@ let test_merge_all_degenerate () =
   Alcotest.(check bool) "merge_all [] is empty" true (Stats.is_empty e);
   Alcotest.(check int) "merge_all [] count" 0 (Stats.count e);
   Alcotest.(check (float 1e-9)) "merge_all [] mean" 0.0 (Stats.mean e);
-  Alcotest.(check (float 1e-9)) "merge_all [] stddev" 0.0 (Stats.stddev e);
   Alcotest.check_raises "merge_all [] percentile raises"
     (Invalid_argument "Stats.percentile: empty") (fun () ->
       ignore (Stats.percentile e 99.0));
@@ -127,17 +125,8 @@ let test_merge_all_degenerate () =
 
 let test_values_insertion_order () =
   let t = of_list [ 3.0; 1.0; 2.0 ] in
-  Alcotest.(check bool) "values keep insertion order before sorting" true
+  Alcotest.(check bool) "values keep insertion order before a query" true
     (Stats.values t = [| 3.0; 1.0; 2.0 |])
-
-let test_online_matches_direct () =
-  let xs = List.init 1000 (fun i -> Float.sin (float_of_int i) *. 10.0) in
-  let direct = of_list xs in
-  let acc = Stats.Online.create () in
-  List.iter (Stats.Online.add acc) xs;
-  Alcotest.(check bool) "online mean" true (feq ~eps:1e-6 (Stats.Online.mean acc) (Stats.mean direct));
-  Alcotest.(check bool) "online stddev" true
-    (feq ~eps:1e-6 (Stats.Online.stddev acc) (Stats.stddev direct))
 
 let prop_percentile_matches_oracle =
   QCheck.Test.make ~count:300 ~name:"percentile equals nearest-rank oracle"
@@ -152,15 +141,21 @@ let prop_percentile_matches_oracle =
       let idx = max 0 (min (n - 1) (rank - 1)) in
       feq (Stats.percentile t (float_of_int p)) (List.nth sorted idx))
 
+(* The nearest-rank sample of an ascending array. *)
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  let rank = int_of_float (ceil ((p *. float_of_int n /. 100.0) -. 1e-9)) in
+  sorted.(max 0 (min (n - 1) (rank - 1)))
+
 let prop_sort_matches_float_compare =
-  (* Percentiles must be unchanged by the monomorphic in-place quicksort:
-     on all-finite samples it has to order exactly like the old
-     [Array.sort Float.compare] path. The selection of [percentiles] must
-     answer every rank exactly as [percentile] does, for ranks asked in any
-     order and queries interleaved with adds: each query [(at, ps)] runs
-     after the first [at mod (n + 1)] adds, against a reference collection
-     holding the same samples. Sizes straddle the insertion-sort cutoff
-     (32) and include heavy duplicates to hit every partition case. *)
+  (* The monomorphic in-place select and sort must order exactly like
+     [Array.sort Float.compare] on all-finite samples. [percentiles] must
+     answer every rank as a test-side sort of the same samples does, for
+     ranks asked in any order and queries interleaved with adds: each
+     query [(at, ps)] runs after the first [at mod (n + 1)] adds, against
+     a sort of the samples added so far. Sizes straddle the
+     insertion-sort cutoff (32) and include heavy duplicates to hit every
+     partition case. *)
   QCheck.Test.make ~count:200 ~name:"percentiles match Array.sort Float.compare oracle"
     QCheck.(
       pair
@@ -172,15 +167,17 @@ let prop_sort_matches_float_compare =
                  (map (fun i -> float_of_int i /. 10.0) (int_range 0 1000))))))
     (fun (xs, queries) ->
       let n = List.length xs in
-      let t = Stats.create () and reference = Stats.create () in
+      let t = Stats.create () and added = ref [] in
       let selections_agree i =
         List.for_all
           (fun (at, ps) ->
             at mod (n + 1) <> i
             || Stats.is_empty t
             ||
+            let sorted = Array.of_list !added in
+            Array.sort Float.compare sorted;
             let ps = Array.of_list ps in
-            Stats.percentiles t ps = Array.map (Stats.percentile reference) ps)
+            Stats.percentiles t ps = Array.map (nearest_rank sorted) ps)
           queries
       in
       let agree = ref true in
@@ -188,25 +185,22 @@ let prop_sort_matches_float_compare =
         (fun i x ->
           agree := !agree && selections_agree i;
           Stats.add t x;
-          Stats.add reference x)
+          added := x :: !added)
         xs;
       !agree
       && selections_agree n
       &&
       let oracle = Array.of_list xs in
       Array.sort Float.compare oracle;
-      let n = Array.length oracle in
       List.for_all
-        (fun p ->
-          let rank = int_of_float (ceil ((p *. float_of_int n /. 100.0) -. 1e-9)) in
-          let idx = max 0 (min (n - 1) (rank - 1)) in
-          Stats.percentile t p = oracle.(idx))
+        (fun p -> Stats.percentile t p = nearest_rank oracle p)
         [ 0.0; 10.0; 50.0; 90.0; 99.0; 99.9; 100.0 ]
-      && Stats.values t = oracle)
+      && Stats.values (Stats.merge_all [ t ]) = oracle)
 
-(* 100k samples in shapes that defeat naive pivots. Selection must agree
-   with the sort and stay near-linear: a quadratic partition loop would
-   spend seconds of CPU here, not milliseconds. *)
+(* 100k samples in shapes that defeat naive pivots. Selection, one rank at
+   a time and several at once, must agree with a test-side sort and stay
+   near-linear: a quadratic partition loop would spend seconds of CPU
+   here, not milliseconds. *)
 let test_percentiles_adversarial_100k () =
   let n = 100_000 in
   let ps = [| 50.0; 99.9; 0.0; 99.0; 100.0; 50.0 |] in
@@ -217,17 +211,21 @@ let test_percentiles_adversarial_100k () =
   in
   List.iter
     (fun (name, sample) ->
-      let t = Stats.create () and reference = Stats.create () in
+      let t = Stats.create () and one_by_one = Stats.create () in
       for i = 0 to n - 1 do
         Stats.add t (sample i);
-        Stats.add reference (sample i)
+        Stats.add one_by_one (sample i)
       done;
-      let expected, sort_s = cpu (fun () -> Array.map (Stats.percentile reference) ps) in
+      let sorted = Array.init n sample in
+      Array.sort Float.compare sorted;
+      let expected = Array.map (nearest_rank sorted) ps in
+      let got_one, one_s = cpu (fun () -> Array.map (Stats.percentile one_by_one) ps) in
       let got, select_s = cpu (fun () -> Stats.percentiles t ps) in
+      Alcotest.(check (array (float 0.0))) (name ^ ", one rank at a time") expected got_one;
       Alcotest.(check (array (float 0.0))) name expected got;
-      if sort_s > 1.0 || select_s > 1.0 then
-        Alcotest.failf "%s: %.2f s of CPU to sort, %.2f s to select 100k samples" name sort_s
-          select_s)
+      if one_s > 1.0 || select_s > 1.0 then
+        Alcotest.failf "%s: %.2f s of CPU for one-rank selects, %.2f s for one multi-rank \
+                        select of 100k samples" name one_s select_s)
     [
       ("sorted", float_of_int);
       ("reversed", fun i -> float_of_int (n - i));
@@ -372,8 +370,8 @@ let test_mean_independent_of_queries () =
   let before = bits () in
   ignore (Stats.percentiles t [| 50.0; 99.0 |]);
   Alcotest.(check int64) "after percentiles" before (bits ());
-  ignore (Stats.median t);
-  Alcotest.(check int64) "after median" before (bits ());
+  ignore (Stats.percentile t 50.0);
+  Alcotest.(check int64) "after percentile" before (bits ());
   Stats.add t 0.4;
   Alcotest.(check (float 0.0)) "adds still counted" (0.7 /. 6.0) (Stats.mean t);
   (* A merged collection sums its samples as stored: sorted, for merge_all. *)
@@ -406,12 +404,12 @@ let prop_mean_bounded =
     (fun xs ->
       let t = of_list xs in
       let m = Stats.mean t in
-      m >= Stats.min_value t -. 1e-9 && m <= Stats.max_value t +. 1e-9)
+      m >= Stats.percentile t 0.0 -. 1e-9 && m <= Stats.percentile t 100.0 +. 1e-9)
 
 let suite =
   [
     Alcotest.test_case "empty stats" `Quick test_empty;
-    Alcotest.test_case "mean and stddev" `Quick test_mean_stddev;
+    Alcotest.test_case "mean" `Quick test_mean;
     Alcotest.test_case "min/max" `Quick test_min_max;
     Alcotest.test_case "nearest-rank percentiles" `Quick test_percentile_nearest_rank;
     Alcotest.test_case "percentile after array growth" `Quick test_percentile_after_growth;
@@ -421,7 +419,6 @@ let suite =
     Alcotest.test_case "merge_all: sorted, percentile-invariant" `Quick test_merge_all;
     Alcotest.test_case "merge_all: empty/singleton pinned" `Quick test_merge_all_degenerate;
     Alcotest.test_case "values keep insertion order" `Quick test_values_insertion_order;
-    Alcotest.test_case "online accumulator matches direct" `Quick test_online_matches_direct;
     Alcotest.test_case "percentiles on 100k adversarial inputs" `Quick
       test_percentiles_adversarial_100k;
     Alcotest.test_case "McIlroy killer input sorts and selects in O(n log n)" `Quick
