@@ -9,6 +9,12 @@ let of_list xs =
   List.iter (Stats.add t) xs;
   t
 
+(* The nearest-rank sample of an ascending array. *)
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  let rank = int_of_float (ceil ((p *. float_of_int n /. 100.0) -. 1e-9)) in
+  sorted.(max 0 (min (n - 1) (rank - 1)))
+
 let test_empty () =
   let t = Stats.create () in
   Alcotest.(check bool) "is_empty" true (Stats.is_empty t);
@@ -86,11 +92,9 @@ let test_merge_all () =
   Alcotest.(check (array (float 0.0))) "born sorted" expected (Stats.values m);
   List.iter
     (fun p ->
-      let rank = int_of_float (ceil ((p *. 9.0 /. 100.0) -. 1e-9)) in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "p%.0f is the nearest rank" p)
-        expected.(Int.max 0 (rank - 1))
-        (Stats.percentile m p))
+        (nearest_rank expected p) (Stats.percentile m p))
     [ 0.0; 25.0; 50.0; 90.0; 99.0; 100.0 ];
   (* Inputs are untouched. *)
   Alcotest.(check int) "input count intact" 4 (Stats.count (List.nth parts 3));
@@ -140,12 +144,6 @@ let prop_percentile_matches_oracle =
       in
       let idx = max 0 (min (n - 1) (rank - 1)) in
       feq (Stats.percentile t (float_of_int p)) (List.nth sorted idx))
-
-(* The nearest-rank sample of an ascending array. *)
-let nearest_rank sorted p =
-  let n = Array.length sorted in
-  let rank = int_of_float (ceil ((p *. float_of_int n /. 100.0) -. 1e-9)) in
-  sorted.(max 0 (min (n - 1) (rank - 1)))
 
 let prop_sort_matches_float_compare =
   (* The monomorphic in-place select and sort must order exactly like
