@@ -13,8 +13,8 @@
    hold the free ones, so no separate free list is needed. [add] takes
    [slots.(size)]; a root refill or [remove] parks the freed slot at the
    vacated position [size]; [grow] fills the new tail with fresh slot
-   numbers. A
-   freed payload stays reachable from [vals] until its slot is reused.
+   numbers. A freed payload stays reachable from [vals] until its slot is
+   reused.
 
    Position index. [pos] is the inverse permutation of [slots]: for every
    slot [s], [slots.(pos.(s)) = s]. [place], the sifts and the parking
