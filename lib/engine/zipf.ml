@@ -1,4 +1,4 @@
-type t = { n : int; alpha : float; cdf : float array }
+type t = { n : int; cdf : float array }
 
 let create ~n ~alpha =
   if n < 1 then invalid_arg "Zipf.create: n must be positive";
@@ -13,10 +13,7 @@ let create ~n ~alpha =
       cdf.(i) <- !acc)
     weights;
   cdf.(n - 1) <- 1.0;
-  { n; alpha; cdf }
-
-let n t = t.n
-let alpha t = t.alpha
+  { n; cdf }
 
 let sample t rng =
   let u = Rng.float rng in

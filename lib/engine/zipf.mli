@@ -12,9 +12,6 @@ val create : n:int -> alpha:float -> t
     1/(k+1)^alpha. [alpha = 0] is uniform. Raises on [n] < 1 or negative
     [alpha]. *)
 
-val n : t -> int
-val alpha : t -> float
-
 val sample : t -> Rng.t -> int
 (** Draw a rank in [0, n). Rank 0 is the most popular item. *)
 
