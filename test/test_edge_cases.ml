@@ -37,6 +37,7 @@ let test_heap_interleaved_stress () =
   Alcotest.(check bool) "same multiset" true
     (List.sort compare !reference = List.sort compare !popped)
 
+(* The heap's minimum key, as [next_key] reads it, is the least key added. *)
 let prop_heap_min_is_global_min =
   QCheck.Test.make ~count:300 ~name:"heap min_key is the global minimum"
     QCheck.(list_of_size (Gen.int_range 1 50) small_int)
