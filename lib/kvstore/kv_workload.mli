@@ -17,10 +17,23 @@ val scan_probe_spacing_ns : float
 val key_of_index : int -> string
 (** The store's key for index [i]: [Printf.sprintf "user%08d" i]. *)
 
+val value_of_index : value_bytes:int -> int -> string
+(** The [value_bytes]-byte value {!populate} and the PUT generator store
+    under [key_of_index i], for [i >= 0]: byte [j] is
+    [Char.chr (33 + ((i + 7 * j) mod 94))]. So values of one length repeat
+    with period 94 in [i], and a store holds 94 value strings per length,
+    each shared by all the keys it is the value of. Raises
+    [Invalid_argument] when [value_bytes] is negative. *)
+
 val populate :
   ?n_keys:int -> ?value_bytes:int -> seed:int -> unit -> Store.t
-(** A store pre-loaded with [n_keys] (default 15 000) unique keys carrying
-    [value_bytes] (default 100) values — the paper's LevelDB setup. *)
+(** A store pre-loaded with the keys [key_of_index i] for [i] below
+    [n_keys] (default 15 000), each carrying its [value_bytes]-byte
+    (default 100) {!value_of_index} — the paper's LevelDB setup. The keys
+    are loaded in index order, which is key order, through
+    {!Store.load_sorted}. Raises [Invalid_argument] when [n_keys] is
+    outside [0, 10^8] (past 10^8 keys grow a ninth digit and stop sorting
+    by index) or [value_bytes] is negative. *)
 
 val get_scan_mix : ?zipf_alpha:float -> Store.t -> seed:int -> Repro_workload.Mix.t
 (** 50 % GET / 50 % full SCAN — Fig. 9's workload. Keys are uniform by

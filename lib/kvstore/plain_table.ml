@@ -1,12 +1,14 @@
 type t = { keys : string array; vals : Skiplist.entry array }
 
-let of_sorted entries =
-  let n = Array.length entries in
+let of_sorted ~keys ~vals =
+  let n = Array.length keys in
+  if Array.length vals <> n then
+    invalid_arg "Plain_table.of_sorted: keys and vals differ in length";
   for i = 1 to n - 1 do
-    if String.compare (fst entries.(i - 1)) (fst entries.(i)) >= 0 then
+    if String.compare keys.(i - 1) keys.(i) >= 0 then
       invalid_arg "Plain_table.of_sorted: keys not strictly ascending"
   done;
-  { keys = Array.map fst entries; vals = Array.map snd entries }
+  { keys; vals }
 
 let length t = Array.length t.keys
 
@@ -31,16 +33,18 @@ let get ?meter t ~key =
   in
   search 0 (Array.length t.keys)
 
-let entries t = Array.init (Array.length t.keys) (fun i -> (t.keys.(i), t.vals.(i)))
+let keys t = t.keys
+let vals t = t.vals
 
 module Cursor = struct
   type cursor = { table : t; mutable idx : int }
 
   let start table = { table; idx = 0 }
+  let at_end c = c.idx >= Array.length c.table.keys
 
-  let peek c =
-    if c.idx < Array.length c.table.keys then Some (c.table.keys.(c.idx), c.table.vals.(c.idx))
-    else None
+  (* Past the end, the bounds check raises [Invalid_argument]. *)
+  let key c = c.table.keys.(c.idx)
+  let entry c = c.table.vals.(c.idx)
 
   let advance ?meter c =
     (match meter with None -> () | Some m -> Cost_meter.iter_step m);

@@ -102,7 +102,13 @@ module Cursor = struct
   type cursor = { mutable pos : node option }
 
   let start t = { pos = t.head.forward.(0) }
-  let peek c = Option.map (fun n -> (n.key, n.entry)) c.pos
+  let at_end c = match c.pos with None -> true | Some _ -> false
+
+  let node c =
+    match c.pos with Some n -> n | None -> invalid_arg "Skiplist.Cursor: at the end"
+
+  let key c = (node c).key
+  let entry c = (node c).entry
 
   let advance ?meter c =
     match c.pos with

@@ -31,11 +31,21 @@ val min_key : t -> string option
 val fold : t -> init:'a -> f:('a -> string -> entry -> 'a) -> 'a
 (** In key order, unmetered (used by flushes and tests). *)
 
-(** Metered forward iteration, used by the scan merge. *)
+(** Metered forward iteration, used by the scan merge. Reading the
+    current position allocates nothing. *)
 module Cursor : sig
   type cursor
 
   val start : t -> cursor
-  val peek : cursor -> (string * entry) option
+
+  val at_end : cursor -> bool
+  (** Whether the cursor has passed the last node. *)
+
+  val key : cursor -> string
+  (** The current node's key. Raises [Invalid_argument] at the end. *)
+
+  val entry : cursor -> entry
+  (** The current node's entry. Raises [Invalid_argument] at the end. *)
+
   val advance : ?meter:Cost_meter.t -> cursor -> unit
 end

@@ -35,63 +35,84 @@ let total_entries t =
   Skiplist.length t.memtable
   + List.fold_left (fun acc table -> acc + Plain_table.length table) 0 t.tables
 
-(* The memtable's entries in key order. *)
-let memtable_entries t =
-  Array.of_list (List.rev (Skiplist.fold t.memtable ~init:[] ~f:(fun acc k e -> (k, e) :: acc)))
+(* The memtable's entries as a table, in key order. *)
+let memtable_table t =
+  let n = Skiplist.length t.memtable in
+  let keys = Array.make n "" and vals = Array.make n Skiplist.Tombstone in
+  let (_ : int) =
+    Skiplist.fold t.memtable ~init:0 ~f:(fun i k e ->
+        keys.(i) <- k;
+        vals.(i) <- e;
+        i + 1)
+  in
+  Plain_table.of_sorted ~keys ~vals
 
-(* Two key-sorted entry arrays merged into one, [newer] winning a key both
-   hold. *)
+(* Two tables merged into one, [newer] winning a key both hold. *)
 let merge_newer newer older =
-  let n1 = Array.length newer and n2 = Array.length older in
+  let n1 = Plain_table.length newer and n2 = Plain_table.length older in
   if n2 = 0 then newer
   else if n1 = 0 then older
   else begin
-    let out = Array.make (n1 + n2) newer.(0) in
+    let k1 = Plain_table.keys newer and v1 = Plain_table.vals newer in
+    let k2 = Plain_table.keys older and v2 = Plain_table.vals older in
+    let keys = Array.make (n1 + n2) "" and vals = Array.make (n1 + n2) Skiplist.Tombstone in
     let rec go i j k =
       if i = n1 then begin
-        Array.blit older j out k (n2 - j);
+        Array.blit k2 j keys k (n2 - j);
+        Array.blit v2 j vals k (n2 - j);
         k + n2 - j
       end
       else if j = n2 then begin
-        Array.blit newer i out k (n1 - i);
+        Array.blit k1 i keys k (n1 - i);
+        Array.blit v1 i vals k (n1 - i);
         k + n1 - i
       end
       else begin
-        let c = String.compare (fst newer.(i)) (fst older.(j)) in
-        out.(k) <- (if c <= 0 then newer.(i) else older.(j));
+        let c = String.compare k1.(i) k2.(j) in
+        keys.(k) <- (if c <= 0 then k1.(i) else k2.(j));
+        vals.(k) <- (if c <= 0 then v1.(i) else v2.(j));
         go (if c <= 0 then i + 1 else i) (if c >= 0 then j + 1 else j) (k + 1)
       end
     in
-    Array.sub out 0 (go 0 0 0)
+    let n = go 0 0 0 in
+    Plain_table.of_sorted ~keys:(Array.sub keys 0 n) ~vals:(Array.sub vals 0 n)
   end
 
-let is_value (_, e) = match e with Skiplist.Value _ -> true | Skiplist.Tombstone -> false
+let is_value = function Skiplist.Value _ -> true | Skiplist.Tombstone -> false
+
+(* [table] without its tombstones. *)
+let live_only table =
+  let keys = Plain_table.keys table and vals = Plain_table.vals table in
+  if Array.for_all is_value vals then table
+  else begin
+    let live =
+      Array.of_seq (Seq.filter (fun i -> is_value vals.(i)) (Seq.init (Array.length vals) Fun.id))
+    in
+    Plain_table.of_sorted ~keys:(Array.map (Array.get keys) live)
+      ~vals:(Array.map (Array.get vals) live)
+  end
 
 (* Replace every source with one table: [newest] over the memtable's
    entries [mem] over the tables, the newest source winning per key and
    tombstones dropped (a full compaction has nothing underneath to
    shadow). Unmetered: LevelDB compacts on a background thread. *)
 let fold_into_one_table t ~newest ~mem =
-  let merged =
-    List.fold_left merge_newer newest (mem :: List.map Plain_table.entries t.tables)
-  in
-  let live =
-    if Array.for_all is_value merged then merged
-    else Array.of_list (List.filter is_value (Array.to_list merged))
-  in
-  t.tables <- (if Array.length live = 0 then [] else [ Plain_table.of_sorted live ]);
+  let live = live_only (List.fold_left merge_newer newest (mem :: t.tables)) in
+  t.tables <- (if Plain_table.length live = 0 then [] else [ live ]);
   t.memtable <- Skiplist.create ~rng:t.rng ();
   (* The memtable is durable in the tables now; its log can go. *)
   Wal.truncate t.wal
 
-let compact t = fold_into_one_table t ~newest:[||] ~mem:(memtable_entries t)
+let compact t =
+  let nothing = Plain_table.of_sorted ~keys:[||] ~vals:[||] in
+  fold_into_one_table t ~newest:nothing ~mem:(memtable_table t)
 
 (* Minor flush: freeze the memtable into a new L0 table (newest-first in
    [tables]), keeping tombstones so they continue to shadow older tables.
    Unmetered: background work in LevelDB. *)
 let flush t =
-  let entries = memtable_entries t in
-  if Array.length entries > 0 then t.tables <- Plain_table.of_sorted entries :: t.tables;
+  let mem = memtable_table t in
+  if Plain_table.length mem > 0 then t.tables <- mem :: t.tables;
   t.memtable <- Skiplist.create ~rng:t.rng ();
   Wal.truncate t.wal
 
@@ -105,35 +126,13 @@ let maybe_flush t =
     if List.length t.tables > max_tables then compact t
   end
 
-(* The loaded pairs as one key-sorted entry array, the last value per key
-   winning, as successive memtable inserts would leave them. The sort is
-   stable and skipped for input already in key order. *)
-let sorted_last_wins pairs =
-  let arr = Array.of_list pairs in
-  let n = Array.length arr in
-  let key i = fst arr.(i) in
-  let rec ascending i = i >= n || (String.compare (key (i - 1)) (key i) < 0 && ascending (i + 1)) in
-  if not (ascending 1) then Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) arr;
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    if i = n - 1 || not (String.equal (key i) (key (i + 1))) then begin
-      arr.(!kept) <- arr.(i);
-      incr kept
-    end
-  done;
-  let entries = Array.make !kept ("", Skiplist.Tombstone) in
-  for i = 0 to !kept - 1 do
-    let k, v = arr.(i) in
-    entries.(i) <- (k, Skiplist.Value v)
-  done;
-  entries
-
-(* Keys both sorted arrays hold. *)
+(* Keys both tables hold. *)
 let count_common a b =
+  let a = Plain_table.keys a and b = Plain_table.keys b in
   let rec go i j acc =
     if i = Array.length a || j = Array.length b then acc
     else begin
-      let c = String.compare (fst a.(i)) (fst b.(j)) in
+      let c = String.compare a.(i) b.(j) in
       if c = 0 then go (i + 1) (j + 1) (acc + 1)
       else if c < 0 then go (i + 1) j acc
       else go i (j + 1) acc
@@ -146,15 +145,34 @@ let count_common a b =
    without building the memtable: an insert of a key the memtable lacks
    draws a node level, so the load draws one per such key and leaves the
    store's RNG (and every later operation's metered cost) where the
-   inserts would have. *)
-let load t pairs =
-  let loaded = sorted_last_wins pairs in
-  let mem = memtable_entries t in
-  for _ = 1 to Array.length loaded - count_common loaded mem do
+   inserts would have. The table is built, and the keys' order checked,
+   before the store changes. *)
+let load_sorted t ~keys ~values =
+  let loaded = Plain_table.of_sorted ~keys ~vals:(Array.map (fun v -> Skiplist.Value v) values) in
+  let mem = memtable_table t in
+  for _ = 1 to Plain_table.length loaded - count_common loaded mem do
     Skiplist.draw_level t.memtable
   done;
-  List.iter (fun (key, _) -> Hashtbl.replace t.live_keys key ()) pairs;
+  Array.iter (fun key -> Hashtbl.replace t.live_keys key ()) keys;
   fold_into_one_table t ~newest:loaded ~mem
+
+(* The pairs sorted by key, the last value per key winning as successive
+   memtable inserts would leave them. The sort is stable and skipped for
+   input already in key order. *)
+let load t pairs =
+  let arr = Array.of_list pairs in
+  let n = Array.length arr in
+  let key i = fst arr.(i) in
+  let rec ascending i = i >= n || (String.compare (key (i - 1)) (key i) < 0 && ascending (i + 1)) in
+  if not (ascending 1) then Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) arr;
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    if i = n - 1 || not (String.equal (key i) (key (i + 1))) then begin
+      arr.(!kept) <- arr.(i);
+      incr kept
+    end
+  done;
+  load_sorted t ~keys:(Array.init !kept key) ~values:(Array.init !kept (fun i -> snd arr.(i)))
 
 let finish t ~found ~scanned =
   {
@@ -216,13 +234,44 @@ let delete t ~key = write t ~key Skiplist.Tombstone
 (* One source of the scan merge. *)
 type cursor = Mem of Skiplist.Cursor.cursor | Tab of Plain_table.Cursor.cursor
 
-let cursor_peek = function
-  | Mem c -> Skiplist.Cursor.peek c
-  | Tab c -> Plain_table.Cursor.peek c
+let at_end = function Mem c -> Skiplist.Cursor.at_end c | Tab c -> Plain_table.Cursor.at_end c
+let cursor_key = function Mem c -> Skiplist.Cursor.key c | Tab c -> Plain_table.Cursor.key c
 
-let cursor_advance ~meter = function
-  | Mem c -> Skiplist.Cursor.advance ~meter c
-  | Tab c -> Plain_table.Cursor.advance ~meter c
+let cursor_entry = function
+  | Mem c -> Skiplist.Cursor.entry c
+  | Tab c -> Plain_table.Cursor.entry c
+
+let cursor_advance ?meter = function
+  | Mem c -> Skiplist.Cursor.advance ?meter c
+  | Tab c -> Plain_table.Cursor.advance ?meter c
+
+let at_key key src = (not (at_end src)) && String.equal (cursor_key src) key
+
+(* The sources from the first one not yet at its end. *)
+let rec from_first_live = function
+  | src :: rest when at_end src -> from_first_live rest
+  | sources -> sources
+
+(* The smallest of [best] and the keys the [sources] stand at, charging one
+   comparison per source compared. *)
+let rec smallest m best = function
+  | [] -> best
+  | src :: rest when at_end src -> smallest m best rest
+  | src :: rest ->
+    Cost_meter.key_compare m;
+    let k = cursor_key src in
+    smallest m (if String.compare k best < 0 then k else best) rest
+
+(* The entry of the first (newest) source standing at [key]. *)
+let rec visible key = function
+  | src :: rest -> if at_key key src then cursor_entry src else visible key rest
+  | [] -> invalid_arg "Store.scan: no source at the merge key"
+
+let rec advance_at ~meter key = function
+  | [] -> ()
+  | src :: rest ->
+    if at_key key src then cursor_advance ?meter src;
+    advance_at ~meter key rest
 
 let scan t =
   let m = t.meter in
@@ -236,49 +285,25 @@ let scan t =
     Mem (Skiplist.Cursor.start t.memtable)
     :: List.map (fun table -> Tab (Plain_table.Cursor.start table)) t.tables
   in
-  let scanned = ref 0 in
-  let rec step () =
-    (* Find the smallest key among the sources; the first (newest) source
-       holding it provides the entry. *)
-    let smallest =
-      List.fold_left
-        (fun acc src ->
-          match (cursor_peek src, acc) with
-          | None, acc -> acc
-          | Some (k, _), None -> Some k
-          | Some (k, _), Some best ->
-            Cost_meter.key_compare m;
-            if String.compare k best < 0 then Some k else Some best)
-        None sources
-    in
-    match smallest with
-    | None -> ()
-    | Some key ->
-      let entry =
-        List.fold_left
-          (fun acc src ->
-            match (acc, cursor_peek src) with
-            | Some e, _ -> Some e
-            | None, Some (k, e) when String.equal k key -> Some e
-            | None, (Some _ | None) -> None)
-          None sources
-      in
-      (* Advance every source positioned at this key. *)
-      List.iter
-        (fun src ->
-          match cursor_peek src with
-          | Some (k, _) when String.equal k key -> cursor_advance ~meter:m src
-          | Some _ | None -> ())
-        sources;
-      (match entry with
-      | Some (Skiplist.Value v) ->
-        incr scanned;
-        Cost_meter.copy_bytes m (min 8 (String.length v))
-      | Some Skiplist.Tombstone | None -> ());
-      step ()
+  let meter = Some m in
+  (* Each step takes the smallest key among the sources; the first (newest)
+     source holding it provides the entry, and every source holding it
+     advances. Reading a cursor allocates nothing. *)
+  let rec step scanned =
+    match from_first_live sources with
+    | [] -> scanned
+    | lead :: rest as live -> (
+      let key = smallest m (cursor_key lead) rest in
+      let entry = visible key live in
+      advance_at ~meter key live;
+      match entry with
+      | Skiplist.Value v ->
+        Cost_meter.copy_bytes m (min 8 (String.length v));
+        step (scanned + 1)
+      | Skiplist.Tombstone -> step scanned)
   in
-  step ();
-  finish t ~found:None ~scanned:!scanned
+  let scanned = step 0 in
+  finish t ~found:None ~scanned
 
 let scan_estimate_ns t =
   let cal = Cost_meter.calibration t.meter in
@@ -314,12 +339,13 @@ let crash_recover t =
   Hashtbl.reset t.live_keys;
   List.iter
     (fun table ->
-      Array.iter
-        (fun (k, e) ->
-          match e with
+      let vals = Plain_table.vals table in
+      Array.iteri
+        (fun i k ->
+          match vals.(i) with
           | Skiplist.Value _ -> Hashtbl.replace t.live_keys k ()
           | Skiplist.Tombstone -> Hashtbl.remove t.live_keys k)
-        (Plain_table.entries table))
+        (Plain_table.keys table))
     (List.rev t.tables);
   ignore
     (Skiplist.fold t.memtable ~init:() ~f:(fun () k e ->

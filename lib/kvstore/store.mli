@@ -28,7 +28,15 @@ val load : t -> (string * string) list -> unit
 (** Bulk-load initial data, unmetered: the pairs (the last value per key
     winning) merge over everything the store held into a single table,
     exactly as inserting each into the memtable and then {!compact}ing
-    would leave it, the store's RNG included. *)
+    would leave it, the store's RNG included. The pairs are sorted by key
+    and deduplicated, then loaded by {!load_sorted}. *)
+
+val load_sorted : t -> keys:string array -> values:string array -> unit
+(** {!load} of the pairs [(keys.(i), values.(i))], whose keys are already
+    in strictly ascending order, without sorting or copying them: the new
+    table keeps [keys] (do not change it afterwards). Raises
+    [Invalid_argument], leaving the store unchanged, when the keys are
+    unsorted or repeat or the arrays differ in length. *)
 
 val population : t -> int
 (** Number of distinct keys ever inserted and not shadowed by a tombstone
