@@ -51,10 +51,15 @@ CLI_SMOKE_LINES = \
 	'cluster --straggler 0:inf' 'cluster --straggler 0:1e18' 'raft --straggler 1:inf' \
 	'raft --kill-leader-at nan' 'raft --kill-leader-at inf' 'raft --kill-leader-at 1e30'
 # bench/main.exe must refuse an unknown figure id, a --jobs that is not a
-# positive integer and an unknown flag before any figure runs.
+# positive integer, an unknown flag, --json beside anything but --quick and
+# --quick without --json before any figure or suite runs. The --json file
+# is under _build/ should a refusal ever fail and the suite run.
 BENCH_SMOKE_LINES = \
 	'fig99 --no-micro' '--no-micro --jobs 0 fig2' '--no-micro --jobs=abc fig2' \
-	'--no-micro --bogus fig2'
+	'--no-micro --bogus fig2' \
+	'--json _build/cli-smoke-core.json fig2' '--json _build/cli-smoke-core.json --full' \
+	'--json _build/cli-smoke-core.json --no-micro' '--json _build/cli-smoke-core.json --jobs 2' \
+	'--quick'
 cli-smoke:
 	dune build bin/concord_sim.exe bench/main.exe
 	@n=0; exe=bin/concord_sim.exe; for a in $(CLI_SMOKE_LINES) -- $(BENCH_SMOKE_LINES); do \

@@ -15,8 +15,9 @@
                                               # (add --quick for the <30s variant
                                               #  make check runs)
 
-   An unknown flag, a --jobs that is not a positive integer or an unknown
-   figure id is reported on stderr and exits 1 before anything runs.
+   An unknown flag, a --jobs that is not a positive integer, an unknown
+   figure id, --json with any argument but --quick, or --quick without
+   --json is reported on stderr and exits 1 before anything runs.
 
    To inspect one canonical traced run (Concord on YCSB-A at 150 kRps) as
    a latency-breakdown table or a Perfetto trace, use
@@ -189,8 +190,26 @@ let parse args =
   in
   go { full = false; no_micro = false; quick = false; jobs = None; json = None; ids = [] } args
 
+(* --json runs the core-throughput suite alone, and --quick only shortens
+   that suite: any other argument beside --json, or --quick without it,
+   would be ignored, so it stops the run instead. *)
+let check_combination o =
+  match o.json with
+  | Some _ ->
+    let ignored =
+      (if o.full then [ "--full" ] else [])
+      @ (if o.no_micro then [ "--no-micro" ] else [])
+      @ (match o.jobs with Some n -> [ "--jobs " ^ string_of_int n ] | None -> [])
+      @ o.ids
+    in
+    if ignored <> [] then
+      fail "--json runs only the core-throughput suite (with --quick or not); it does not take %s"
+        (String.concat " " ignored)
+  | None -> if o.quick then fail "--quick shortens the --json suite; it needs --json FILE"
+
 let () =
   let o = parse (List.tl (Array.to_list Sys.argv)) in
+  check_combination o;
   match o.json with
   | Some path -> Core_bench.run ~path ~quick:o.quick
   | None ->
