@@ -184,7 +184,10 @@ module Balancer (E : ENGINE) = struct
 
   (* --- tail-tolerance state ----------------------------------------- *)
   let hedge_on = cluster.hedge <> Hedge.Off && n_inst > 1
-  let estimator = Hedge.make_estimator ()
+
+  (* The slowdown estimate behind pct:/adaptive delays. Only a run that can
+     hedge reads or feeds it, so only such a run builds it. *)
+  let estimator = if hedge_on then Some (Hedge.make_estimator ()) else None
   let hedges = ref 0
   let hedge_wins = ref 0
   let hedge_cancels = ref 0
@@ -275,7 +278,9 @@ module Balancer (E : ENGINE) = struct
     | None -> ()
     | Some f -> f ~views:(Array.copy views) ~lengths:(E.lengths ()) ~chosen:i);
     send_to i req;
-    if hedge_on then begin
+    match estimator with
+    | None -> ()
+    | Some estimator -> (
       let estimate_ns = req.Request.estimate_ns in
       match
         (* A duplicate's unqueued completion: forward wire leg, its own
@@ -286,12 +291,13 @@ module Balancer (E : ENGINE) = struct
       | None -> ()
       | Some d ->
         Hashtbl.replace hedge_timers req.Request.id
-          (Sim.arm_after sim ~delay:d (E.lift (Hedge_fire { req; primary = i })))
-    end
+          (Sim.arm_after sim ~delay:d (E.lift (Hedge_fire { req; primary = i }))))
 
   (* Instance [i] completed [req]. *)
   let complete i (req : Request.t) =
-    if hedge_on then begin
+    (match estimator with
+    | None -> ()
+    | Some estimator -> (
       Hashtbl.remove leg_inst req.Request.id;
       (match Hashtbl.find hedge_timers req.Request.id with
       | tm ->
@@ -311,8 +317,7 @@ module Balancer (E : ENGINE) = struct
         loser.Request.cancelled <- true;
         incr hedge_cancels;
         Hashtbl.replace zombies loser.Request.id loser;
-        after one_way_ns (Cancel { req = loser })
-    end;
+        after one_way_ns (Cancel { req = loser })));
     Metrics.record_completion agg req;
     incr finished;
     (* Both wire legs gate on the same ns-level condition: with a zero-ns

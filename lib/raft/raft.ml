@@ -342,8 +342,11 @@ module Group (R : sig val run : run end) = struct
   let writes_n = ref 0
   let reads_n = ref 0
   let stopped = ref false
-  let hedge_on = raft.hedge <> Hedge.Off && n > 1 && raft.read_leases
-  let estimator = Hedge.make_estimator ()
+  (* The slowdown estimate behind pct:/adaptive delays, built only when
+     lease reads can hedge: nothing else reads or feeds it. *)
+  let estimator =
+    if raft.hedge <> Hedge.Off && n > 1 && raft.read_leases then Some (Hedge.make_estimator ())
+    else None
   let hedges = ref 0
   let hedge_wins = ref 0
   let hedge_cancels = ref 0
@@ -597,14 +600,16 @@ module Group (R : sig val run : run end) = struct
   let arm_hedge ci (leg : Request.t) =
     let c = get_client ci in
     if c.is_write then incr writes_hedged (* guard: never reached from the write path *)
-    else if hedge_on then begin
-      match
-        Hedge.delay_ns raft.hedge estimator ~estimate_ns:leg.Request.estimate_ns
-          ~lead_ns:leg.Request.estimate_ns
-      with
-      | Some d -> Sim.schedule_after sim ~delay:d (Hedge_fire { origin = ci })
+    else
+      match estimator with
       | None -> ()
-    end
+      | Some estimator -> (
+        match
+          Hedge.delay_ns raft.hedge estimator ~estimate_ns:leg.Request.estimate_ns
+            ~lead_ns:leg.Request.estimate_ns
+        with
+        | Some d -> Sim.schedule_after sim ~delay:d (Hedge_fire { origin = ci })
+        | None -> ())
 
   let serve_read ci m =
     let c = get_client ci in
@@ -685,9 +690,11 @@ module Group (R : sig val run : run end) = struct
       let soj = float_of_int (Request.sojourn_ns req) in
       if c.is_write then Stats.add write_soj soj else Stats.add read_soj soj
     end;
-    if hedge_on && not c.is_write then
+    (match estimator with
+    | Some estimator when not c.is_write ->
       Hedge.observe estimator ~sojourn_ns:(Request.sojourn_ns req)
-        ~service_ns:req.Request.service_ns;
+        ~service_ns:req.Request.service_ns
+    | Some _ | None -> ());
     (match c.dup with
     | Some d ->
       let dup_win = d == req in
