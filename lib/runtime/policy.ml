@@ -113,7 +113,10 @@ let locality_scan_limit = 8
    never-executed requests, [started] the preempted ones, each keyed by the
    policy's rank (lower = served sooner, in ns of equivalent remaining
    work). Keeping the heaps separate is what gives pop_not_started /
-   has_not_started their O(1) answers for the stealing dispatcher. *)
+   has_not_started their O(1) answers for the stealing dispatcher. Every
+   rank stays below [max_int] (the pushes check it), so a heap's
+   [Heap.next_key] also says whether it is empty: each read below settles
+   a heap's root once. *)
 type t =
   | List_queue of { kind : kind; q : Dlq.t }
   | Rank_queue of {
@@ -170,17 +173,24 @@ let length = function
   | List_queue { q; _ } -> q.Dlq.size
   | Rank_queue { fresh; started; _ } -> Heap.length fresh + Heap.length started
 
-let is_empty t = length t = 0
+let is_empty = function
+  | List_queue { q; _ } -> q.Dlq.size = 0
+  | Rank_queue { fresh; started; _ } ->
+    Int.min (Heap.next_key fresh) (Heap.next_key started) = max_int
+
+let push_ranked heap ~key req =
+  if key = max_int then invalid_arg "Policy: a request's rank is max_int";
+  Heap.add heap ~key req
 
 let push_new t req =
   match t with
   | List_queue { q; _ } -> Dlq.push_tail q req
-  | Rank_queue { fresh; fresh_key; _ } -> Heap.add fresh ~key:(fresh_key req) req
+  | Rank_queue { fresh; fresh_key; _ } -> push_ranked fresh ~key:(fresh_key req) req
 
 let push_preempted t req =
   match t with
   | List_queue { q; _ } -> Dlq.push_tail q req
-  | Rank_queue { started; started_key; _ } -> Heap.add started ~key:(started_key req) req
+  | Rank_queue { started; started_key; _ } -> push_ranked started ~key:(started_key req) req
 
 let pop t ~worker =
   match t with
@@ -197,24 +207,23 @@ let pop t ~worker =
   | List_queue { q; _ } -> Dlq.pop_head q
   | Rank_queue { fresh; started; _ } ->
     (* Unboxed heap accessors: no (key, value) tuple or nested option per
-       pop. Ties between the two heaps go to [fresh], as before. *)
-    let no_fresh = Heap.is_empty fresh and no_started = Heap.is_empty started in
-    if no_fresh && no_started then None
-    else if
-      no_started || ((not no_fresh) && Heap.next_key fresh <= Heap.next_key started)
-    then Some (Heap.pop_unsafe fresh)
+       pop. An empty heap's [max_int] loses to any rank; ties between the
+       two heaps go to [fresh]. *)
+    let kf = Heap.next_key fresh and ks = Heap.next_key started in
+    if kf = max_int && ks = max_int then None
+    else if kf <= ks then Some (Heap.pop_unsafe fresh)
     else Some (Heap.pop_unsafe started)
 
 let pop_not_started t =
   match t with
   | List_queue { q; _ } -> Dlq.pop_fresh_head q
   | Rank_queue { fresh; _ } ->
-    if Heap.is_empty fresh then None else Some (Heap.pop_unsafe fresh)
+    if Heap.next_key fresh = max_int then None else Some (Heap.pop_unsafe fresh)
 
 let has_not_started t =
   match t with
   | List_queue { q; _ } -> q.Dlq.n_fresh > 0
-  | Rank_queue { fresh; _ } -> not (Heap.is_empty fresh)
+  | Rank_queue { fresh; _ } -> Heap.next_key fresh < max_int
 
 (* ---- spec parsing ----------------------------------------------------- *)
 

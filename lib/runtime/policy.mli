@@ -61,10 +61,12 @@ val length : t -> int
 val is_empty : t -> bool
 
 val push_new : t -> Request.t -> unit
-(** Admit a request that has never executed. *)
+(** Admit a request that has never executed. Raises [Invalid_argument]
+    when a rank-ordered policy ranks it [max_int]. *)
 
 val push_preempted : t -> Request.t -> unit
-(** Re-admit a preempted request. *)
+(** Re-admit a preempted request. Raises [Invalid_argument] when a
+    rank-ordered policy ranks it [max_int]. *)
 
 val pop : t -> worker:int -> Request.t option
 (** Next request to hand to [worker] under the policy. *)

@@ -134,6 +134,64 @@ let prop_policy_conserves =
       let popped = ids q ~worker:0 in
       List.sort compare popped = List.init (List.length services) (fun i -> i))
 
+(* A rank queue answers emptiness from each heap's next key, [max_int] when
+   the heap is empty, so a rank of [max_int] must not get in: the pushes
+   refuse it and leave the queue as it was. A rank one below is fine. *)
+let test_rank_max_int_refused () =
+  let refused = Invalid_argument "Policy: a request's rank is max_int" in
+  let q = Policy.create Policy.Srpt in
+  Alcotest.check_raises "fresh rank max_int" refused (fun () ->
+      Policy.push_new q (request ~id:1 ~service_ns:max_int ()));
+  let started = request ~id:2 ~service_ns:max_int () in
+  started.Request.started <- true;
+  Alcotest.check_raises "preempted rank max_int" refused (fun () ->
+      Policy.push_preempted q started);
+  Alcotest.(check bool) "still empty" true (Policy.is_empty q && Policy.pop q ~worker:0 = None);
+  Policy.push_new q (request ~id:3 ~service_ns:(max_int - 1) ());
+  Alcotest.(check bool) "no longer empty" false (Policy.is_empty q);
+  Alcotest.(check (list int)) "rank max_int - 1 pops" [ 3 ] (ids q ~worker:0)
+
+(* Over random pushes and pops of both kinds, [is_empty], [has_not_started]
+   and [length] agree with counts of the fresh and the preempted requests
+   queued, under SRPT and under Gittins (where every fresh request has the
+   same rank). *)
+let prop_rank_queue_reads =
+  let gittins =
+    Policy.Gittins
+      (Repro_workload.Gittins.of_dist
+         (Repro_workload.Service_dist.Exponential { mean_ns = 5_000.0 }))
+  in
+  QCheck.Test.make ~count:200 ~name:"rank queue emptiness reads agree with its contents"
+    QCheck.(
+      pair bool (list_of_size (Gen.int_range 0 40) (pair (int_range 0 3) (int_range 1 10_000))))
+    (fun (use_gittins, ops) ->
+      let q = Policy.create (if use_gittins then gittins else Policy.Srpt) in
+      let fresh = ref 0 and started = ref 0 in
+      let agrees () =
+        Policy.is_empty q = (!fresh + !started = 0)
+        && Policy.has_not_started q = (!fresh > 0)
+        && Policy.length q = !fresh + !started
+      in
+      List.for_all
+        (fun (op, s) ->
+          (match op with
+          | 0 ->
+            Policy.push_new q (request ~id:s ~service_ns:s ());
+            incr fresh
+          | 1 ->
+            let r = request ~id:s ~service_ns:(s + 10) () in
+            r.Request.started <- true;
+            r.Request.done_ns <- 10;
+            Policy.push_preempted q r;
+            incr started
+          | 2 -> (
+            match Policy.pop q ~worker:0 with
+            | Some r -> if r.Request.started then decr started else decr fresh
+            | None -> ())
+          | _ -> if Policy.pop_not_started q <> None then decr fresh);
+          agrees ())
+        ops)
+
 (* --- local queue --------------------------------------------------------- *)
 
 let test_local_queue_fifo () =
@@ -310,6 +368,8 @@ let suite =
     Alcotest.test_case "SRPT least-remaining order" `Quick test_srpt_order;
     Alcotest.test_case "locality prefers last worker" `Quick test_locality_prefers_last_worker;
     Alcotest.test_case "dispatcher steals only fresh requests" `Quick test_pop_not_started;
+    Alcotest.test_case "rank queues refuse a max_int rank" `Quick test_rank_max_int_refused;
+    QCheck_alcotest.to_alcotest prop_rank_queue_reads;
     QCheck_alcotest.to_alcotest prop_policy_conserves;
     Alcotest.test_case "local queue FIFO" `Quick test_local_queue_fifo;
     Alcotest.test_case "local queue bounds" `Quick test_local_queue_bounds;
