@@ -127,6 +127,8 @@ raft-smoke:
 # degrade). Three racks: po2c; jbsq:2, where nearly every arrival parks at
 # the balancer for a credit; and random routing with stealing off a 4x
 # straggler (jbsq:1 could not steal: a victim needs a view of 2 or more).
+# A fourth rack draws a LevelDB mix, which the windowed engine keeps on the
+# simulating domain (no producer beside the shard domains).
 par-smoke:
 	dune exec bin/concord_sim.exe -- cluster --instances 3 --policy po2c \
 		--rtt-cycles 4000 -n 4000 --engine par:2 --check
@@ -134,15 +136,23 @@ par-smoke:
 		--rtt-cycles 4000 -n 4000 --engine par:2 --check
 	dune exec bin/concord_sim.exe -- cluster --instances 3 --policy random --steal \
 		--straggler 0:4 --rtt-cycles 4000 -n 4000 --engine par:2 --check
+	dune exec bin/concord_sim.exe -- cluster -w leveldb-zippydb -r 1200 -n 20000 \
+		--rtt-cycles 4000 --engine par:2 --check
 
 # LevelDB smoke test: the two kvstore-backed mixes, whose generators run
 # real store operations, through a standalone run with --check's
-# conservation invariants. On a host with a second core their arrivals are
-# drawn by a producer domain (Prefetch), so this also runs the hand-off
-# end to end.
+# conservation invariants, then ZippyDB through every other host: the SLS
+# server, a seq rack and a Raft group (--check where the command has it).
+# On a host with a second core the standalone, SLS and rack runs draw their
+# arrivals on a producer domain (Prefetch), so this also runs the hand-off
+# end to end; the Raft group draws inline.
 kv-smoke:
 	dune exec bin/concord_sim.exe -- run -w leveldb-zippydb -r 300 -n 20000 --check
 	dune exec bin/concord_sim.exe -- run -w leveldb -r 20 -n 4000 --check
+	dune exec bin/concord_sim.exe -- sls -w leveldb-zippydb -r 300 -n 20000
+	dune exec bin/concord_sim.exe -- cluster -w leveldb-zippydb -r 1200 -n 20000 \
+		--rtt-cycles 4000 --check
+	dune exec bin/concord_sim.exe -- raft -w leveldb-zippydb -n 4000 --check
 
 # Model-checker smoke test: explore every DPOR-inequivalent interleaving
 # of the engine's Atomics protocols (SPSC mailbox, sense-reversing

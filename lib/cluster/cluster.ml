@@ -5,11 +5,11 @@ module Par_sim = Repro_engine.Par_sim
 module Mailbox = Repro_engine.Mailbox
 module Costs = Repro_hw.Costs
 module Mix = Repro_workload.Mix
-module Arrival = Repro_workload.Arrival
 module Config = Repro_runtime.Config
 module Metrics = Repro_runtime.Metrics
 module Request = Repro_runtime.Request
 module Server = Repro_runtime.Server
+module Driver = Repro_runtime.Driver
 
 type instance_spec = { config : Config.t; speed_factor : float }
 
@@ -91,12 +91,7 @@ type summary = {
    full RTT. *)
 type run = {
   cluster : t;
-  mix : Mix.t;
-  arrival : Arrival.t;
-  n_requests : int;
-  warmup_before : int;
-  drain_cap_ns : int;
-  seed : int;
+  inputs : Driver.inputs;
   on_decision : (views:int array -> lengths:int array -> chosen:int -> unit) option;
   one_way_ns : int;
   credit_ns : int;
@@ -155,15 +150,12 @@ let balancer_clock cluster =
   Sim.create ~capacity:((4 * total_workers cluster) + (8 * Array.length cluster.specs) + 16) ()
 
 module Balancer (E : ENGINE) = struct
-  let { cluster; mix; arrival; n_requests; warmup_before; drain_cap_ns; seed; on_decision;
-        one_way_ns; credit_ns } =
-    E.run
-
+  let { cluster; inputs; on_decision; one_way_ns; credit_ns } = E.run
+  let { Driver.mix; n_requests; warmup_before; _ } = inputs
   let sim = E.sim
+  let driver = Driver.create inputs ~sim ~arrive:(E.lift Arrive) ~end_of_run:(E.lift End_of_run)
   let n_inst = Array.length cluster.specs
-  let master = Rng.create ~seed
-  let arrival_rng = Rng.split master
-  let service_rng = Rng.split master
+  let master = Driver.master driver
   let lb_rng = Rng.split master
   let mech_rngs = Array.init n_inst (fun _ -> Rng.split master)
   let n_classes = Array.length mix.Mix.classes
@@ -178,9 +170,6 @@ module Balancer (E : ENGINE) = struct
   let pending : Request.t Queue.t = Queue.create ()
   let lb_state = Lb_policy.make_state ~rng:lb_rng
   let lb_held = ref 0
-  let arrived = ref 0
-  let finished = ref 0
-  let stopped = ref false
 
   (* --- tail-tolerance state ----------------------------------------- *)
   let hedge_on = cluster.hedge <> Hedge.Off && n_inst > 1
@@ -222,10 +211,6 @@ module Balancer (E : ENGINE) = struct
 
   let steal_pending = Array.make n_inst false
   let after delay e = Sim.schedule_after sim ~delay (E.lift e)
-
-  let stop () =
-    stopped := true;
-    Sim.stop sim
 
   let rec do_credit i =
     views.(i) <- views.(i) - 1;
@@ -319,13 +304,12 @@ module Balancer (E : ENGINE) = struct
         Hashtbl.replace zombies loser.Request.id loser;
         after one_way_ns (Cancel { req = loser })));
     Metrics.record_completion agg req;
-    incr finished;
     (* Both wire legs gate on the same ns-level condition: with a zero-ns
        credit leg the view updates synchronously, exactly like delivery
        does with a zero-ns forward leg. (Gating on [rtt_cycles = 0] here
        desynchronized views whenever a small rtt_cycles rounded to 0 ns.) *)
     if credit_ns = 0 then do_credit i else after credit_ns (Credit { inst = i });
-    if !finished >= n_requests then stop ()
+    Driver.complete driver
 
   (* Instance [i] discarded the revoked leg [req]. *)
   let cancelled i (req : Request.t) =
@@ -353,15 +337,10 @@ module Balancer (E : ENGINE) = struct
 
   let handle = function
     | Arrive ->
-      let now = Sim.now sim in
       (* Service time is drawn at the balancer, before routing: every policy
          at the same seed schedules the identical request sequence. *)
-      let profile = Mix.sample mix service_rng in
-      let req = Request.create ~id:!arrived ~arrival_ns:now ~profile in
-      incr arrived;
-      if !arrived < n_requests then
-        after (Arrival.next_gap_ns arrival arrival_rng ~index:(!arrived - 1)) Arrive
-      else after drain_cap_ns End_of_run;
+      let req = Driver.take driver in
+      Driver.schedule_next driver;
       if not (Queue.is_empty pending) then begin
         (* FIFO at the balancer: new arrivals queue behind parked ones. *)
         incr lb_held;
@@ -379,7 +358,7 @@ module Balancer (E : ENGINE) = struct
       Hashtbl.remove hedge_timers req.Request.id;
       if
         (not req.Request.cancelled)
-        && Hedge.within_budget cluster.hedge ~hedges:!hedges ~primaries:!arrived
+        && Hedge.within_budget cluster.hedge ~hedges:!hedges ~primaries:(Driver.arrived driver)
       then begin
         (* Duplicate onto the shortest-view server other than the primary
            (deterministic: no extra RNG draws perturbing the LB stream). *)
@@ -408,26 +387,25 @@ module Balancer (E : ENGINE) = struct
       views.(victim) <- views.(victim) + 1;
       views.(thief) <- views.(thief) - 1;
       steal_pending.(thief) <- false
-    | End_of_run ->
-      let now_ns = Sim.now sim in
-      (* Unresolved hedge pairs: neither leg completed. Exactly one leg per
-         arrival may enter the censored population, so revoke the duplicate
-         before the census (waste accounting happens after the run, where
-         it also covers cleanly-stopped runs). *)
-      if hedge_on then
-        (Hashtbl.iter
-           (fun _ ((_, dup) : Request.t * Request.t) -> dup.Request.cancelled <- true)
-           hedged)
-        [@lint.deterministic "flag-setting only; independent of iteration order"];
-      let on_wire req =
-        incr lb_censored;
-        Metrics.record_censored agg req ~now_ns
-      in
-      E.census ~now_ns ~resident:(fun req -> Metrics.record_censored agg req ~now_ns) ~on_wire;
-      Queue.iter on_wire pending;
-      stop ()
+    | End_of_run -> Driver.end_run driver
 
-  let start () = Sim.schedule_at sim ~time:0 (E.lift Arrive)
+  (* The end of the run. Unresolved hedge pairs: neither leg completed.
+     Exactly one leg per arrival may enter the censored population, so
+     revoke the duplicate before the census (waste accounting happens after
+     the run, where it also covers cleanly-stopped runs). *)
+  let censor ~now_ns =
+    if hedge_on then
+      (Hashtbl.iter
+         (fun _ ((_, dup) : Request.t * Request.t) -> dup.Request.cancelled <- true)
+         hedged)
+      [@lint.deterministic "flag-setting only; independent of iteration order"];
+    let on_wire req =
+      incr lb_censored;
+      Metrics.record_censored agg req ~now_ns
+    in
+    E.census ~now_ns ~resident:(fun req -> Metrics.record_censored agg req ~now_ns) ~on_wire;
+    Queue.iter on_wire pending
+
   let class_names = Array.map (fun (c : Mix.class_def) -> c.name) mix.Mix.classes
 
   (* Instance [i]'s summary from an accumulator the engine keeps for it. *)
@@ -455,17 +433,12 @@ module Balancer (E : ENGINE) = struct
          zombies)
       [@lint.deterministic "counter accumulation; independent of iteration order"]
     end;
-    let span_ns = max 1 (Sim.now sim) in
     (* [agg] holds exactly the multiset of the per-instance sample sets plus
        the requests censored balancer-side, so its percentiles are theirs;
        the headline mean sums a sorted copy, as a merge of those sets
        would, rather than in recording order. *)
     let merged = Stats.merge_all [ Metrics.slowdown_samples agg ] in
-    let agg_summary =
-      Metrics.summarize agg
-        ~offered_rps:(Arrival.rate_rps arrival)
-        ~span_ns ~n_workers:total_workers ~class_names
-    in
+    let agg_summary = Driver.summarize driver agg ~n_workers:total_workers in
     let fsum f = Array.fold_left (fun acc s -> acc +. f s) 0.0 per_instance in
     let isum f = Array.fold_left (fun acc s -> acc + f s) 0 per_instance in
     let cluster_summary =
@@ -565,7 +538,7 @@ let run_seq run ~tracer ~events_out =
         let s = run.cluster.specs.(i) in
         Server.Instance.create ~sim
           ~lift:(fun e -> Inst { inst = i; ev = e })
-          ~config:s.config ~warmup_before:run.warmup_before ~n_classes:B.n_classes
+          ~config:s.config ~warmup_before:B.warmup_before ~n_classes:B.n_classes
           ~rng:B.mech_rngs.(i) ~speed_factor:s.speed_factor
           ?cancel_cost_cycles:run.cluster.cancel_cost_cycles ?tracer ~on_complete:(B.complete i)
           ?on_cancelled:(if B.hedge_on then Some (B.cancelled i) else None)
@@ -579,8 +552,7 @@ let run_seq run ~tracer ~events_out =
       B.surrendered ~victim ~thief (Server.Instance.surrender !instances.(victim))
     | Inst { inst; ev } -> Server.Instance.handle !instances.(inst) ev
   in
-  B.start ();
-  Sim.run sim ~handler ();
+  Driver.run B.driver ~draw_ahead:true ~censor:B.censor (fun () -> Sim.run sim ~handler ());
   Option.iter (fun r -> r := Sim.events_processed sim) events_out;
   B.finish ~engine:Par_sim.Seq ~domains_used:1
     (Array.mapi (fun i inst -> B.summarize_instance i (Server.Instance.metrics inst)) !instances)
@@ -622,7 +594,8 @@ type par_ev =
    has completed). *)
 let run_par run ~events_out ~domains =
   let n_inst = Array.length run.cluster.specs in
-  let n_classes = Array.length run.mix.Mix.classes in
+  let n_classes = Array.length run.inputs.Driver.mix.Mix.classes in
+  let warmup_before = run.inputs.Driver.warmup_before in
   let host : par_ev Sim.t = balancer_clock run.cluster in
   assert (run.one_way_ns > 0) (* the dispatcher degraded zero-lookahead runs to seq *);
   (* Host-side mirror of each instance's population counts and samples,
@@ -630,7 +603,7 @@ let run_par run ~events_out ~domains =
      stop time, where the shard-side accumulators are only exact at the
      enclosing window boundary. *)
   let host_inst =
-    Array.init n_inst (fun _ -> Metrics.create ~warmup_before:run.warmup_before ~n_classes)
+    Array.init n_inst (fun _ -> Metrics.create ~warmup_before ~n_classes)
   in
   (* Every live leg, from dispatch to completion: id -> (current instance,
      request, delivery time). Replaces both the seq path's [in_net] wire
@@ -695,7 +668,7 @@ let run_par run ~events_out ~domains =
         let s = run.cluster.specs.(i) in
         Server.Instance.create ~sim:shard_sims.(i)
           ~lift:(fun e -> S_inst e)
-          ~config:s.config ~warmup_before:run.warmup_before ~n_classes ~rng:B.mech_rngs.(i)
+          ~config:s.config ~warmup_before ~n_classes ~rng:B.mech_rngs.(i)
           ~speed_factor:s.speed_factor ?cancel_cost_cycles:run.cluster.cancel_cost_cycles
           ~on_complete:(fun req ->
             Mailbox.push outbox.(i) (Sim.now shard_sims.(i), P_complete { inst = i; req }))
@@ -748,17 +721,17 @@ let run_par run ~events_out ~domains =
     for i = 0 to n_inst - 1 do
       Mailbox.drain outbox.(i) ~f:(fun (at, ev) -> Sim.schedule_at host ~time:at ev)
     done;
-    if not !B.stopped then Sim.run host ~until ~handler:host_handler ();
+    if not (Driver.ended B.driver) then Sim.run host ~until ~handler:host_handler ();
     !action_min
   in
-  B.start ();
   let domains_used = max 1 (min domains n_inst) in
-  ignore
-    (Par_sim.run_windows ~domains ~n_shards:n_inst ~window_ns:run.one_way_ns ~shard_step
-       ~shard_next ~host_step
-       ~host_next:(fun () -> if !B.stopped then max_int else Sim.next_time host)
-       ~stopped:(fun () -> !B.stopped)
-       ());
+  Driver.run B.driver ~draw_ahead:false ~censor:B.censor (fun () ->
+      ignore
+        (Par_sim.run_windows ~domains ~n_shards:n_inst ~window_ns:run.one_way_ns ~shard_step
+           ~shard_next ~host_step
+           ~host_next:(fun () -> if Driver.ended B.driver then max_int else Sim.next_time host)
+           ~stopped:(fun () -> Driver.ended B.driver)
+           ()));
   Option.iter
     (fun r ->
       r :=
@@ -808,21 +781,16 @@ let resolve_engine run ~tracer engine =
       degrade "on_decision observes instantaneous instance state across domains"
     else p
 
-let run_detailed ~cluster ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
-    ?(drain_cap_ns = 400_000_000) ?(seed = 42) ?tracer ?on_decision ?events_out
-    ?(engine = Par_sim.Seq) () =
-  if n_requests < 1 then invalid_arg "Cluster.run: need at least one request";
-  Arrival.validate arrival;
+let run_detailed ~cluster ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ?tracer
+    ?on_decision ?events_out ?(engine = Par_sim.Seq) () =
+  let inputs =
+    Driver.check ~who:"Cluster.run" ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ()
+  in
   let rtt_ns = Costs.ns_of cluster.specs.(0).config.Config.costs cluster.rtt_cycles in
   let run =
     {
       cluster;
-      mix;
-      arrival;
-      n_requests;
-      warmup_before = int_of_float (warmup_frac *. float_of_int n_requests);
-      drain_cap_ns;
-      seed;
+      inputs;
       on_decision;
       one_way_ns = rtt_ns / 2;
       credit_ns = rtt_ns - (rtt_ns / 2);

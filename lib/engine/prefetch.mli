@@ -8,11 +8,11 @@
     the producer runs a bounded number of items ahead. Each side spins
     briefly before parking on a condition variable.
 
-    The standalone server uses it to generate the arrivals of mixes whose
-    generators run real store operations ([Mix.parallel_safe = false]):
-    the producer owns the mix and the two random streams for the whole
-    run, so every item is exactly what the inline loop would have drawn,
-    in the same order, and the simulation's output does not change.
+    The run driver ([Repro_runtime.Driver]) uses it to draw the arrivals
+    of mixes whose generators run real store operations
+    ([Mix.parallel_safe = false]), for the hosts where that pays: the
+    producer owns the mix and the two random streams for the whole run,
+    so every item is exactly what the inline path would have drawn.
 
     Like {!Mailbox} and {!Pool}, the protocol is a functor over
     {!Primitives.S}: production is [Make (Primitives.Real)], and the

@@ -3,11 +3,11 @@ module Rng = Repro_engine.Rng
 module Stats = Repro_engine.Stats
 module Costs = Repro_hw.Costs
 module Mix = Repro_workload.Mix
-module Arrival = Repro_workload.Arrival
 module Config = Repro_runtime.Config
 module Metrics = Repro_runtime.Metrics
 module Request = Repro_runtime.Request
 module Server = Repro_runtime.Server
+module Driver = Repro_runtime.Driver
 module Tracing = Repro_runtime.Tracing
 module Cluster = Repro_cluster.Cluster
 module Lb_policy = Repro_cluster.Lb_policy
@@ -256,16 +256,7 @@ let push_log nd ~term ~req_id =
   nd.log_len <- nd.log_len + 1
 
 (* What one run needs: [run_detailed]'s arguments. *)
-type run = {
-  raft : t;
-  mix : Mix.t;
-  arrival : Arrival.t;
-  n_requests : int;
-  warmup_before : int;
-  drain_cap_ns : int;
-  seed : int;
-  tracer : Tracing.t option;
-}
+type run = { raft : t; inputs : Driver.inputs; tracer : Tracing.t option }
 
 (* ------------------------------------------------------------------ *)
 (* The group                                                           *)
@@ -274,16 +265,10 @@ type run = {
 (* One run of the group: its values are the run's state, its functions
    the protocol's steps. *)
 module Group (R : sig val run : run end) = struct
-  let { raft; mix; arrival; n_requests; warmup_before; drain_cap_ns; seed; tracer } = R.run
+  let { raft; inputs; tracer } = R.run
+  let { Driver.mix; n_requests; warmup_before; _ } = inputs
   let n = Array.length raft.specs
   let quorum = (n / 2) + 1
-  let master = Rng.create ~seed
-  let arrival_rng = Rng.split master
-  let service_rng = Rng.split master
-  let classify_rng = Rng.split master
-  let lb_rng = Rng.split master
-  let mech_rngs = Array.init n (fun _ -> Rng.split master)
-  let elect_rngs = Array.init n (fun _ -> Rng.split master)
   let n_classes = Array.length mix.Mix.classes
 
   (* Consensus mini-requests carry their own class so per-member tables
@@ -315,6 +300,12 @@ module Group (R : sig val run : run end) = struct
       raft.specs
 
   let sim : ev Sim.t = Sim.create ~capacity:((4 * total_workers) + (16 * n) + 64) ()
+  let driver = Driver.create inputs ~sim ~arrive:Arrive ~end_of_run:End_of_run
+  let master = Driver.master driver
+  let classify_rng = Rng.split master
+  let lb_rng = Rng.split master
+  let mech_rngs = Array.init n (fun _ -> Rng.split master)
+  let elect_rngs = Array.init n (fun _ -> Rng.split master)
   let nodes = Array.init n (fun i -> new_node ~id:i ~elect_rng:elect_rngs.(i))
   let clients : client option array = Array.make n_requests None
   let client_metrics = Metrics.create ~warmup_before ~n_classes
@@ -337,11 +328,8 @@ module Group (R : sig val run : run end) = struct
   let committed = ref 0
   let resubmissions = ref 0
   let parked = ref 0
-  let arrived = ref 0
-  let finished = ref 0
   let writes_n = ref 0
   let reads_n = ref 0
-  let stopped = ref false
   (* The slowdown estimate behind pct:/adaptive delays, built only when
      lease reads can hedge: nothing else reads or feeds it. *)
   let estimator =
@@ -664,18 +652,15 @@ module Group (R : sig val run : run end) = struct
       end
     done
 
-  let finish () =
-    if not !stopped then begin
-      stopped := true;
-      let now_ns = Sim.now sim in
-      for ci = 0 to n_requests - 1 do
-        match clients.(ci) with
-        | Some c when c.phase <> Done -> Metrics.record_censored client_metrics c.orig ~now_ns
-        | _ -> ()
-      done;
-      Array.iter (fun i -> Server.Instance.censor_all i ~now_ns) !instances;
-      Sim.stop sim
-    end
+  (* The end of the run, at the drain cap or at the last completion: the
+     members may still hold consensus minis then. *)
+  let censor ~now_ns =
+    for ci = 0 to n_requests - 1 do
+      match clients.(ci) with
+      | Some c when c.phase <> Done -> Metrics.record_censored client_metrics c.orig ~now_ns
+      | _ -> ()
+    done;
+    Array.iter (fun i -> Server.Instance.censor_all i ~now_ns) !instances
 
   let cancel_leg node (leg : Request.t) =
     leg.Request.cancelled <- true;
@@ -684,7 +669,6 @@ module Group (R : sig val run : run end) = struct
 
   let complete_client c (req : Request.t) =
     c.phase <- Done;
-    incr finished;
     Metrics.record_completion client_metrics req;
     if Request.origin_id req >= warmup_before then begin
       let soj = float_of_int (Request.sojourn_ns req) in
@@ -705,7 +689,7 @@ module Group (R : sig val run : run end) = struct
       else cancel_leg c.dup_node d;
       c.dup <- None
     | None -> ());
-    if !finished >= n_requests then finish ()
+    Driver.complete driver
 
   let on_complete i (req : Request.t) =
     match Hashtbl.find_opt aux req.Request.id with
@@ -777,7 +761,7 @@ module Group (R : sig val run : run end) = struct
     (* Replay client legs stranded on dead members or in consensus at
        another member (ascending id order: deterministic). No stranded leg
        is being served by a live member, so each is dropped, not revoked. *)
-    for ci = 0 to !arrived - 1 do
+    for ci = 0 to Driver.arrived driver - 1 do
       match clients.(ci) with
       | Some c when c.phase <> Done ->
         let stranded =
@@ -824,25 +808,18 @@ module Group (R : sig val run : run end) = struct
 
   let handler _ = function
     | Arrive ->
-      let now = Sim.now sim in
       (* Service time and read/write class are drawn at the front-end,
          before routing: every group size / lease setting at one seed sees
          the identical request sequence. *)
-      let profile = Mix.sample mix service_rng in
+      let req = Driver.take driver in
       let is_write = Rng.float classify_rng < raft.write_ratio in
-      let ci = !arrived in
-      let req = Request.create ~id:ci ~arrival_ns:now ~profile in
-      incr arrived;
+      let ci = req.Request.id in
       if is_write then incr writes_n else incr reads_n;
       clients.(ci) <-
         Some { orig = req; is_write; leg = req; phase = Parked; node = -1; dup = None; dup_node = -1 };
       trace_fe ~request:ci (Tracing.Arrived { service_ns = req.Request.service_ns });
       route ci;
-      if !arrived < n_requests then begin
-        let gap = Arrival.next_gap_ns arrival arrival_rng ~index:(!arrived - 1) in
-        Sim.schedule_after sim ~delay:gap Arrive
-      end
-      else Sim.schedule_after sim ~delay:drain_cap_ns End_of_run
+      Driver.schedule_next driver
     | Hb_tick { node = i; epoch } ->
       let nd = nodes.(i) in
       if nd.alive && nd.role = Leader && nd.hb_epoch = epoch then begin
@@ -984,7 +961,7 @@ module Group (R : sig val run : run end) = struct
         (* survivors stop hearing heartbeats; their timers do the rest *)
       | _ -> ()
     end
-    | End_of_run -> finish ()
+    | End_of_run -> Driver.end_run driver
     | Inst { node; ev } -> Server.Instance.handle (inst node) ev
 
   (* ---- start and summary -------------------------------------------- *)
@@ -995,7 +972,6 @@ module Group (R : sig val run : run end) = struct
     nodes.(0).role <- Leader;
     Hashtbl.replace leaders_of_term 1 0;
     Array.iter (fun nd -> nd.lease_expiry_ns <- lease_ns) nodes;
-    Sim.schedule_at sim ~time:0 Arrive;
     Sim.schedule_at sim ~time:0 (Hb_tick { node = 0; epoch = 0 });
     for i = 1 to n - 1 do
       reset_election i
@@ -1018,7 +994,6 @@ module Group (R : sig val run : run end) = struct
         !committed_log
     | None -> ());
     let span_ns = max 1 (Sim.now sim) in
-    let offered_rps = Arrival.rate_rps arrival in
     let class_names = Array.map (fun (c : Mix.class_def) -> c.Mix.name) mix.Mix.classes in
     let inst_class_names = Array.append class_names [| "RAFT" |] in
     let per_node =
@@ -1031,7 +1006,7 @@ module Group (R : sig val run : run end) = struct
             ~class_names:inst_class_names)
     in
     let client =
-      Metrics.summarize client_metrics ~offered_rps ~span_ns ~n_workers:total_workers ~class_names
+      Driver.summarize driver client_metrics ~n_workers:total_workers
     in
     let pct s p = if Stats.is_empty s then 0.0 else Stats.percentile s p in
     let mean s = if Stats.is_empty s then 0.0 else Stats.mean s in
@@ -1096,16 +1071,17 @@ end
 (* The run                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run_detailed ~raft ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
-    ?(drain_cap_ns = 400_000_000) ?(seed = 42) ?tracer ?events_out () =
-  if n_requests < 1 then invalid_arg "Raft.run: need at least one request";
-  Arrival.validate arrival;
-  let warmup_before = int_of_float (warmup_frac *. float_of_int n_requests) in
-  let module G = Group (struct
-    let run = { raft; mix; arrival; n_requests; warmup_before; drain_cap_ns; seed; tracer }
-  end) in
-  G.start ();
-  Sim.run G.sim ~handler:G.handler ();
+let run_detailed ~raft ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ?tracer
+    ?events_out () =
+  let inputs =
+    Driver.check ~who:"Raft.run" ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ()
+  in
+  let module G = Group (struct let run = { raft; inputs; tracer } end) in
+  (* The first arrival is the first event at time 0, ahead of the first
+     heartbeat. Drawing ahead does not pay: consensus work dwarfs a draw. *)
+  Driver.run G.driver ~draw_ahead:false ~censor:G.censor (fun () ->
+      G.start ();
+      Sim.run G.sim ~handler:G.handler ());
   (match events_out with Some r -> r := Sim.events_processed G.sim | None -> ());
   G.summarize ()
 

@@ -4,8 +4,6 @@ module Ring = Repro_engine.Ring
 module Costs = Repro_hw.Costs
 module Mechanism = Repro_hw.Mechanism
 module Mix = Repro_workload.Mix
-module Arrival = Repro_workload.Arrival
-module Prefetch = Repro_engine.Prefetch
 
 (* ------------------------------------------------------------------ *)
 (* Events and dispatcher micro-operations                              *)
@@ -61,7 +59,7 @@ type worker = {
   mutable busy_from : int; (* segment busy-accounting anchor *)
 }
 
-type slice = { sreq : Request.t; sstart : int; send : int; sstop_progress : int }
+type slice = { sreq : Request.t; sstart : int; sstop_progress : int }
 
 (* The op ring replaces a [Queue.t]: pushes and pops move two cursors in a
    flat array instead of allocating a cons cell per op, which matters because
@@ -405,16 +403,16 @@ and try_steal t =
         ~completion_at:(now + remaining_wall)
         ~candidate:(now + effective_quantum_ns t req + lateness)
     in
-    let send, sstop_progress =
+    let ends_at, sstop_progress =
       match stop with
       | None -> (now + remaining_wall, req.Request.service_ns)
       | Some (stop_time, p) -> (stop_time, p)
     in
     d.busy <- true;
     d.depoch <- d.depoch + 1;
-    d.slice <- Some { sreq = req; sstart = now; send; sstop_progress };
+    d.slice <- Some { sreq = req; sstart = now; sstop_progress };
     Metrics.add_steal_slice t.metrics;
-    Sim.schedule_at t.sim ~time:send (t.lift (Ev_disp_slice_end { depoch = d.depoch })))
+    Sim.schedule_at t.sim ~time:ends_at (t.lift (Ev_disp_slice_end { depoch = d.depoch })))
 
 let complete_request t (req : Request.t) ~worker =
   if req.Request.cancelled then begin
@@ -445,9 +443,8 @@ let on_slice_end t ~depoch =
   if depoch = d.depoch then begin
     match d.slice with
     | None -> ()
-    | Some { sreq; sstart; send; sstop_progress } ->
+    | Some { sreq; sstart; sstop_progress } ->
       let now = Sim.now t.sim in
-      ignore send;
       Metrics.add_dispatcher_app t.metrics (now - sstart);
       if sstop_progress >= sreq.Request.service_ns then complete_request t sreq ~worker:(-1)
       else if sreq.Request.cancelled then begin
@@ -985,79 +982,40 @@ end
 
 type run_event = Rv_arrival | Rv_end | Rv_inst of event
 
-let run_detailed ~config ~mix ~arrival ~n_requests ?(warmup_frac = 0.1)
-    ?(drain_cap_ns = 400_000_000) ?(seed = 42) ?tracer ?events_out () =
+let run_detailed ~config ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ?tracer
+    ?events_out () =
   Config.validate config;
-  Arrival.validate arrival;
-  if n_requests < 1 then invalid_arg "Server.run: need at least one request";
-  let master = Rng.create ~seed in
-  let arrival_rng = Rng.split master in
-  let service_rng = Rng.split master in
-  let mech_rng = Rng.split master in
+  let inputs =
+    Driver.check ~who:"Server.run" ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ()
+  in
   (* In-flight bound: a few timer/completion events per worker, one
      dispatcher op, one pending arrival. Pre-sizing skips heap doubling. *)
   let sim = Sim.create ~capacity:((4 * config.Config.n_workers) + 16) () in
-  let finished = ref 0 in
+  let driver = Driver.create inputs ~sim ~arrive:Rv_arrival ~end_of_run:Rv_end in
   let inst =
     create_instance ~sim
       ~lift:(fun e -> Rv_inst e)
-      ~config
-      ~warmup_before:(int_of_float (warmup_frac *. float_of_int n_requests))
+      ~config ~warmup_before:inputs.Driver.warmup_before
       ~n_classes:(Array.length mix.Mix.classes)
-      ~rng:mech_rng ?tracer
-      ~on_complete:(fun _ ->
-        incr finished;
-        if !finished >= n_requests then Sim.stop sim)
+      ~rng:(Rng.split (Driver.master driver))
+      ?tracer
+      ~on_complete:(fun _ -> Driver.complete driver)
       ()
-  in
-  let arrived = ref 0 in
-  (* Arrival [i]'s profile and the gap to arrival [i + 1] (none after the
-     last), drawn from the mix and the two streams in the inline loop's
-     order. *)
-  let draw i =
-    let profile = Mix.sample mix service_rng in
-    let gap =
-      if i + 1 < n_requests then Arrival.next_gap_ns arrival arrival_rng ~index:i else 0
-    in
-    (profile, gap)
-  in
-  (* A mix whose generators run store operations in order costs 2-4 us a
-     draw, so when a second core is free its draws run ahead on a producer
-     domain that owns [mix], [service_rng] and [arrival_rng] until the run
-     ends. A synthetic draw costs less than the hand-off: those stay
-     inline. *)
-  let prefetch =
-    if mix.Mix.parallel_safe || not (Prefetch.available ()) then None
-    else Some (Prefetch.start ~n:n_requests draw)
   in
   let handler _ = function
     | Rv_arrival ->
-      let profile, gap =
-        match prefetch with None -> draw !arrived | Some p -> Prefetch.next p
-      in
-      let req = Request.create ~id:!arrived ~arrival_ns:(Sim.now sim) ~profile in
-      incr arrived;
-      if !arrived < n_requests then Sim.schedule_after sim ~delay:gap Rv_arrival
-      else Sim.schedule_after sim ~delay:drain_cap_ns Rv_end;
+      let req = Driver.take driver in
+      Driver.schedule_next driver;
       inject inst req
-    | Rv_end ->
-      censor_all inst ~now_ns:(Sim.now sim);
-      Sim.stop sim
+    | Rv_end -> Driver.end_run driver
     | Rv_inst e -> handle inst e
   in
-  Sim.schedule_at sim ~time:0 Rv_arrival;
-  Fun.protect
-    ~finally:(fun () -> Option.iter Prefetch.stop prefetch)
+  Driver.run driver ~draw_ahead:true
+    ~censor:(fun ~now_ns -> censor_all inst ~now_ns)
     (fun () -> Sim.run sim ~handler ());
   (match events_out with Some r -> r := Sim.events_processed sim | None -> ());
-  let span_ns = max 1 (Sim.now sim) in
-  let summary =
-    Metrics.summarize inst.metrics
-      ~offered_rps:(Arrival.rate_rps arrival)
-      ~span_ns ~n_workers:config.Config.n_workers
-      ~class_names:(Array.map (fun (c : Mix.class_def) -> c.name) mix.Mix.classes)
-  in
-  (summary, Metrics.slowdown_samples inst.metrics)
+  ( Driver.summarize driver inst.metrics ~n_workers:config.Config.n_workers,
+    Metrics.slowdown_samples inst.metrics )
 
 let run ~config ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ?tracer () =
   fst

@@ -23,8 +23,8 @@ type event
 (** An embeddable server instance: the same dispatcher/worker model as
     {!run}, but driven by an external {!Repro_engine.Sim} clock so several
     instances can interleave in one simulation (the rack-scale cluster
-    layer). The host owns arrival generation and end-of-run policy; the
-    instance owns everything from NIC ingress to completion. *)
+    layer). The host's {!Driver} owns arrival generation and the end of the
+    run; the instance owns everything from NIC ingress to completion. *)
 module Instance : sig
   type 'e t
 
@@ -105,17 +105,13 @@ val run :
   unit ->
   Metrics.summary
 (** Simulate [n_requests] open-loop arrivals and return the run summary.
-
-    - [warmup_frac] (default 0.1): leading fraction of arrivals excluded
-      from measurement, as in §5.1.
-    - [drain_cap_ns] (default 400 ms): how long past the last arrival the
-      server may keep draining before incomplete requests are recorded as
-      censored (their lower-bound slowdown enters the tail, so overload
-      shows as an exploding p99.9 rather than missing data).
-    - [seed] (default 42): master seed; every random stream in the run
-      derives from it, so runs are exactly reproducible.
-    - [tracer]: when given, request-lifecycle events are recorded into it
-      (see {!Tracing}); tracing does not perturb the simulation. *)
+    [warmup_frac], [drain_cap_ns] and [seed] are checked and defaulted by
+    {!Driver.check}. Requests still incomplete at the drain cap are
+    recorded as censored (their lower-bound slowdown enters the tail, so
+    overload shows as an exploding p99.9 rather than missing data); every
+    random stream derives from [seed], so runs are exactly reproducible.
+    [tracer], when given, records request-lifecycle events (see
+    {!Tracing}); tracing does not perturb the simulation. *)
 
 val run_detailed :
   config:Config.t ->

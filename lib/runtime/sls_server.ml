@@ -3,7 +3,6 @@ module Rng = Repro_engine.Rng
 module Costs = Repro_hw.Costs
 module Mechanism = Repro_hw.Mechanism
 module Mix = Repro_workload.Mix
-module Arrival = Repro_workload.Arrival
 
 type config = {
   name : string;
@@ -55,20 +54,13 @@ type worker = {
 
 type t = {
   sim : event Sim.t;
+  driver : event Driver.t;
   config : config;
-  mix : Mix.t;
-  arrival : Arrival.t;
-  n_requests : int;
-  drain_cap_ns : int;
-  arrival_rng : Rng.t;
-  service_rng : Rng.t;
   mech_rng : Rng.t;
   workers : worker array;
   metrics : Metrics.t;
   live : (int, Request.t) Hashtbl.t;
   tracer : Tracing.t option;
-  mutable arrived : int;
-  mutable finished : int;
   mutable rr_next : int; (* round-robin steering cursor *)
   (* cached conversions *)
   cswitch_ns : int;
@@ -89,8 +81,7 @@ let complete_request t (req : Request.t) ~worker =
   req.Request.done_ns <- req.Request.service_ns;
   Hashtbl.remove t.live req.Request.id;
   Metrics.record_completion t.metrics req;
-  t.finished <- t.finished + 1;
-  if t.finished >= t.n_requests then Sim.stop t.sim
+  Driver.complete t.driver
 
 (* Pop the next request for worker [w]: own queue first, else steal one
    from the most loaded peer (cost charged as start delay). *)
@@ -222,12 +213,9 @@ let on_yield_done t (w : worker) ~epoch =
 (* Steer an arrival round-robin; if its target is busy but some other worker
    idles, the idle worker steals it immediately (work conservation). *)
 let on_arrival t =
-  let now = Sim.now t.sim in
-  let profile = Mix.sample t.mix t.service_rng in
-  let req = Request.create ~id:t.arrived ~arrival_ns:now ~profile in
+  let req = Driver.take t.driver in
   Hashtbl.replace t.live req.Request.id req;
   trace t ~request:req.Request.id (Tracing.Arrived { service_ns = req.Request.service_ns });
-  t.arrived <- t.arrived + 1;
   let target = t.workers.(t.rr_next) in
   t.rr_next <- (t.rr_next + 1) mod t.config.n_workers;
   (if target.cur = None && Queue.is_empty target.queue then
@@ -248,11 +236,7 @@ let on_arrival t =
        end
      end
    end);
-  if t.arrived < t.n_requests then begin
-    let gap = Arrival.next_gap_ns t.arrival t.arrival_rng ~index:(t.arrived - 1) in
-    Sim.schedule_after t.sim ~delay:gap Ev_arrival
-  end
-  else Sim.schedule_after t.sim ~delay:t.drain_cap_ns Ev_end_of_run
+  Driver.schedule_next t.driver
 
 let handler t (_ : event Sim.t) = function
   | Ev_arrival -> on_arrival t
@@ -261,40 +245,25 @@ let handler t (_ : event Sim.t) = function
   | Ev_quantum { w; epoch } -> on_quantum t t.workers.(w) ~epoch
   | Ev_preempt_stop { w; epoch } -> on_preempt_stop t t.workers.(w) ~epoch
   | Ev_yield_done { w; epoch } -> on_yield_done t t.workers.(w) ~epoch
-  | Ev_end_of_run ->
-    let now = Sim.now t.sim in
-    (Hashtbl.iter (fun _ req -> Metrics.record_censored t.metrics req ~now_ns:now) t.live)
-    [@lint.deterministic
-      "hash order is stable for a fixed insertion history (non-randomized Hashtbl); \
-       censored-request accounting is pinned by the golden tests"];
-    Sim.stop t.sim
+  | Ev_end_of_run -> Driver.end_run t.driver
 
-let run ~config ~mix ~arrival ~n_requests ?(warmup_frac = 0.1) ?(drain_cap_ns = 400_000_000)
-    ?(seed = 42) ?tracer () =
+let run ~config ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ?tracer () =
   if config.n_workers < 1 then invalid_arg "Sls_server.run: need at least one worker";
   if config.quantum_ns < 1 then invalid_arg "Sls_server.run: quantum must be positive";
-  if n_requests < 1 then invalid_arg "Sls_server.run: need at least one request";
-  Arrival.validate arrival;
-  let master = Rng.create ~seed in
-  (* Bind the derived streams in a fixed order (record-field evaluation
-     order is unspecified); this also keeps the derivation identical to
-     Server.run's, so oracle tests can reconstruct the arrival stream. *)
-  let arrival_rng = Rng.split master in
-  let service_rng = Rng.split master in
-  let mech_rng = Rng.split master in
+  let inputs =
+    Driver.check ~who:"Sls_server.run" ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed
+      ()
+  in
+  let sim = Sim.create () in
+  let driver = Driver.create inputs ~sim ~arrive:Ev_arrival ~end_of_run:Ev_end_of_run in
   let costs = config.costs in
   let ns cycles = Costs.ns_of costs cycles in
   let t =
     {
-      sim = Sim.create ();
+      sim;
+      driver;
       config;
-      mix;
-      arrival;
-      n_requests;
-      drain_cap_ns;
-      arrival_rng;
-      service_rng;
-      mech_rng;
+      mech_rng = Rng.split (Driver.master driver);
       workers =
         Array.init config.n_workers (fun wid ->
             {
@@ -308,13 +277,10 @@ let run ~config ~mix ~arrival ~n_requests ?(warmup_frac = 0.1) ?(drain_cap_ns = 
               queue = Queue.create ();
             });
       metrics =
-        Metrics.create
-          ~warmup_before:(int_of_float (warmup_frac *. float_of_int n_requests))
+        Metrics.create ~warmup_before:inputs.Driver.warmup_before
           ~n_classes:(Array.length mix.Mix.classes);
       live = Hashtbl.create 1024;
       tracer;
-      arrived = 0;
-      finished = 0;
       rr_next = 0;
       cswitch_ns = ns costs.Costs.context_switch_cycles;
       steal_ns = ns (2 * costs.Costs.coherence_miss_cycles);
@@ -323,10 +289,11 @@ let run ~config ~mix ~arrival ~n_requests ?(warmup_frac = 0.1) ?(drain_cap_ns = 
       default_spacing_ns = costs.Costs.probe_spacing_ns;
     }
   in
-  Sim.schedule_at t.sim ~time:0 Ev_arrival;
-  Sim.run t.sim ~handler:(handler t) ();
-  Metrics.summarize t.metrics
-    ~offered_rps:(Arrival.rate_rps arrival)
-    ~span_ns:(max 1 (Sim.now t.sim))
-    ~n_workers:config.n_workers
-    ~class_names:(Array.map (fun (c : Mix.class_def) -> c.name) mix.Mix.classes)
+  let censor ~now_ns =
+    (Hashtbl.iter (fun _ req -> Metrics.record_censored t.metrics req ~now_ns) t.live)
+    [@lint.deterministic
+      "hash order is stable for a fixed insertion history (non-randomized Hashtbl); \
+       censored-request accounting is pinned by the golden tests"]
+  in
+  Driver.run driver ~draw_ahead:true ~censor (fun () -> Sim.run sim ~handler:(handler t) ());
+  Driver.summarize driver t.metrics ~n_workers:config.n_workers

@@ -46,15 +46,14 @@ let metadata ~name ~tid ~value =
     "{\"name\":\"%s\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
     name tid (escape_json value)
 
-let chrome_json_of_iter ~process_name iter =
+let tracer_to_chrome_json ?(process_name = "concord-sim") tracer =
   let events = ref [] in
   let emit e = events := e :: !events in
   (* Pair each Started/Resumed with the next Preempted/Completed of the
      same request to form a duration slice on the executing thread. *)
   let open_exec : (int, int * int) Hashtbl.t = Hashtbl.create 256 (* req -> start_ns, tid *) in
   let seen_tids = Hashtbl.create 16 in
-  iter
-    (fun (e : Tracing.entry) ->
+  Tracing.iter_entries tracer ~f:(fun (e : Tracing.entry) ->
       let req_arg = ("request", string_of_int e.request) in
       (match Tracing.worker_of e.kind with
       | Some w -> Hashtbl.replace seen_tids (tid_of_worker w) ()
@@ -131,21 +130,14 @@ let chrome_json_of_iter ~process_name iter =
   Printf.sprintf "{\"traceEvents\":[%s],\"displayTimeUnit\":\"ns\"}\n"
     (String.concat ",\n" (meta @ List.rev !events))
 
-let to_chrome_json ?(process_name = "concord-sim") entries =
-  chrome_json_of_iter ~process_name (fun f -> List.iter f entries)
-
-let tracer_to_chrome_json ?(process_name = "concord-sim") tracer =
-  chrome_json_of_iter ~process_name (fun f -> Tracing.iter_entries tracer ~f)
-
 (* ------------------------------------------------------------------ *)
 (* CSV                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let csv_of_iter iter =
+let tracer_events_to_csv tracer =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "time_ns,request,kind,worker,progress_ns,queue_depth,local_depth,op_ns\n";
-  iter
-    (fun (e : Tracing.entry) ->
+  Tracing.iter_entries tracer ~f:(fun (e : Tracing.entry) ->
       let worker = match Tracing.worker_of e.kind with Some w -> string_of_int w | None -> "" in
       let progress, queue_depth, local_depth, op_ns =
         match e.kind with
@@ -165,8 +157,6 @@ let csv_of_iter iter =
            (Tracing.kind_name e.kind) worker progress queue_depth local_depth op_ns));
   Buffer.contents buf
 
-let events_to_csv entries = csv_of_iter (fun f -> List.iter f entries)
-let tracer_events_to_csv tracer = csv_of_iter (fun f -> Tracing.iter_entries tracer ~f)
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON reader (validation only; no external dependency)       *)

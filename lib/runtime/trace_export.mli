@@ -10,22 +10,16 @@
     A minimal JSON reader (no external dependency) validates exported
     files, which is what [make trace-smoke] checks in CI. *)
 
-val to_chrome_json : ?process_name:string -> Tracing.entry list -> string
-(** Serialize to a Chrome trace-event JSON document
+val tracer_to_chrome_json : ?process_name:string -> Tracing.t -> string
+(** Serialize the tracer's events, in one pass off its ring, to a Chrome
+    trace-event JSON document
     ([{"traceEvents": [...], "displayTimeUnit": "ns"}]). Timestamps are
     microseconds with nanosecond precision, as the format requires. *)
 
-val events_to_csv : Tracing.entry list -> string
-(** Flat CSV, one row per event:
-    [time_ns,request,kind,worker,progress_ns,queue_depth,local_depth,op_ns]
-    (inapplicable columns empty). *)
-
-val tracer_to_chrome_json : ?process_name:string -> Tracing.t -> string
-(** {!to_chrome_json} streamed directly off the tracer ring — one decode
-    pass, no intermediate entry list. *)
-
 val tracer_events_to_csv : Tracing.t -> string
-(** {!events_to_csv} streamed directly off the tracer ring. *)
+(** The tracer's events, in one pass off its ring, as flat CSV, one row per
+    event: [time_ns,request,kind,worker,progress_ns,queue_depth,local_depth,op_ns]
+    (inapplicable columns empty). *)
 
 val validate_json : string -> (unit, string) result
 (** Syntax-check any JSON document with the built-in reader — the

@@ -189,7 +189,7 @@ let test_incomplete_lifecycles_skipped () =
 
 let test_chrome_export_validates () =
   let _, tracer = traced_run (Systems.concord ~n_workers:2 ()) ~n:400 in
-  let json = Trace_export.to_chrome_json (Tracing.entries tracer) in
+  let json = Trace_export.tracer_to_chrome_json tracer in
   match Trace_export.validate_chrome_json json with
   | Ok n -> Alcotest.(check bool) "non-empty traceEvents" true (n > 0)
   | Error msg -> Alcotest.fail msg
@@ -215,7 +215,7 @@ let test_chrome_validation_rejects_garbage () =
 let test_csv_export_row_count () =
   let _, tracer = traced_run (Systems.concord ~n_workers:2 ()) ~n:200 in
   let entries = Tracing.entries tracer in
-  let csv = Trace_export.events_to_csv entries in
+  let csv = Trace_export.tracer_events_to_csv tracer in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) in
   Alcotest.(check int) "header + one row per event" (1 + List.length entries)
     (List.length lines);

@@ -226,6 +226,70 @@ let test_bad_rates_rejected () =
         [ ("nan", Float.nan); ("0", 0.0); ("inf", Float.infinity); ("1e-300", 1e-300) ])
     entry_points
 
+(* A warm-up fraction outside [0, 1) used to drop every sample (1.5: p99
+   of 0) or to measure every request (nan, -0.5), and a negative drain cap
+   raised from [Sim.schedule_after] only once the last arrival had been
+   simulated. Each entry point now refuses them before it draws a single
+   arrival, with a message naming itself. *)
+let rejects_bad_frame who run () =
+  let drawn = ref 0 in
+  let mix =
+    Mix.of_classes ~name:"counted"
+      [|
+        {
+          Mix.name = "counted";
+          weight = 1.0;
+          mean_ns = 1_000.0;
+          generate =
+            (fun _ ->
+              incr drawn;
+              { Mix.class_id = 0; service_ns = 1_000; lock_windows = [||]; probe_spacing_ns = 0.0 });
+        };
+      |]
+  in
+  let arrival = Arrival.Poisson { rate_rps = 1e5 } in
+  List.iter
+    (fun (msg, warmup_frac, drain_cap_ns) ->
+      Alcotest.check_raises msg
+        (Invalid_argument (who ^ ": " ^ msg))
+        (fun () -> run ~mix ~arrival ?warmup_frac ?drain_cap_ns ()))
+    [
+      ("warmup_frac 1.5 is not in [0, 1)", Some 1.5, None);
+      ("warmup_frac 1 is not in [0, 1)", Some 1.0, None);
+      ("warmup_frac nan is not in [0, 1)", Some Float.nan, None);
+      ("warmup_frac -0.5 is not in [0, 1)", Some (-0.5), None);
+      ("drain_cap_ns -5 is negative", None, Some (-5));
+    ];
+  Alcotest.(check int) "no arrival drawn" 0 !drawn
+
+let frame_config = Systems.concord ~n_workers:2 ()
+
+let server_rejects_bad_frame =
+  rejects_bad_frame "Server.run" (fun ~mix ~arrival ?warmup_frac ?drain_cap_ns () ->
+      ignore
+        (Repro_runtime.Server.run ~config:frame_config ~mix ~arrival ~n_requests:10 ?warmup_frac
+           ?drain_cap_ns ()))
+
+let sls_rejects_bad_frame =
+  rejects_bad_frame "Sls_server.run" (fun ~mix ~arrival ?warmup_frac ?drain_cap_ns () ->
+      let config = Repro_runtime.Sls_server.concord_sls ~n_workers:2 () in
+      ignore
+        (Repro_runtime.Sls_server.run ~config ~mix ~arrival ~n_requests:10 ?warmup_frac
+           ?drain_cap_ns ()))
+
+let rack_rejects_bad_frame =
+  rejects_bad_frame "Cluster.run" (fun ~mix ~arrival ?warmup_frac ?drain_cap_ns () ->
+      let cluster = Repro_cluster.Cluster.homogeneous ~instances:2 frame_config in
+      ignore
+        (Repro_cluster.Cluster.run ~cluster ~mix ~arrival ~n_requests:10 ?warmup_frac
+           ?drain_cap_ns ()))
+
+let raft_rejects_bad_frame =
+  rejects_bad_frame "Raft.run" (fun ~mix ~arrival ?warmup_frac ?drain_cap_ns () ->
+      let raft = Repro_raft.Raft.homogeneous ~nodes:3 frame_config in
+      ignore
+        (Repro_raft.Raft.run ~raft ~mix ~arrival ~n_requests:10 ?warmup_frac ?drain_cap_ns ()))
+
 let suite =
   [
     Alcotest.test_case "heap interleaved stress" `Quick test_heap_interleaved_stress;
@@ -241,4 +305,8 @@ let suite =
     Alcotest.test_case "burst arrivals" `Quick test_burst_arrivals_through_server;
     Alcotest.test_case "SRPT favors short requests" `Quick test_srpt_favors_short_requests;
     Alcotest.test_case "bad arrival rates are rejected" `Quick test_bad_rates_rejected;
+    Alcotest.test_case "Server refuses a bad warm-up or drain cap" `Quick server_rejects_bad_frame;
+    Alcotest.test_case "SLS server refuses a bad warm-up or drain cap" `Quick sls_rejects_bad_frame;
+    Alcotest.test_case "rack refuses a bad warm-up or drain cap" `Quick rack_rejects_bad_frame;
+    Alcotest.test_case "Raft refuses a bad warm-up or drain cap" `Quick raft_rejects_bad_frame;
   ]

@@ -16,6 +16,7 @@ module Metrics = Repro_runtime.Metrics
 module Mix = Repro_workload.Mix
 module Arrival = Repro_workload.Arrival
 module Rng = Repro_engine.Rng
+module Tracing = Repro_runtime.Tracing
 
 (* Build a deterministic mix that replays a fixed service-time sequence. *)
 let replay_mix services =
@@ -99,9 +100,79 @@ let prop_lindley_random_sequences =
       let summary, _, expected_mean = run_case ~seed ~rate:800_000.0 ~services in
       Float.abs (summary.Metrics.mean_sojourn_ns -. expected_mean) < 1e-6)
 
+(* Every host draws the same request sequence: arrival [i] is numbered [i],
+   arrives at the sum of the first [i] gaps of the arrival stream and has
+   the service of the [i]-th draw from the service stream, the arrival
+   stream being split off the master seed first and the service stream
+   second. The oracle rebuilds that sequence from the seed alone; each
+   host's trace must show it as the first [Arrived] of each id. (A Raft
+   member or a rack instance traces [Arrived] again when it takes a leg,
+   later; ids from [n] on are hedge legs and consensus minis.) *)
+let oracle_sequence ~seed ~mix ~arrival ~n =
+  let master = Rng.create ~seed in
+  let arrival_rng = Rng.split master in
+  let service_rng = Rng.split master in
+  let now = ref 0 in
+  let seq = ref [] in
+  for i = 0 to n - 1 do
+    seq := (i, !now, (Mix.sample mix service_rng).Mix.service_ns) :: !seq;
+    now := !now + Arrival.next_gap_ns arrival arrival_rng ~index:i
+  done;
+  List.rev !seq
+
+let traced_sequence tracer ~n =
+  let first = Array.make n None in
+  Tracing.iter_entries tracer ~f:(fun (e : Tracing.entry) ->
+      match e.kind with
+      | Tracing.Arrived { service_ns } when e.request < n && first.(e.request) = None ->
+        first.(e.request) <- Some (e.request, e.time_ns, service_ns)
+      | _ -> ());
+  List.filter_map Fun.id (Array.to_list first)
+
+let check_host_sequence run () =
+  let mix = Repro_workload.Presets.usr and n = 300 and rate_rps = 50e3 in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun arrival ->
+          let tracer = Tracing.create ~capacity:(1 lsl 18) () in
+          run ~mix ~arrival ~n ~seed ~tracer;
+          Alcotest.(check (list (triple int int int)))
+            (Printf.sprintf "seed %d, %s" seed (Arrival.name arrival))
+            (oracle_sequence ~seed ~mix ~arrival ~n)
+            (traced_sequence tracer ~n))
+        [ Arrival.Poisson { rate_rps }; Arrival.Burst_poisson { rate_rps; burst = 8 } ])
+    [ 42; 7 ]
+
+let config = Systems.concord ()
+
+let server_sequence =
+  check_host_sequence (fun ~mix ~arrival ~n ~seed ~tracer ->
+      ignore (Server.run ~config ~mix ~arrival ~n_requests:n ~seed ~tracer ()))
+
+let sls_sequence =
+  check_host_sequence (fun ~mix ~arrival ~n ~seed ~tracer ->
+      let config = Repro_runtime.Sls_server.concord_sls () in
+      ignore (Repro_runtime.Sls_server.run ~config ~mix ~arrival ~n_requests:n ~seed ~tracer ()))
+
+let rack_sequence =
+  check_host_sequence (fun ~mix ~arrival ~n ~seed ~tracer ->
+      let module Cluster = Repro_cluster.Cluster in
+      let cluster = Cluster.homogeneous ~policy:Repro_cluster.Lb_policy.Po2c ~instances:3 config in
+      ignore (Cluster.run ~cluster ~mix ~arrival ~n_requests:n ~seed ~tracer ()))
+
+let raft_sequence =
+  check_host_sequence (fun ~mix ~arrival ~n ~seed ~tracer ->
+      let raft = Repro_raft.Raft.homogeneous ~nodes:3 config in
+      ignore (Repro_raft.Raft.run ~raft ~mix ~arrival ~n_requests:n ~seed ~tracer ()))
+
 let suite =
   [
     Alcotest.test_case "Lindley: exact mean sojourn" `Quick test_lindley_exact_mean;
     Alcotest.test_case "Lindley: exact max sojourn" `Quick test_lindley_exact_tail;
     QCheck_alcotest.to_alcotest prop_lindley_random_sequences;
+    Alcotest.test_case "Server draws the oracle's request sequence" `Quick server_sequence;
+    Alcotest.test_case "SLS server draws the oracle's request sequence" `Quick sls_sequence;
+    Alcotest.test_case "rack draws the oracle's request sequence" `Quick rack_sequence;
+    Alcotest.test_case "Raft group draws the oracle's request sequence" `Quick raft_sequence;
   ]

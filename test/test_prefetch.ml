@@ -1,9 +1,11 @@
 (* Tests for the prefetch stream (Repro_engine.Prefetch) with real domains:
    order and content against an inline loop, a producer exception
    re-raised at its item, a consumer exit that stops a producer parked on
-   a full mailbox, a mailbox that never grows, and the standalone server's
-   selection rule: a LevelDB run inside a Pool task keeps the inline loop
-   and computes the same summary. *)
+   a full mailbox, a mailbox that never grows, and each host's selection
+   rule: a host that draws ahead starts one producer on a LevelDB run when
+   a core is free, and inside a Pool task keeps the inline loop and
+   computes the same summary; the windowed rack and the Raft group never
+   start one. *)
 
 module Prefetch = Repro_engine.Prefetch
 module Pool = Repro_engine.Pool
@@ -156,6 +158,59 @@ let test_synthetic_mix_stays_inline () =
   Alcotest.(check int) "a parallel-safe mix never spawns a producer" 0
     (Prefetch.producers_started () - before)
 
+let zippydb () =
+  Kv_workload.zippydb_mix (Kv_workload.populate ~n_keys:2_000 ~seed:11 ()) ~seed:11
+
+let poisson rate_rps = Repro_workload.Arrival.Poisson { rate_rps }
+
+(* [run] builds its own store: a run changes the store it draws from. *)
+let check_host_draws_ahead ~draws_ahead run () =
+  let before = Prefetch.producers_started () in
+  let outside = run () in
+  Alcotest.(check int) "producers started outside a pool"
+    (if draws_ahead && Prefetch.available () then 1 else 0)
+    (Prefetch.producers_started () - before);
+  if draws_ahead then begin
+    let before = Prefetch.producers_started () in
+    let inside = Pool.parallel_map ~domains:2 (fun () -> run ()) [ (); () ] in
+    Alcotest.(check int) "no producer inside a pool task" 0
+      (Prefetch.producers_started () - before);
+    List.iter
+      (fun r ->
+        Alcotest.(check bool) "same summary as drawn inline in a pool task" true
+          (compare r outside = 0))
+      inside
+  end
+
+let sls_draws_ahead =
+  check_host_draws_ahead ~draws_ahead:true (fun () ->
+      Repro_runtime.Sls_server.run ~config:(Repro_runtime.Sls_server.concord_sls ())
+        ~mix:(zippydb ()) ~arrival:(poisson 300e3) ~n_requests:2_000 ~seed:11 ())
+
+let rack ?engine () =
+  let module Cluster = Repro_cluster.Cluster in
+  let cluster =
+    Cluster.homogeneous ~instances:2 ~rtt_cycles:4_000 (Repro_runtime.Systems.concord ())
+  in
+  let events = ref 0 in
+  let s, _ =
+    Cluster.run_detailed ~cluster ~mix:(zippydb ()) ~arrival:(poisson 600e3) ~n_requests:2_000
+      ~seed:11 ~events_out:events ?engine ()
+  in
+  (s, !events)
+
+let rack_seq_draws_ahead = check_host_draws_ahead ~draws_ahead:true (fun () -> rack ())
+
+let rack_par_draws_inline =
+  check_host_draws_ahead ~draws_ahead:false (fun () ->
+      rack ~engine:(Repro_engine.Par_sim.Par { domains = 2 }) ())
+
+let raft_draws_inline =
+  check_host_draws_ahead ~draws_ahead:false (fun () ->
+      let raft = Repro_raft.Raft.homogeneous ~nodes:3 (Repro_runtime.Systems.concord ()) in
+      Repro_raft.Raft.run ~raft ~mix:(zippydb ()) ~arrival:(poisson 20e3) ~n_requests:1_000
+        ~seed:11 ())
+
 let suite =
   [
     Alcotest.test_case "items match an inline loop, in order" `Quick test_matches_inline_loop;
@@ -168,4 +223,9 @@ let suite =
       test_leveldb_in_pool_stays_inline;
     Alcotest.test_case "synthetic mixes never spawn a producer" `Quick
       test_synthetic_mix_stays_inline;
+    Alcotest.test_case "LevelDB SLS run draws ahead, same summary inline" `Quick sls_draws_ahead;
+    Alcotest.test_case "LevelDB seq rack draws ahead, same summary inline" `Quick
+      rack_seq_draws_ahead;
+    Alcotest.test_case "LevelDB par:2 rack starts no producer" `Quick rack_par_draws_inline;
+    Alcotest.test_case "LevelDB Raft run starts no producer" `Quick raft_draws_inline;
   ]
