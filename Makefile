@@ -36,8 +36,10 @@ cluster-smoke:
 # zero quantum, an unknown system name, a straggler faster than its
 # peers or infinitely slow, one so slow its op costs overflow, a leader
 # kill at a time the clock cannot hold, a sweep of no points), and the
-# spec rejections that already worked (rate, system, workload, figure,
-# SLS variant, policy, engine, hedge, arrival, write ratio).
+# spec rejections that already worked (rate, system, workload, a zipf
+# alpha that is NaN or 0, an unknown workload option, :zipf= on a workload
+# without keys, figure, SLS variant, policy, engine, hedge, arrival, write
+# ratio).
 CLI_SMOKE_LINES = \
 	'run -r 150 -n 0' 'run -r 150 --workers 0' 'sweep -n 0 --points 2' 'trace -n 0' \
 	'overheads -n 0' 'sls -r 100 -n 0' 'cluster -n 0' 'raft -n 0' 'raft-study -n 0' \
@@ -45,6 +47,8 @@ CLI_SMOKE_LINES = \
 	'sls -r 100 --quantum 0' 'overheads --systems nosuch' 'cluster --straggler 0:0.5' \
 	'sweep --points 0' 'cluster --sweep --points 0' 'raft --sweep --points 0' \
 	'run -r nan' 'run -r 150 -s nosuch' 'run -r 150 -w nosuch' 'figure nosuch' \
+	'run -r 20 -w leveldb:zipf=nan' 'run -r 20 -w leveldb:zipf=0' 'run -r 20 -w leveldb:skew=1' \
+	'run -r 150 -w usr:zipf=1' \
 	'sls -r 100 --variant bogus' 'run -r 150 --policy bogus' 'cluster --policy bogus' \
 	'cluster --engine par:0' 'cluster --hedge bogus' 'cluster --arrival bogus' \
 	'raft --write-ratio 2' \
@@ -222,8 +226,10 @@ bench-e2e-compare:
 	sh bench/e2e/run.sh --compare $(A) $(B)
 
 # Interleaved before/after of one bench/e2e workload (tools/bench_pairs.sh):
-# N pairs of two bench_e2e.exe builds, alternating which runs first, then
-# each side's median and quartiles of METRIC and the pairs B won.
+# one untimed warm-up run of each build (--seconds 0; after the host idles,
+# a build's first runs with a producer domain are slow), then N pairs of
+# the two bench_e2e.exe builds, alternating which runs first, then each
+# side's median and quartiles of METRIC and the pairs B won.
 N ?= 10
 SEED ?= 42
 SECS ?= 4

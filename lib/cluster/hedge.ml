@@ -76,7 +76,7 @@ let min_samples = 16
 let make_estimator () = Histogram.create ()
 
 let observe est ~sojourn_ns ~service_ns =
-  Histogram.record est (max 0 (sojourn_ns * slowdown_unit / max 1 service_ns))
+  Histogram.record est (Int.max 0 (sojourn_ns * slowdown_unit / Int.max 1 service_ns))
 
 (* Adaptive hedging fires a little ahead of the SLO tail (p97): early
    enough to rescue stragglers well before they reach the p99 threshold,
@@ -98,7 +98,7 @@ let adaptive_pct = 97.0
 let scaled est pct ~estimate_ns ~lead_ns =
   if Histogram.count est < min_samples then None
   else
-    let deadline = Histogram.percentile est pct * max 1 estimate_ns / slowdown_unit in
+    let deadline = Histogram.percentile est pct * Int.max 1 estimate_ns / slowdown_unit in
     let fire = deadline - lead_ns in
     if fire < lead_ns then None else Some fire
 
@@ -113,4 +113,4 @@ let within_budget t ~hedges ~primaries =
   match t with
   | Off -> false
   | Fixed _ | Percentile _ -> true
-  | Adaptive { budget } -> float_of_int (hedges + 1) <= budget *. float_of_int (max 1 primaries)
+  | Adaptive { budget } -> float_of_int (hedges + 1) <= budget *. float_of_int (Int.max 1 primaries)

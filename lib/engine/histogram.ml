@@ -49,7 +49,7 @@ let index t v =
     let half = sub_count / 2 in
     let k = msb v - t.sub_bits + 1 in
     let i = sub_count + ((k - 1) * half) + ((v lsr k) - half) in
-    min i (t.buckets - 1)
+    Int.min i (t.buckets - 1)
   end
 
 (* Inclusive upper bound of the value range covered by bucket [i]. *)
@@ -66,7 +66,7 @@ let bucket_upper t i =
 
 let record t v =
   if v < 0 then invalid_arg "Histogram.record: negative value";
-  let v = min v t.max_value in
+  let v = Int.min v t.max_value in
   let i = index t v in
   t.total <- t.total + 1;
   let tree = t.tree in
@@ -87,7 +87,7 @@ let count t = t.total
 let percentile t p =
   if t.total = 0 then invalid_arg "Histogram.percentile: empty";
   if not (p >= 0.0 && p <= 100.0) then invalid_arg "Histogram.percentile: p out of range";
-  let rank = max 1 (int_of_float (ceil ((p *. float_of_int t.total /. 100.0) -. 1e-9))) in
+  let rank = Int.max 1 (int_of_float (ceil ((p *. float_of_int t.total /. 100.0) -. 1e-9))) in
   let n = t.buckets in
   let rec descend pos rem step =
     if step = 0 then pos
@@ -98,4 +98,4 @@ let percentile t p =
       else descend pos rem (step lsr 1)
     end
   in
-  bucket_upper t (min (descend 0 rank t.top) (n - 1))
+  bucket_upper t (Int.min (descend 0 rank t.top) (n - 1))

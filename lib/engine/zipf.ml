@@ -2,7 +2,8 @@ type t = { n : int; cdf : float array }
 
 let create ~n ~alpha =
   if n < 1 then invalid_arg "Zipf.create: n must be positive";
-  if alpha < 0.0 then invalid_arg "Zipf.create: alpha must be non-negative";
+  if not (alpha >= 0.0) then
+    invalid_arg (Printf.sprintf "Zipf.create: alpha %g is not a non-negative number" alpha);
   let weights = Array.init n (fun k -> (1.0 /. float_of_int (k + 1)) ** alpha) in
   let total = Array.fold_left ( +. ) 0.0 weights in
   let cdf = Array.make n 0.0 in

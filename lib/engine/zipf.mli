@@ -9,8 +9,8 @@ type t
 
 val create : n:int -> alpha:float -> t
 (** Distribution over ranks [0, n): P(rank = k) proportional to
-    1/(k+1)^alpha. [alpha = 0] is uniform. Raises on [n] < 1 or negative
-    [alpha]. *)
+    1/(k+1)^alpha. [alpha = 0] is uniform. Raises [Invalid_argument] on
+    [n] < 1 or a negative or NaN [alpha]. *)
 
 val sample : t -> Rng.t -> int
 (** Draw a rank in [0, n). Rank 0 is the most popular item. *)

@@ -3,16 +3,29 @@ module Mix = Repro_workload.Mix
 
 let scan_probe_spacing_ns = 230.0
 
+(* [key_of_index] sorts by index below this bound: past it keys grow a
+   ninth digit. *)
+let max_keys = 100_000_000
+
+(* "00" "01" ... "99": the two digits of each pair [p] at [2p]. *)
+let digit_pairs =
+  String.init 200 (fun k -> Char.chr (48 + if k land 1 = 0 then k / 20 else k / 2 mod 10))
+
 (* [Printf.sprintf "user%08d" i] without the format interpreter for the
-   indices that fit in eight digits, which is every key a generator draws. *)
+   indices that fit in eight digits, which is every key a generator draws:
+   the key is written in place, two digits per division. *)
 let key_of_index i =
-  if i < 0 || i > 99_999_999 then Printf.sprintf "user%08d" i
+  if i < 0 || i >= max_keys then Printf.sprintf "user%08d" i
   else begin
-    let b = Bytes.of_string "user00000000" in
+    let b = Bytes.create 12 in
+    Bytes.set_int32_le b 0 0x72657375l (* "user" *);
     let n = ref i in
-    for k = 11 downto 4 do
-      Bytes.set b k (Char.chr (48 + (!n mod 10)));
-      n := !n / 10
+    for k = 5 downto 2 do
+      let q = !n / 100 in
+      let p = 2 * (!n - (100 * q)) in
+      Bytes.unsafe_set b (2 * k) (String.unsafe_get digit_pairs p);
+      Bytes.unsafe_set b ((2 * k) + 1) (String.unsafe_get digit_pairs (p + 1));
+      n := q
     done;
     Bytes.unsafe_to_string b
   end
@@ -42,23 +55,22 @@ let values value_bytes =
 
 let value_of_index ~value_bytes i = values value_bytes i
 
-(* [key_of_index] sorts by index below this bound: past it keys grow a
-   ninth digit. *)
-let max_keys = 100_000_000
-
 let populate ?(n_keys = 15_000) ?(value_bytes = default_value_bytes) ~seed () =
   if n_keys < 0 || n_keys > max_keys then
     invalid_arg
       (Printf.sprintf "Kv_workload.populate: n_keys %d is outside [0, %d]" n_keys max_keys);
   let value = values value_bytes in
+  (* One box per interned value, shared as the value is. *)
+  let entries = Array.init 94 (fun i -> Skiplist.Value (value i)) in
   let store = Store.create ~seed () in
-  Store.load_sorted store ~keys:(Array.init n_keys key_of_index) ~values:(Array.init n_keys value);
+  Store.load_sorted store ~keys:(Array.init n_keys key_of_index)
+    ~entries:(Array.init n_keys (fun i -> entries.(i mod 94)));
   store
 
 let profile_of_outcome (o : Store.outcome) ~probe_spacing_ns : Mix.profile =
   {
     Mix.class_id = 0;
-    service_ns = max 1 o.Store.service_ns;
+    service_ns = Int.max 1 o.Store.service_ns;
     lock_windows = o.Store.lock_windows;
     probe_spacing_ns;
   }
@@ -69,8 +81,12 @@ let keyspace store = max 1 (Store.population store)
 
 (* Key-popularity model: uniform by default; a positive [zipf_alpha] makes
    rank 0 the hottest key (production KV traffic is famously skewed). *)
-let key_picker ~keyspace_size ~zipf_alpha =
-  if zipf_alpha <= 0.0 then fun rng -> Rng.int rng ~bound:keyspace_size
+let key_picker ~entry ~keyspace_size ~zipf_alpha =
+  if not (zipf_alpha >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Kv_workload.%s: zipf_alpha %g is not a non-negative number" entry
+         zipf_alpha);
+  if zipf_alpha = 0.0 then fun rng -> Rng.int rng ~bound:keyspace_size
   else begin
     let zipf = Repro_engine.Zipf.create ~n:keyspace_size ~alpha:zipf_alpha in
     fun rng -> Repro_engine.Zipf.sample zipf rng
@@ -107,7 +123,7 @@ let scan_class store ~weight : Mix.class_def =
      requests use the closed-form estimate against current store state. *)
   let anchor = Store.scan store in
   let generate _rng =
-    let service_ns = max 1 (Store.scan_estimate_ns store) in
+    let service_ns = Int.max 1 (Store.scan_estimate_ns store) in
     {
       Mix.class_id = 0;
       service_ns;
@@ -121,12 +137,12 @@ let scan_class store ~weight : Mix.class_def =
    they touch on every generate call), so they are not parallel-safe:
    sweeps must sample them from a single domain, in order. *)
 let get_scan_mix ?(zipf_alpha = 0.0) store ~seed:_ =
-  let pick = key_picker ~keyspace_size:(keyspace store) ~zipf_alpha in
+  let pick = key_picker ~entry:"get_scan_mix" ~keyspace_size:(keyspace store) ~zipf_alpha in
   Mix.of_classes ~parallel_safe:false ~name:"LevelDB 50% GET / 50% SCAN"
     [| get_class store ~pick ~weight:0.5; scan_class store ~weight:0.5 |]
 
 let zippydb_mix ?(zipf_alpha = 0.0) store ~seed:_ =
-  let pick = key_picker ~keyspace_size:(keyspace store) ~zipf_alpha in
+  let pick = key_picker ~entry:"zippydb_mix" ~keyspace_size:(keyspace store) ~zipf_alpha in
   Mix.of_classes ~parallel_safe:false ~name:"LevelDB ZippyDB"
     [|
       get_class store ~pick ~weight:0.78;

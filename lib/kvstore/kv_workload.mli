@@ -38,7 +38,8 @@ val populate :
 val get_scan_mix : ?zipf_alpha:float -> Store.t -> seed:int -> Repro_workload.Mix.t
 (** 50 % GET / 50 % full SCAN — Fig. 9's workload. Keys are uniform by
     default; [zipf_alpha > 0] draws them Zipfian (rank 0 hottest), matching
-    skewed production traffic. *)
+    skewed production traffic. Raises [Invalid_argument] when [zipf_alpha]
+    is negative or NaN. *)
 
 val zippydb_mix : ?zipf_alpha:float -> Store.t -> seed:int -> Repro_workload.Mix.t
 (** 78 % GET / 13 % PUT / 6 % DELETE / 3 % SCAN — Fig. 10's workload,

@@ -5,7 +5,7 @@ type t = {
   rng : Rng.t;
   mutable memtable : Skiplist.t;
   mutable tables : Plain_table.t list; (* newest first *)
-  live_keys : (string, unit) Hashtbl.t; (* shadow index for bookkeeping only *)
+  mutable live_count : int option; (* how many keys are live, where known *)
   wal : Wal.t; (* covers the current memtable; truncated on flush *)
   flush_threshold : int;
 }
@@ -18,18 +18,18 @@ type outcome = {
 }
 
 let create ?(flush_threshold = 4096) ~seed () =
+  if flush_threshold < 1 then
+    invalid_arg (Printf.sprintf "Store.create: flush_threshold %d is not positive" flush_threshold);
   let rng = Rng.create ~seed in
   {
     meter = Cost_meter.create ();
     rng;
     memtable = Skiplist.create ~rng ();
     tables = [];
-    live_keys = Hashtbl.create 4096;
+    live_count = Some 0;
     wal = Wal.create ();
     flush_threshold;
   }
-
-let population t = Hashtbl.length t.live_keys
 
 let total_entries t =
   Skiplist.length t.memtable
@@ -99,6 +99,7 @@ let live_only table =
 let fold_into_one_table t ~newest ~mem =
   let live = live_only (List.fold_left merge_newer newest (mem :: t.tables)) in
   t.tables <- (if Plain_table.length live = 0 then [] else [ live ]);
+  t.live_count <- Some (Plain_table.length live);
   t.memtable <- Skiplist.create ~rng:t.rng ();
   (* The memtable is durable in the tables now; its log can go. *)
   Wal.truncate t.wal
@@ -140,39 +141,34 @@ let count_common a b =
   in
   go 0 0 0
 
-(* The pairs become one sorted table merged over what the store held, as
+(* The entries become one sorted table merged over what the store held, as
    if each had been inserted into the memtable before a full compaction,
    without building the memtable: an insert of a key the memtable lacks
    draws a node level, so the load draws one per such key and leaves the
    store's RNG (and every later operation's metered cost) where the
    inserts would have. The table is built, and the keys' order checked,
    before the store changes. *)
-let load_sorted t ~keys ~values =
-  let loaded = Plain_table.of_sorted ~keys ~vals:(Array.map (fun v -> Skiplist.Value v) values) in
+let load_sorted t ~keys ~entries =
+  let loaded = Plain_table.of_sorted ~keys ~vals:entries in
   let mem = memtable_table t in
   for _ = 1 to Plain_table.length loaded - count_common loaded mem do
     Skiplist.draw_level t.memtable
   done;
-  Array.iter (fun key -> Hashtbl.replace t.live_keys key ()) keys;
   fold_into_one_table t ~newest:loaded ~mem
 
 (* The pairs sorted by key, the last value per key winning as successive
-   memtable inserts would leave them. The sort is stable and skipped for
-   input already in key order. *)
+   memtable inserts would leave them: the sort is stable, so each key's
+   last pair ends its run. *)
 let load t pairs =
-  let arr = Array.of_list pairs in
-  let n = Array.length arr in
-  let key i = fst arr.(i) in
-  let rec ascending i = i >= n || (String.compare (key (i - 1)) (key i) < 0 && ascending (i + 1)) in
-  if not (ascending 1) then Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) arr;
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    if i = n - 1 || not (String.equal (key i) (key (i + 1))) then begin
-      arr.(!kept) <- arr.(i);
-      incr kept
-    end
-  done;
-  load_sorted t ~keys:(Array.init !kept key) ~values:(Array.init !kept (fun i -> snd arr.(i)))
+  let rec last_per_key = function
+    | (k, _) :: ((k', _) :: _ as rest) when String.equal k k' -> last_per_key rest
+    | pair :: rest -> pair :: last_per_key rest
+    | [] -> []
+  in
+  let kept =
+    Array.of_list (last_per_key (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) pairs))
+  in
+  load_sorted t ~keys:(Array.map fst kept) ~entries:(Array.map (fun (_, v) -> Skiplist.Value v) kept)
 
 let finish t ~found ~scanned =
   {
@@ -221,9 +217,7 @@ let write t ~key entry =
   Wal.append t.wal ~key ~entry;
   Skiplist.insert ~meter:m t.memtable ~key entry;
   Cost_meter.unlock m;
-  (match entry with
-  | Skiplist.Value _ -> Hashtbl.replace t.live_keys key ()
-  | Skiplist.Tombstone -> Hashtbl.remove t.live_keys key);
+  t.live_count <- None;
   let outcome = finish t ~found:None ~scanned:0 in
   maybe_flush t;
   outcome
@@ -252,15 +246,15 @@ let rec from_first_live = function
   | src :: rest when at_end src -> from_first_live rest
   | sources -> sources
 
-(* The smallest of [best] and the keys the [sources] stand at, charging one
-   comparison per source compared. *)
-let rec smallest m best = function
+(* The smallest of [best] and the keys the [sources] stand at, charging
+   [meter] one comparison per source compared. *)
+let rec smallest meter best = function
   | [] -> best
-  | src :: rest when at_end src -> smallest m best rest
+  | src :: rest when at_end src -> smallest meter best rest
   | src :: rest ->
-    Cost_meter.key_compare m;
+    (match meter with Some m -> Cost_meter.key_compare m | None -> ());
     let k = cursor_key src in
-    smallest m (if String.compare k best < 0 then k else best) rest
+    smallest meter (if String.compare k best < 0 then k else best) rest
 
 (* The entry of the first (newest) source standing at [key]. *)
 let rec visible key = function
@@ -273,37 +267,52 @@ let rec advance_at ~meter key = function
     if at_key key src then cursor_advance ?meter src;
     advance_at ~meter key rest
 
-let scan t =
-  let m = t.meter in
-  Cost_meter.reset m;
-  Cost_meter.lock m;
-  Cost_meter.snapshot m;
-  Cost_meter.unlock m;
+(* The merge walk over every source, counting the live keys. Each step
+   takes the smallest key among the sources; the first (newest) source
+   holding it provides the entry, and every source holding it advances.
+   [meter], when given, is charged what a scan pays: a comparison per
+   source compared, every cursor step and eight bytes per live entry.
+   Reading a cursor allocates nothing. *)
+let walk t ~meter =
   (* Sources newest-first: memtable shadows tables; earlier tables shadow
      later ones. *)
   let sources =
     Mem (Skiplist.Cursor.start t.memtable)
     :: List.map (fun table -> Tab (Plain_table.Cursor.start table)) t.tables
   in
-  let meter = Some m in
-  (* Each step takes the smallest key among the sources; the first (newest)
-     source holding it provides the entry, and every source holding it
-     advances. Reading a cursor allocates nothing. *)
-  let rec step scanned =
+  let rec step live =
     match from_first_live sources with
-    | [] -> scanned
-    | lead :: rest as live -> (
-      let key = smallest m (cursor_key lead) rest in
-      let entry = visible key live in
-      advance_at ~meter key live;
+    | [] -> live
+    | lead :: rest as active -> (
+      let key = smallest meter (cursor_key lead) rest in
+      let entry = visible key active in
+      advance_at ~meter key active;
       match entry with
       | Skiplist.Value v ->
-        Cost_meter.copy_bytes m (min 8 (String.length v));
-        step (scanned + 1)
-      | Skiplist.Tombstone -> step scanned)
+        (match meter with
+        | Some m -> Cost_meter.copy_bytes m (Int.min 8 (String.length v))
+        | None -> ());
+        step (live + 1)
+      | Skiplist.Tombstone -> step live)
   in
-  let scanned = step 0 in
+  step 0
+
+let scan t =
+  let m = t.meter in
+  Cost_meter.reset m;
+  Cost_meter.lock m;
+  Cost_meter.snapshot m;
+  Cost_meter.unlock m;
+  let scanned = walk t ~meter:(Some m) in
   finish t ~found:None ~scanned
+
+let population t =
+  match t.live_count with
+  | Some n -> n
+  | None ->
+    let n = walk t ~meter:None in
+    t.live_count <- Some n;
+    n
 
 let scan_estimate_ns t =
   let cal = Cost_meter.calibration t.meter in
@@ -316,14 +325,13 @@ let scan_estimate_ns t =
   let entries = float_of_int (total_entries t) in
   let per_entry =
     cal.Cost_meter.Calibration.iter_step_ns
-    +. (float_of_int (max 0 (active_sources - 1)) *. cal.Cost_meter.Calibration.key_compare_ns)
+    +. (float_of_int (Int.max 0 (active_sources - 1)) *. cal.Cost_meter.Calibration.key_compare_ns)
     +. (8.0 *. cal.Cost_meter.Calibration.byte_copy_ns)
   in
   int_of_float
     ((2.0 *. cal.Cost_meter.Calibration.lock_ns)
     +. cal.Cost_meter.Calibration.snapshot_ns
     +. (entries *. per_entry))
-
 
 let wal t = t.wal
 
@@ -335,20 +343,5 @@ let crash_recover t =
   List.iter
     (fun (key, entry) -> Skiplist.insert t.memtable ~key entry)
     (Wal.replay t.wal);
-  (* Rebuild the bookkeeping index from durable + replayed state. *)
-  Hashtbl.reset t.live_keys;
-  List.iter
-    (fun table ->
-      let vals = Plain_table.vals table in
-      Array.iteri
-        (fun i k ->
-          match vals.(i) with
-          | Skiplist.Value _ -> Hashtbl.replace t.live_keys k ()
-          | Skiplist.Tombstone -> Hashtbl.remove t.live_keys k)
-        (Plain_table.keys table))
-    (List.rev t.tables);
-  ignore
-    (Skiplist.fold t.memtable ~init:() ~f:(fun () k e ->
-         match e with
-         | Skiplist.Value _ -> Hashtbl.replace t.live_keys k ()
-         | Skiplist.Tombstone -> Hashtbl.remove t.live_keys k))
+  (* A torn log tail loses writes the memtable held. *)
+  t.live_count <- None

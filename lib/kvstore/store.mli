@@ -21,8 +21,11 @@ type outcome = {
 }
 
 val create : ?flush_threshold:int -> seed:int -> unit -> t
-(** [flush_threshold] (default 4096): memtable entries that trigger
-    background compaction. *)
+(** [flush_threshold] (default 4096): memtable entries that trigger a minor
+    flush into a new table, which keeps its tombstones; past four tables a
+    full {!compact} folds them into one (LevelDB's leveled compaction in
+    two tiers). Both are unmetered. Raises [Invalid_argument] when
+    [flush_threshold] is below 1. *)
 
 val load : t -> (string * string) list -> unit
 (** Bulk-load initial data, unmetered: the pairs (the last value per key
@@ -31,16 +34,18 @@ val load : t -> (string * string) list -> unit
     would leave it, the store's RNG included. The pairs are sorted by key
     and deduplicated, then loaded by {!load_sorted}. *)
 
-val load_sorted : t -> keys:string array -> values:string array -> unit
-(** {!load} of the pairs [(keys.(i), values.(i))], whose keys are already
-    in strictly ascending order, without sorting or copying them: the new
-    table keeps [keys] (do not change it afterwards). Raises
+val load_sorted : t -> keys:string array -> entries:Skiplist.entry array -> unit
+(** {!load} of [entries.(i)] under [keys.(i)], the keys already strictly
+    ascending, without sorting, copying or boxing: the new table keeps both
+    arrays (do not change them afterwards), so entries may share a
+    [Skiplist.Value] box; a [Tombstone] deletes its key. Raises
     [Invalid_argument], leaving the store unchanged, when the keys are
     unsorted or repeat or the arrays differ in length. *)
 
 val population : t -> int
 (** Number of distinct keys ever inserted and not shadowed by a tombstone
-    (live keys). O(1), maintained incrementally. *)
+    (live keys). O(1) after a load or a compaction; otherwise one unmetered
+    pass of {!scan}'s merge walk, kept until a write or {!crash_recover}. *)
 
 val total_entries : t -> int
 (** Entries a full scan will visit (live + tombstones), across memtable and
@@ -59,14 +64,6 @@ val scan_estimate_ns : t -> int
     sizes — used by high-volume workload generation so that building a
     million request profiles does not require a million real 15 000-entry
     walks. Tests assert it tracks {!scan} within a few percent. *)
-
-val flush : t -> unit
-(** Minor flush: freeze the memtable into a new immutable table (keeping
-    tombstones, which must go on shadowing older tables) and truncate the
-    write-ahead log. Happens automatically at [flush_threshold]; after
-    more than four tables accumulate, a full {!compact} folds them into
-    one — LevelDB's leveled compaction collapsed to two tiers. Unmetered
-    (background work). *)
 
 val compact : t -> unit
 (** Force the full background compaction immediately (unmetered): every

@@ -825,7 +825,7 @@ module Group (R : sig val run : run end) = struct
       if nd.alive && nd.role = Leader && nd.hb_epoch = epoch then begin
         let now = Sim.now sim in
         if quorum = 1 then begin
-          nd.lease_expiry_ns <- max nd.lease_expiry_ns (now + lease_ns);
+          nd.lease_expiry_ns <- Int.max nd.lease_expiry_ns (now + lease_ns);
           drain_parked ()
         end
         else begin
@@ -845,8 +845,8 @@ module Group (R : sig val run : run end) = struct
       if nd.alive && term >= nd.term then begin
         hear_leader nd term;
         (* the lease extends from the heartbeat's send time, not receipt *)
-        nd.lease_expiry_ns <- max nd.lease_expiry_ns (sent_ns + lease_ns);
-        set_commit nd (max nd.commit_index (min leader_commit nd.log_len));
+        nd.lease_expiry_ns <- Int.max nd.lease_expiry_ns (sent_ns + lease_ns);
+        set_commit nd (Int.max nd.commit_index (Int.min leader_commit nd.log_len));
         drain_parked ();
         send (Hb_ack { node = from; term; round })
       end
@@ -859,7 +859,7 @@ module Group (R : sig val run : run end) = struct
           let acks = acks + 1 in
           if acks + 1 >= quorum then begin
             Hashtbl.remove nd.hb_rounds round;
-            nd.lease_expiry_ns <- max nd.lease_expiry_ns (sent_ns + lease_ns);
+            nd.lease_expiry_ns <- Int.max nd.lease_expiry_ns (sent_ns + lease_ns);
             drain_parked ()
           end
           else Hashtbl.replace nd.hb_rounds round (sent_ns, acks)

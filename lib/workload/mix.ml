@@ -50,7 +50,7 @@ let class_name t i =
 
 let simple_class ~name ~weight ~dist =
   let generate rng =
-    let service_ns = max 1 (int_of_float (Service_dist.sample dist rng)) in
+    let service_ns = Int.max 1 (int_of_float (Service_dist.sample dist rng)) in
     { class_id = 0; service_ns; lock_windows = [||]; probe_spacing_ns = 0.0 }
   in
   { name; weight; mean_ns = Service_dist.mean_ns dist; generate }
@@ -58,7 +58,11 @@ let simple_class ~name ~weight ~dist =
 let of_classes ?(parallel_safe = true) ~name classes =
   if Array.length classes = 0 then invalid_arg "Mix.of_classes: no classes";
   Array.iter
-    (fun c -> if c.weight <= 0.0 then invalid_arg "Mix.of_classes: non-positive weight")
+    (fun c ->
+      if c.weight <= 0.0 then invalid_arg "Mix.of_classes: non-positive weight";
+      if not (Float.is_finite c.weight) then
+        invalid_arg
+          (Printf.sprintf "Mix.of_classes: class %S weight %g is not finite" c.name c.weight))
     classes;
   { name; classes; parallel_safe }
 

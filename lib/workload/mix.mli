@@ -52,7 +52,8 @@ val of_dist : name:string -> Service_dist.t -> t
 (** Single-class mix from a plain distribution: no locks, default probes. *)
 
 val of_classes : ?parallel_safe:bool -> name:string -> class_def array -> t
-(** Validated multi-class mix (weights positive, at least one class).
+(** Validated multi-class mix (weights positive and finite, at least one
+    class; [Invalid_argument] otherwise).
     [parallel_safe] (default true) must be set to false when the class
     generators share mutable state across calls. *)
 

@@ -52,6 +52,16 @@ let test_zipf_bounds () =
     if k < 0 || k >= 5 then Alcotest.failf "rank out of range: %d" k
   done
 
+(* A NaN alpha made every draw rank 0. *)
+let test_zipf_refuses_nan_alpha () =
+  List.iter
+    (fun (alpha, shown) ->
+      Alcotest.check_raises shown
+        (Invalid_argument
+           (Printf.sprintf "Zipf.create: alpha %s is not a non-negative number" shown))
+        (fun () -> ignore (Zipf.create ~n:10 ~alpha)))
+    [ (Float.nan, "nan"); (-0.5, "-0.5") ]
+
 let test_zipf_kv_mix () =
   let store = Repro_kvstore.Kv_workload.populate ~n_keys:1_000 ~seed:3 () in
   let mix = Repro_kvstore.Kv_workload.zippydb_mix ~zipf_alpha:1.0 store ~seed:3 in
@@ -263,6 +273,7 @@ let suite =
     Alcotest.test_case "zipf rank ordering" `Quick test_zipf_rank_ordering;
     Alcotest.test_case "zipf sampling frequency" `Quick test_zipf_sampling_frequency;
     Alcotest.test_case "zipf bounds" `Quick test_zipf_bounds;
+    Alcotest.test_case "zipf refuses a NaN or negative alpha" `Quick test_zipf_refuses_nan_alpha;
     Alcotest.test_case "zipfian kv mix" `Quick test_zipf_kv_mix;
     Alcotest.test_case "sls conservation" `Quick test_sls_conservation;
     Alcotest.test_case "sls preemption variants" `Quick test_sls_no_preempt_variants;

@@ -279,6 +279,41 @@ let test_key_of_index_matches_printf () =
     [ min_int; -100_000_000; -1; 0; 1; 9; 10; 14_999; 9_999_999; 10_000_000; 99_999_999;
       100_000_000; max_int ]
 
+(* Every index a generator can draw, beside the boundary list above. *)
+let prop_key_of_index_matches_printf =
+  QCheck.Test.make ~count:1_000 ~name:"keys match the Printf form at random indices"
+    QCheck.(int_range 0 99_999_999)
+    (fun i -> String.equal (Kv_workload.key_of_index i) (Printf.sprintf "user%08d" i))
+
+(* A threshold below 1 flushed the memtable on every write. *)
+let test_store_refuses_bad_threshold () =
+  List.iter
+    (fun flush_threshold ->
+      Alcotest.check_raises (string_of_int flush_threshold)
+        (Invalid_argument
+           (Printf.sprintf "Store.create: flush_threshold %d is not positive" flush_threshold))
+        (fun () -> ignore (Store.create ~flush_threshold ~seed:1 ())))
+    [ min_int; -1; 0 ]
+
+(* A negative alpha read as uniform keys and a NaN one sent every request
+   to key 0. *)
+let test_mixes_refuse_bad_zipf () =
+  let store = Kv_workload.populate ~n_keys:100 ~seed:1 () in
+  List.iter
+    (fun (entry, mix) ->
+      List.iter
+        (fun (zipf_alpha, shown) ->
+          Alcotest.check_raises (entry ^ " " ^ shown)
+            (Invalid_argument
+               (Printf.sprintf "Kv_workload.%s: zipf_alpha %s is not a non-negative number" entry
+                  shown))
+            (fun () -> ignore (mix ~zipf_alpha store)))
+        [ (Float.nan, "nan"); (-1.0, "-1"); (Float.neg_infinity, "-inf") ])
+    [
+      ("get_scan_mix", fun ~zipf_alpha s -> Kv_workload.get_scan_mix ~zipf_alpha s ~seed:1);
+      ("zippydb_mix", fun ~zipf_alpha s -> Kv_workload.zippydb_mix ~zipf_alpha s ~seed:1);
+    ]
+
 (* --- populate -------------------------------------------------------------- *)
 
 (* Value [i]'s per-byte definition, which [value_of_index] builds from 94
@@ -382,7 +417,7 @@ let test_load_sorted_refuses () =
   List.iter
     (fun (keys, values, message) ->
       Alcotest.check_raises message (Invalid_argument message) (fun () ->
-          Store.load_sorted loaded ~keys ~values))
+          Store.load_sorted loaded ~keys ~entries:(Array.map (fun v -> Skiplist.Value v) values)))
     [
       ([| "b"; "a" |], [| "1"; "2" |], "Plain_table.of_sorted: keys not strictly ascending");
       ([| "a"; "a" |], [| "1"; "2" |], "Plain_table.of_sorted: keys not strictly ascending");
@@ -420,6 +455,11 @@ let suite =
     Alcotest.test_case "mix profiles are well-formed" `Quick test_mix_profiles;
     Alcotest.test_case "get/scan mix balance" `Quick test_get_scan_mix_balance;
     Alcotest.test_case "keys match the Printf form" `Quick test_key_of_index_matches_printf;
+    QCheck_alcotest.to_alcotest prop_key_of_index_matches_printf;
+    Alcotest.test_case "store refuses a flush threshold below 1" `Quick
+      test_store_refuses_bad_threshold;
+    Alcotest.test_case "mixes refuse a negative or NaN zipf alpha" `Quick
+      test_mixes_refuse_bad_zipf;
     QCheck_alcotest.to_alcotest prop_values_match_oracle;
     Alcotest.test_case "populate equals a list load and PUTs of per-byte values" `Quick
       test_populate_matches_list_load;
@@ -528,6 +568,58 @@ let prop_load_matches_model =
       ignore (Store.put store ~key:"k00" ~value:"after");
       loaded_ok && reads_match (M.add "k00" "after" model))
 
+(* The live count after every step of random writes, compactions and
+   crash recoveries under a small flush threshold, so that minor flushes
+   leave tables that keep their tombstones: [population] must equal a map
+   model's cardinal each time, and at the end a full scan's count. The
+   store knows the count after a compaction and walks for it otherwise;
+   reading a lone table's length whenever the memtable is empty would
+   count a flushed tombstone as a live key. *)
+type step = Put of string * string | Delete of string | Compact | Crash_recover
+
+let prop_population_matches_model =
+  let key = QCheck.Gen.map (Printf.sprintf "k%02d") (QCheck.Gen.int_bound 29) in
+  let a_step =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun k v -> Put (k, string_of_int v)) key (int_bound 99));
+          (4, map (fun k -> Delete k) key);
+          (1, return Compact);
+          (1, return Crash_recover);
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"population equals a map model after every step"
+    QCheck.(make Gen.(pair (int_range 1 3) (list_size (int_bound 60) a_step)))
+    (fun (flush_threshold, steps) ->
+      let module M = Map.Make (String) in
+      let store = Store.create ~flush_threshold ~seed:32 () in
+      let apply model = function
+        | Put (key, value) ->
+          ignore (Store.put store ~key ~value);
+          M.add key value model
+        | Delete key ->
+          ignore (Store.delete store ~key);
+          M.remove key model
+        | Compact ->
+          Store.compact store;
+          model
+        | Crash_recover ->
+          Store.crash_recover store;
+          model
+      in
+      let rec go model = function
+        | [] -> Some model
+        | step :: rest ->
+          let model = apply model step in
+          if Store.population store = M.cardinal model then go model rest else None
+      in
+      match go M.empty steps with
+      | None -> false
+      | Some model ->
+        let n = M.cardinal model in
+        Store.population store = n && (Store.scan store).Store.scanned = n)
+
 let leveled_suite =
   [
     Alcotest.test_case "minor flush creates tables" `Quick test_minor_flush_creates_tables;
@@ -536,6 +628,7 @@ let leveled_suite =
       test_tombstone_shadows_across_tables;
     Alcotest.test_case "full compaction bounds tables" `Quick test_full_compaction_bounds_tables;
     QCheck_alcotest.to_alcotest prop_load_matches_model;
+    QCheck_alcotest.to_alcotest prop_population_matches_model;
   ]
 
 let suite = suite @ leveled_suite

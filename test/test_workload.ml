@@ -292,6 +292,23 @@ let test_mix_validation () =
         (Mix.of_classes ~name:"x"
            [| Mix.simple_class ~name:"a" ~weight:0.0 ~dist:(Service_dist.Fixed 1.0) |]))
 
+(* A NaN weight sent every request to the last class and made the mean
+   NaN; an infinite one starved its class. *)
+let test_mix_refuses_non_finite_weight () =
+  List.iter
+    (fun (weight, shown) ->
+      Alcotest.check_raises shown
+        (Invalid_argument
+           (Printf.sprintf "Mix.of_classes: class \"b\" weight %s is not finite" shown))
+        (fun () ->
+          ignore
+            (Mix.of_classes ~name:"x"
+               [|
+                 Mix.simple_class ~name:"a" ~weight:1.0 ~dist:(Service_dist.Fixed 1.0);
+                 Mix.simple_class ~name:"b" ~weight ~dist:(Service_dist.Fixed 2.0);
+               |])))
+    [ (Float.nan, "nan"); (Float.infinity, "inf") ]
+
 (* --- paper presets -------------------------------------------------------- *)
 
 let test_preset_parameters () =
@@ -337,6 +354,8 @@ let suite =
     Alcotest.test_case "mix class proportions" `Slow test_mix_class_proportions;
     Alcotest.test_case "mix weighted mean" `Quick test_mix_mean;
     Alcotest.test_case "mix validation" `Quick test_mix_validation;
+    Alcotest.test_case "mix refuses a NaN or infinite weight" `Quick
+      test_mix_refuses_non_finite_weight;
     Alcotest.test_case "paper preset parameters" `Quick test_preset_parameters;
     Alcotest.test_case "preset lookup" `Quick test_preset_lookup;
   ]

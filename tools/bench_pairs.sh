@@ -15,6 +15,12 @@
 # against A's, A's interquartile range, and the pairs B won: lower wins,
 # ties count for neither side. Nanosecond values print as whole numbers,
 # others with four significant digits.
+#
+# Before pair 1 each side runs once untimed (--seconds 0), printed as such
+# and left out of the summary: after the host has idled, the first two or
+# three runs of a build that draws arrivals on a second domain take several
+# times their steady wall time, so a batch would otherwise lose its first
+# pairs whatever the code.
 set -eu
 
 if [ $# -lt 3 ]; then
@@ -27,22 +33,27 @@ if [ "$n" -lt 2 ]; then
   exit 2
 fi
 
-# Prints "VALUE UNIT" of METRIC, or nothing if the run did not report it.
+# Prints "VALUE UNIT" of METRIC from a run of build $1 with a $2-second
+# window, or nothing if the run did not report it.
 measure() {
-  "$1" --workload "$workload" --seed "$seed" --seconds "$secs" --trace 0 | tail -n 1 |
+  "$1" --workload "$workload" --seed "$seed" --seconds "$2" --trace 0 | tail -n 1 |
     sed -n "s/.*\"$metric\": {\"value\": \([^,}]*\), \"unit\": \"\([^\"]*\)\".*/\1 \2/p"
 }
+
+x=$(measure "$a" 0)
+y=$(measure "$b" 0)
+echo "warm-up, untimed: A $x  B $y"
 
 pairs=""
 unit=""
 i=1
 while [ "$i" -le "$n" ]; do
   if [ $((i % 2)) -eq 1 ]; then
-    x=$(measure "$a")
-    y=$(measure "$b")
+    x=$(measure "$a" "$secs")
+    y=$(measure "$b" "$secs")
   else
-    y=$(measure "$b")
-    x=$(measure "$a")
+    y=$(measure "$b" "$secs")
+    x=$(measure "$a" "$secs")
   fi
   if [ -z "$x" ] || [ -z "$y" ]; then
     echo "bench_pairs: pair $i: a run printed no $metric" >&2
