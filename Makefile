@@ -1,5 +1,5 @@
 # Tier-1 verification in one command.
-.PHONY: all check build test bench bench-json bench-json-quick bench-e2e bench-e2e-compare \
+.PHONY: all check build test bench bench-e2e bench-e2e-compare \
 	bench-e2e-pairs profile \
 	trace-smoke cluster-smoke cli-smoke \
 	verify-probes-smoke policy-smoke hedge-smoke raft-smoke par-smoke model-smoke kv-smoke lint clean
@@ -35,8 +35,11 @@ cluster-smoke:
 # requests, no workers, no group members), inputs it must not accept (a
 # zero quantum, an unknown system name, a straggler faster than its
 # peers or infinitely slow, one so slow its op costs overflow, a leader
-# kill at a time the clock cannot hold, a sweep of no points), and the
-# spec rejections that already worked (rate, system, workload, a zipf
+# kill at a time the clock cannot hold, a sweep of no points, a dispersion
+# axis whose mode size or short-request probability describes no
+# distribution), the flag values refused while the flags parse (a --jobs
+# below 1, a negative --last, an empty comma-separated study axis), and
+# the spec rejections that already worked (rate, system, workload, a zipf
 # alpha that is NaN or 0, an unknown workload option, :zipf= on a workload
 # without keys, figure, SLS variant, policy, engine, hedge, arrival, write
 # ratio).
@@ -53,17 +56,22 @@ CLI_SMOKE_LINES = \
 	'cluster --engine par:0' 'cluster --hedge bogus' 'cluster --arrival bogus' \
 	'raft --write-ratio 2' \
 	'cluster --straggler 0:inf' 'cluster --straggler 0:1e18' 'raft --straggler 1:inf' \
-	'raft --kill-leader-at nan' 'raft --kill-leader-at inf' 'raft --kill-leader-at 1e30'
+	'raft --kill-leader-at nan' 'raft --kill-leader-at inf' 'raft --kill-leader-at 1e30' \
+	'frontier --p-short=-0.5' 'frontier --p-short 1.5' 'frontier --p-short=nan' \
+	'frontier --short-us=-1' 'frontier --short-us=0' 'frontier --long-us=inf' \
+	'frontier --jobs=0' 'hedge-study --jobs=-1' 'cluster --sweep --jobs 0' 'trace --last=-1' \
+	'frontier --systems=' 'frontier --policies=' 'frontier --p-short=' 'frontier --util=' \
+	'hedge-study --rtts=' 'hedge-study --hedges=' 'hedge-study --policies=' \
+	'raft-study --nodes=' 'raft-study --rtts=' 'raft-study --write-ratios=' \
+	'overheads --systems=' 'check-model --only='
 # bench/main.exe must refuse an unknown figure id, a --jobs that is not a
-# positive integer, an unknown flag, --json beside anything but --quick and
-# --quick without --json before any figure or suite runs. The --json file
-# is under _build/ should a refusal ever fail and the suite run.
+# positive integer and an unknown flag before any table or figure runs;
+# --json, --quick and --no-micro, the flags of the retired events/s suite
+# and microbenchmarks, are unknown flags now.
 BENCH_SMOKE_LINES = \
-	'fig99 --no-micro' '--no-micro --jobs 0 fig2' '--no-micro --jobs=abc fig2' \
-	'--no-micro --bogus fig2' \
-	'--json _build/cli-smoke-core.json fig2' '--json _build/cli-smoke-core.json --full' \
-	'--json _build/cli-smoke-core.json --no-micro' '--json _build/cli-smoke-core.json --jobs 2' \
-	'--quick'
+	'fig99' '--jobs 0 fig2' '--jobs=abc fig2' '--bogus fig2' \
+	'--json _build/cli-smoke-core.json' '--quick' '--no-micro'
+# Then bench/main.exe table1 must print Table 1 and no figure.
 cli-smoke:
 	dune build bin/concord_sim.exe bench/main.exe
 	@n=0; exe=bin/concord_sim.exe; for a in $(CLI_SMOKE_LINES) -- $(BENCH_SMOKE_LINES); do \
@@ -76,6 +84,10 @@ cli-smoke:
 			cat _build/cli-smoke.err >&2; exit 1; fi; \
 	done; \
 	echo "cli-smoke: all $$n bad command lines rejected with a message"
+	_build/default/bench/main.exe table1 > _build/cli-smoke-table1.out
+	@if grep '^\[fig' _build/cli-smoke-table1.out >&2; then \
+		echo "cli-smoke: bench/main.exe table1 ran the figures above" >&2; exit 1; fi; \
+	echo "cli-smoke: bench/main.exe table1 ran no figure"
 
 # Static timeliness verifier smoke test: bound the worst-case inter-probe
 # gap of every suite kernel (Concord and elided placements), cross-check
@@ -191,23 +203,10 @@ check:
 	dune build && dune runtest && $(MAKE) lint && $(MAKE) trace-smoke && $(MAKE) cluster-smoke \
 		&& $(MAKE) cli-smoke && $(MAKE) policy-smoke && $(MAKE) hedge-smoke && $(MAKE) raft-smoke \
 		&& $(MAKE) par-smoke && $(MAKE) model-smoke && $(MAKE) kv-smoke \
-		&& $(MAKE) verify-probes-smoke \
-		&& $(MAKE) bench-json-quick
+		&& $(MAKE) verify-probes-smoke
 
 bench:
 	dune exec bench/main.exe
-
-# Core-throughput suite: fixed scenarios reported as simulated events/sec,
-# written as self-validated JSON (schema concord-bench-core/v2: top-level
-# "cores" plus per-scenario "engine"/"domains_used" keep parallel rows
-# interpretable). The full run regenerates the committed BENCH_core.json
-# reference; the quick (few-second) variant exercises the same path in
-# `make check`.
-bench-json:
-	dune exec bench/main.exe -- --json BENCH_core.json
-
-bench-json-quick:
-	dune exec bench/main.exe -- --json _build/bench-core-quick.json --quick
 
 # End-to-end benchmark (bench/e2e/README.md): host time per simulated
 # request, set-up time, peak memory and the per-layer split on all six

@@ -154,18 +154,26 @@ let instances_arg default doc =
 
 let steal_arg doc = Arg.(value & flag & info [ "steal" ] ~doc)
 
-(* A sweep of no points would report on nothing. *)
-let points_arg ?(doc = "Sweep points (with --sweep).") default =
+(* Flag values that would run nothing (a sweep of no points, a fan-out over
+   no domains, a study axis of no values) or show nothing (a negative
+   count of trace events) are refused while the flags parse, in the shape
+   of cmdliner's own messages. *)
+let refuse ~bad ~expected conv =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n < 1 ->
-      Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    match Arg.conv_parser conv s with
+    | Ok v when bad v -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
     | r -> r
   in
-  Arg.(
-    value
-    & opt (conv (parse, conv_printer int)) default
-    & info [ "points" ] ~docv:"N" ~doc)
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = refuse ~bad:(fun n -> n < 1) ~expected:"a positive integer" Arg.int
+let non_negative_int = refuse ~bad:(fun n -> n < 0) ~expected:"a non-negative integer" Arg.int
+
+let axis conv =
+  refuse ~bad:(( = ) []) ~expected:"a non-empty comma-separated list" (Arg.list conv)
+
+let points_arg ?(doc = "Sweep points (with --sweep).") default =
+  Arg.(value & opt positive_int default & info [ "points" ] ~docv:"N" ~doc)
 
 (* [Some points] with --sweep, [None] for a single point. *)
 let sweep_arg doc =
@@ -176,12 +184,14 @@ let sweep_arg doc =
 
 (* The comma-separated axes of the studies. *)
 let rtts_arg default doc =
-  Arg.(value & opt (list int) default & info [ "rtts" ] ~docv:"C,..." ~doc)
+  Arg.(value & opt (axis int) default & info [ "rtts" ] ~docv:"C,..." ~doc)
 
 let policies_arg default doc =
-  Arg.(value & opt (list string) default & info [ "policies" ] ~docv:"P,..." ~doc)
+  Arg.(value & opt (axis string) default & info [ "policies" ] ~docv:"P,..." ~doc)
 
-let jobs_arg doc = Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+let jobs_arg doc =
+  Arg.(value & opt (some positive_int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+
 let csv_arg doc = Arg.(value & flag & info [ "csv" ] ~doc)
 
 (* ---- shared reports -------------------------------------------------- *)
@@ -504,13 +514,13 @@ let raft_study_cmd =
   let nodes_arg =
     Arg.(
       value
-      & opt (list int) [ 1; 3; 5 ]
+      & opt (axis int) [ 1; 3; 5 ]
       & info [ "nodes" ] ~docv:"K,..." ~doc:"Comma-separated group sizes.")
   in
   let wratios_arg =
     Arg.(
       value
-      & opt (list float) [ 0.5 ]
+      & opt (axis float) [ 0.5 ]
       & info [ "write-ratios" ] ~docv:"F,..." ~doc:"Comma-separated write ratios.")
   in
   let action s nodes_list rtts wratios rate csv =
@@ -734,14 +744,14 @@ let frontier_cmd =
   let systems_arg =
     Arg.(
       value
-      & opt (list string) [ "concord"; "concord-uipi"; "shinjuku" ]
+      & opt (axis string) [ "concord"; "concord-uipi"; "shinjuku" ]
       & info [ "systems" ] ~docv:"A,B,..."
           ~doc:"Comma-separated mechanism presets forming the configuration axis.")
   in
   let p_shorts_arg =
     Arg.(
       value
-      & opt (list float) [ 0.5; 0.9; 0.99; 0.999 ]
+      & opt (axis float) [ 0.5; 0.9; 0.99; 0.999 ]
       & info [ "p-short" ] ~docv:"P,..."
           ~doc:"Short-request probabilities of the bimodal dispersion axis.")
   in
@@ -758,7 +768,7 @@ let frontier_cmd =
   let utils_arg =
     Arg.(
       value
-      & opt (list float) [ 0.85 ]
+      & opt (axis float) [ 0.85 ]
       & info [ "util" ] ~docv:"U,..." ~doc:"Utilization fractions of ideal capacity.")
   in
   let action systems policies p_shorts short_us long_us utils quantum workers n_requests seed
@@ -803,7 +813,7 @@ let hedge_study_cmd =
   let hedges_arg =
     Arg.(
       value
-      & opt (list string) [ "off"; "fixed:20000"; "pct:99"; "adaptive:0.05" ]
+      & opt (axis string) [ "off"; "fixed:20000"; "pct:99"; "adaptive:0.05" ]
       & info [ "hedges" ] ~docv:"H,..."
           ~doc:
             (Printf.sprintf "Comma-separated hedge specs (%s)."
@@ -888,7 +898,8 @@ let trace_cmd =
       & info [ "request" ] ~docv:"ID" ~doc:"Show only this request's lifecycle.")
   in
   let last_arg =
-    Arg.(value & opt int 60 & info [ "last" ] ~docv:"N" ~doc:"Show the last N events.")
+    Arg.(
+      value & opt non_negative_int 60 & info [ "last" ] ~docv:"N" ~doc:"Show the last N events.")
   in
   let csv_file_arg =
     Arg.(
@@ -1016,7 +1027,7 @@ let check_model_cmd =
   let only_arg =
     Arg.(
       value
-      & opt (some (list string)) None
+      & opt (some (axis string)) None
       & info [ "only" ] ~docv:"NAME,..."
           ~doc:"Run only the named scenarios (default: the whole registry).")
   in
@@ -1048,7 +1059,7 @@ let overheads_cmd =
   let systems_arg =
     Arg.(
       value
-      & opt (some (list string)) None
+      & opt (some (axis string)) None
       & info [ "systems" ] ~docv:"A,B,..."
           ~doc:"Comma-separated system names (default: the built-in comparison set).")
   in

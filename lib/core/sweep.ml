@@ -91,6 +91,14 @@ let squared_cv_of_dist d =
     (m2 /. (m *. m)) -. 1.0
 
 let dispersion_axis ~short_ns ~long_ns ~p_shorts =
+  let refuse fmt = Printf.ksprintf (fun m -> invalid_arg ("Sweep.dispersion_axis: " ^ m)) fmt in
+  List.iter
+    (fun (name, ns) ->
+      if not (Float.is_finite ns && ns > 0.0) then refuse "%s %g is not a finite size > 0" name ns)
+    [ ("short_ns", short_ns); ("long_ns", long_ns) ];
+  List.iter
+    (fun p -> if not (p >= 0.0 && p <= 1.0) then refuse "p_short %g is outside [0, 1]" p)
+    p_shorts;
   List.map
     (fun p_short ->
       let d = Repro_workload.Service_dist.Bimodal { p_short; short_ns; long_ns } in

@@ -84,7 +84,10 @@ val dispersion_axis :
   short_ns:float -> long_ns:float -> p_shorts:float list -> (float * Repro_workload.Mix.t) list
 (** Bimodal mixes with fixed mode locations and varying short-request
     probability — the knob that moves CV^2 while keeping both modes
-    recognisable (the kvstore GET/SCAN shape). Returns (CV^2, mix) pairs. *)
+    recognisable (the kvstore GET/SCAN shape). Returns (CV^2, mix) pairs.
+    Raises [Invalid_argument] naming the value when [short_ns] or [long_ns]
+    is not finite and > 0, or a [p_short] is outside [0, 1] (NaN
+    included). *)
 
 val run_frontier :
   configs:Repro_runtime.Config.t list ->

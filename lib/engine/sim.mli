@@ -58,9 +58,9 @@ val next_time : 'e t -> int
 
 val events_processed : 'e t -> int
 (** Total events popped and handled since [create], across all [run]s.
-    Cancelled events never pop, so they are not counted. The
-    simulated-events/sec figures in [bench/main.exe --json] divide this by
-    wall time. *)
+    Cancelled events never pop, so they are not counted. The golden tests
+    pin it through each host's [events_out], and [bench/e2e] divides it by
+    the requests run for [engine.events_per_req]. *)
 
 val stop : 'e t -> unit
 (** Make the current [run] return after the in-flight handler finishes. *)

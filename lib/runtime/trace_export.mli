@@ -22,8 +22,8 @@ val tracer_events_to_csv : Tracing.t -> string
     (inapplicable columns empty). *)
 
 val validate_json : string -> (unit, string) result
-(** Syntax-check any JSON document with the built-in reader — the
-    benchmark suite self-validates its [--json] output through this. *)
+(** Syntax-check any JSON document with the built-in reader — [bench/e2e]
+    self-validates its suite JSON through this. *)
 
 val validate_chrome_json : string -> (int, string) result
 (** Parse a JSON document and check the Chrome trace-event shape: a

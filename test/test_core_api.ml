@@ -93,6 +93,25 @@ let test_sweep_runs_points () =
       Alcotest.(check bool) "completed requests" true (p.summary.Metrics.completed > 0))
     sweep.Concord.Sweep.points
 
+(* The frontier's dispersion axis refuses a mode size or a probability that
+   describes no distribution, before any cell runs. *)
+let test_dispersion_axis_refusals () =
+  let axis ?(short_ns = 600.0) ?(long_ns = 500_000.0) p_shorts =
+    Concord.Sweep.dispersion_axis ~short_ns ~long_ns ~p_shorts
+  in
+  let refused msg f =
+    Alcotest.check_raises msg (Invalid_argument ("Sweep.dispersion_axis: " ^ msg)) (fun () ->
+        ignore (f ()))
+  in
+  refused "short_ns -1000 is not a finite size > 0" (fun () -> axis ~short_ns:(-1000.0) [ 0.5 ]);
+  refused "short_ns 0 is not a finite size > 0" (fun () -> axis ~short_ns:0.0 [ 0.5 ]);
+  refused "short_ns nan is not a finite size > 0" (fun () -> axis ~short_ns:Float.nan [ 0.5 ]);
+  refused "long_ns inf is not a finite size > 0" (fun () -> axis ~long_ns:Float.infinity [ 0.5 ]);
+  refused "p_short -0.5 is outside [0, 1]" (fun () -> axis [ 0.9; -0.5 ]);
+  refused "p_short 1.5 is outside [0, 1]" (fun () -> axis [ 1.5 ]);
+  refused "p_short nan is outside [0, 1]" (fun () -> axis [ Float.nan ]);
+  Alcotest.(check int) "both ends of [0, 1] accepted" 2 (List.length (axis [ 0.0; 1.0 ]))
+
 (* --- facade ---------------------------------------------------------------- *)
 
 let test_configure () =
@@ -179,6 +198,8 @@ let suite =
     Alcotest.test_case "improvement" `Quick test_improvement;
     Alcotest.test_case "default rate grid" `Quick test_default_rates;
     Alcotest.test_case "sweep runs every point" `Quick test_sweep_runs_points;
+    Alcotest.test_case "dispersion axis refuses bad sizes and probabilities" `Quick
+      test_dispersion_axis_refusals;
     Alcotest.test_case "configure" `Quick test_configure;
     Alcotest.test_case "workload lookup" `Quick test_workload_lookup;
     Alcotest.test_case "figure rendering" `Quick test_figure_render;

@@ -16,6 +16,12 @@ let config_of name =
   | Some make -> make ()
   | None -> Alcotest.failf "unknown system %s" name
 
+(* Concord with the central-queue policy [spec] built for [mix]. *)
+let concord_with_policy spec mix =
+  match Repro_runtime.Policy.of_spec spec ~mix with
+  | Ok policy -> { (config_of "concord") with Repro_runtime.Config.policy }
+  | Error e -> Alcotest.fail e
+
 (* %.17g round-trips IEEE doubles exactly: string equality = bit identity. *)
 let fingerprint (s : Repro_runtime.Metrics.summary) =
   Printf.sprintf "p50=%.17g p99=%.17g goodput=%.17g" s.Repro_runtime.Metrics.p50_slowdown
@@ -73,12 +79,7 @@ let rack_hedged name =
 
 let gittins_ycsb () =
   let mix = Repro_workload.Presets.ycsb_a in
-  let policy =
-    match Repro_runtime.Policy.of_spec "gittins" ~mix with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
-  let config = { (config_of "concord") with Repro_runtime.Config.policy } in
+  let config = concord_with_policy "gittins" mix in
   let events = ref 0 in
   let s, _ =
     Repro_runtime.Server.run_detailed ~config ~mix ~arrival:(poisson 250e3) ~n_requests:3_000
@@ -260,6 +261,26 @@ let standalone_row ?(n = 3_000) config mix rate =
   in
   Printf.sprintf "%s events=%d preemptions=%d" (fingerprint s) !events
     s.Repro_runtime.Metrics.preemptions
+
+(* The size-based policies that no other row runs: exact SRPT, SRPT on
+   log-normal estimates (sigma 1) and locality-aware FCFS, each on USR at
+   1 MRps over 4,000 requests with its event count. *)
+let test_golden_policies () =
+  let mix = Repro_workload.Presets.usr in
+  List.iter
+    (fun (spec, expected) ->
+      Alcotest.(check string) spec expected
+        (standalone_row ~n:4_000 (concord_with_policy spec mix) mix 1e6))
+    [
+      ( "srpt",
+        "p50=1.742 p99=2.6419999999999999 goodput=915777.47217944346 events=43379 \
+         preemptions=2768" );
+      ( "srpt-noisy:1",
+        "p50=1.742 p99=2.8500000000000001 goodput=915824.99805387179 events=43391 \
+         preemptions=2770" );
+      ( "locality-fcfs",
+        "p50=1.75 p99=3.04 goodput=915871.36383168015 events=43382 preemptions=2769" );
+    ]
 
 (* The quantum-timer paths, each pinned with its event count: 10 us
    requests on an ideal worker at a 2 us quantum, whose last segment
@@ -676,6 +697,7 @@ let suite =
     Alcotest.test_case "hedged, Gittins and Raft runs bit-identical" `Quick test_golden_paths;
     Alcotest.test_case "Raft protocol paths bit-identical" `Quick test_golden_raft_paths;
     Alcotest.test_case "windowed-engine racks bit-identical" `Quick test_golden_par;
+    Alcotest.test_case "size-based policy runs bit-identical" `Quick test_golden_policies;
     Alcotest.test_case "quantum-timer paths bit-identical" `Quick test_golden_quantum_paths;
     Alcotest.test_case "LevelDB runs and store outcomes bit-identical" `Quick
       test_golden_leveldb;

@@ -96,6 +96,12 @@ let test_locality_prefers_last_worker () =
   | Some r -> Alcotest.(check int) "then the head" 1 r.Request.id
   | None -> Alcotest.fail "empty"
 
+(* The dispatcher probes for a steal candidate on every pick, so the probes
+   must answer from the fresh requests alone, whatever the backlog. Each
+   backlog below holds 32,768 started requests, and the deepest has
+   [started] cleared after its push (the server never does that): a probe
+   that walks the backlog finds it, while the FCFS fresh sublist and the
+   rank queues' fresh heap never held it. *)
 let test_pop_not_started () =
   let q = Policy.create Policy.Fcfs in
   let started = request ~id:1 () in
@@ -107,7 +113,40 @@ let test_pop_not_started () =
   | Some r -> Alcotest.(check int) "skips started head" 2 r.Request.id
   | None -> Alcotest.fail "found none");
   Alcotest.(check bool) "only started left" false (Policy.has_not_started q);
-  Alcotest.(check int) "started request still queued" 1 (Policy.length q)
+  Alcotest.(check int) "started request still queued" 1 (Policy.length q);
+  let depth = 32_768 in
+  List.iter
+    (fun kind ->
+      let name = Policy.kind_name kind in
+      let q = Policy.create kind in
+      let backlog =
+        Array.init depth (fun i ->
+            let r = request ~id:(i + 1) () in
+            r.Request.started <- true;
+            r)
+      in
+      Array.iter (Policy.push_preempted q) backlog;
+      backlog.(depth - 1).Request.started <- false;
+      Alcotest.(check bool) (name ^ ": backlog claims no fresh work") false
+        (Policy.has_not_started q);
+      Alcotest.(check bool) (name ^ ": backlog yields no steal candidate") true
+        (Policy.pop_not_started q = None);
+      Policy.push_new q (request ~id:0 ());
+      (match Policy.pop_not_started q with
+      | Some r -> Alcotest.(check int) (name ^ ": steals the fresh request") 0 r.Request.id
+      | None -> Alcotest.failf "%s: the fresh request was not found" name);
+      Alcotest.(check bool) (name ^ ": none fresh left") false (Policy.has_not_started q);
+      Alcotest.(check int) (name ^ ": backlog intact") depth (Policy.length q))
+    [
+      Policy.Fcfs;
+      Policy.Locality_fcfs;
+      Policy.Srpt;
+      Policy.Srpt_noisy { sigma = 1.0 };
+      Policy.Srpt_kv { means_ns = [| 1_000 |] };
+      Policy.Gittins
+        (Repro_workload.Gittins.of_dist
+           (Repro_workload.Service_dist.Exponential { mean_ns = 5_000.0 }));
+    ]
 
 let prop_policy_conserves =
   let gittins =
