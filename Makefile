@@ -30,17 +30,21 @@ cluster-smoke:
 
 # Bad-input smoke test: every command line below must fail loudly -- exit
 # non-zero with a message on stderr that is neither cmdliner's "internal
-# error" report nor OCaml's "Fatal error" for an uncaught exception. The
-# table holds inputs the library rejects after the flags parse (no
+# error" report nor OCaml's "Fatal error" for an uncaught exception -- and
+# write nothing to stdout first: a refusal comes before any header or run.
+# The table holds inputs the library rejects after the flags parse (no
 # requests, no workers, no group members), inputs it must not accept (a
-# zero quantum, an unknown system name, a straggler faster than its
-# peers or infinitely slow, one so slow its op costs overflow, a leader
-# kill at a time the clock cannot hold, a sweep of no points, a dispersion
-# axis whose mode size or short-request probability describes no
-# distribution), the flag values refused while the flags parse (a --jobs
-# below 1, a negative --last, an empty comma-separated study axis), and
-# the spec rejections that already worked (rate, system, workload, a zipf
-# alpha that is NaN or 0, an unknown workload option, :zipf= on a workload
+# zero quantum, an unknown system name, the removed concord-adaptive
+# preset, a straggler faster than its peers or infinitely slow, one so
+# slow its op costs overflow, a leader kill at a time the clock cannot
+# hold, a sweep of no points, a dispersion axis whose mode size or
+# short-request probability describes no distribution), the flag values
+# refused while the flags parse (a --jobs below 1, a negative --last, an
+# empty comma-separated study axis or an empty item in one, a study
+# utilization that is not finite and > 0, a negative study RTT, a study
+# write ratio outside [0, 1], a group of no members), and the spec
+# rejections that already worked (rate, system, workload, a zipf alpha
+# that is NaN or 0, an unknown workload option, :zipf= on a workload
 # without keys, figure, SLS variant, policy, engine, hedge, arrival, write
 # ratio).
 CLI_SMOKE_LINES = \
@@ -49,7 +53,8 @@ CLI_SMOKE_LINES = \
 	'raft-study --nodes 0' \
 	'sls -r 100 --quantum 0' 'overheads --systems nosuch' 'cluster --straggler 0:0.5' \
 	'sweep --points 0' 'cluster --sweep --points 0' 'raft --sweep --points 0' \
-	'run -r nan' 'run -r 150 -s nosuch' 'run -r 150 -w nosuch' 'figure nosuch' \
+	'run -r nan' 'run -r 150 -s nosuch' 'run -r 150 -s concord-adaptive' 'run -r 150 -w nosuch' \
+	'figure nosuch' \
 	'run -r 20 -w leveldb:zipf=nan' 'run -r 20 -w leveldb:zipf=0' 'run -r 20 -w leveldb:skew=1' \
 	'run -r 150 -w usr:zipf=1' \
 	'sls -r 100 --variant bogus' 'run -r 150 --policy bogus' 'cluster --policy bogus' \
@@ -63,7 +68,10 @@ CLI_SMOKE_LINES = \
 	'frontier --systems=' 'frontier --policies=' 'frontier --p-short=' 'frontier --util=' \
 	'hedge-study --rtts=' 'hedge-study --hedges=' 'hedge-study --policies=' \
 	'raft-study --nodes=' 'raft-study --rtts=' 'raft-study --write-ratios=' \
-	'overheads --systems=' 'check-model --only='
+	'overheads --systems=' 'check-model --only=' \
+	'frontier --util=-0.5' 'frontier --util=0.5,,0.7' 'hedge-study --util=-0.5' \
+	'hedge-study --rtts=-5' 'raft-study --rtts=-5' 'raft-study --write-ratios=-0.5' \
+	'raft-study --write-ratios 1.5'
 # bench/main.exe must refuse an unknown figure id, a --jobs that is not a
 # positive integer and an unknown flag before any table or figure runs;
 # --json, --quick and --no-micro, the flags of the retired events/s suite
@@ -77,11 +85,14 @@ cli-smoke:
 	@n=0; exe=bin/concord_sim.exe; for a in $(CLI_SMOKE_LINES) -- $(BENCH_SMOKE_LINES); do \
 		if [ "$$a" = -- ]; then exe=bench/main.exe; continue; fi; \
 		n=$$((n + 1)); \
-		if _build/default/$$exe $$a > /dev/null 2> _build/cli-smoke.err; then \
+		if _build/default/$$exe $$a > _build/cli-smoke.out 2> _build/cli-smoke.err; then \
 			echo "cli-smoke: $$exe $$a exited 0" >&2; exit 1; fi; \
 		if [ ! -s _build/cli-smoke.err ] || grep -q 'internal error\|Fatal error' _build/cli-smoke.err; \
 		then echo "cli-smoke: $$exe $$a failed without a clean message:" >&2; \
 			cat _build/cli-smoke.err >&2; exit 1; fi; \
+		if [ -s _build/cli-smoke.out ]; then \
+			echo "cli-smoke: $$exe $$a wrote to stdout before it refused:" >&2; \
+			cat _build/cli-smoke.out >&2; exit 1; fi; \
 	done; \
 	echo "cli-smoke: all $$n bad command lines rejected with a message"
 	_build/default/bench/main.exe table1 > _build/cli-smoke-table1.out

@@ -155,22 +155,37 @@ let instances_arg default doc =
 let steal_arg doc = Arg.(value & flag & info [ "steal" ] ~doc)
 
 (* Flag values that would run nothing (a sweep of no points, a fan-out over
-   no domains, a study axis of no values) or show nothing (a negative
-   count of trace events) are refused while the flags parse, in the shape
-   of cmdliner's own messages. *)
+   no domains, a study axis of no values or with an empty item), show
+   nothing (a negative count of trace events) or describe no run (a
+   utilization, RTT, write ratio or group size out of range) are refused
+   while the flags parse, in the shape of cmdliner's own messages. [bad]
+   sees the raw string and the parsed value. *)
 let refuse ~bad ~expected conv =
   let parse s =
     match Arg.conv_parser conv s with
-    | Ok v when bad v -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Ok v when bad s v ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
     | r -> r
   in
   Arg.conv (parse, Arg.conv_printer conv)
 
-let positive_int = refuse ~bad:(fun n -> n < 1) ~expected:"a positive integer" Arg.int
-let non_negative_int = refuse ~bad:(fun n -> n < 0) ~expected:"a non-negative integer" Arg.int
+let positive_int = refuse ~bad:(fun _ n -> n < 1) ~expected:"a positive integer" Arg.int
+let non_negative_int = refuse ~bad:(fun _ n -> n < 0) ~expected:"a non-negative integer" Arg.int
 
+let positive_float =
+  refuse
+    ~bad:(fun _ x -> not (Float.is_finite x && x > 0.0))
+    ~expected:"a finite number > 0" Arg.float
+
+let fraction =
+  refuse ~bad:(fun _ x -> not (x >= 0.0 && x <= 1.0)) ~expected:"a number in [0, 1]" Arg.float
+
+(* cmdliner's list converter drops empty items, so the raw string is read:
+   [--util=] and [--util=0.5,,0.7] are both refused. *)
 let axis conv =
-  refuse ~bad:(( = ) []) ~expected:"a non-empty comma-separated list" (Arg.list conv)
+  refuse
+    ~bad:(fun s _ -> List.mem "" (String.split_on_char ',' s))
+    ~expected:"a comma-separated list with no empty item" (Arg.list conv)
 
 let points_arg ?(doc = "Sweep points (with --sweep).") default =
   Arg.(value & opt positive_int default & info [ "points" ] ~docv:"N" ~doc)
@@ -184,7 +199,7 @@ let sweep_arg doc =
 
 (* The comma-separated axes of the studies. *)
 let rtts_arg default doc =
-  Arg.(value & opt (axis int) default & info [ "rtts" ] ~docv:"C,..." ~doc)
+  Arg.(value & opt (axis non_negative_int) default & info [ "rtts" ] ~docv:"C,..." ~doc)
 
 let policies_arg default doc =
   Arg.(value & opt (axis string) default & info [ "policies" ] ~docv:"P,..." ~doc)
@@ -514,13 +529,13 @@ let raft_study_cmd =
   let nodes_arg =
     Arg.(
       value
-      & opt (axis int) [ 1; 3; 5 ]
+      & opt (axis positive_int) [ 1; 3; 5 ]
       & info [ "nodes" ] ~docv:"K,..." ~doc:"Comma-separated group sizes.")
   in
   let wratios_arg =
     Arg.(
       value
-      & opt (axis float) [ 0.5 ]
+      & opt (axis fraction) [ 0.5 ]
       & info [ "write-ratios" ] ~docv:"F,..." ~doc:"Comma-separated write ratios.")
   in
   let action s nodes_list rtts wratios rate csv =
@@ -768,7 +783,7 @@ let frontier_cmd =
   let utils_arg =
     Arg.(
       value
-      & opt (axis float) [ 0.85 ]
+      & opt (axis positive_float) [ 0.85 ]
       & info [ "util" ] ~docv:"U,..." ~doc:"Utilization fractions of ideal capacity.")
   in
   let action systems policies p_shorts short_us long_us utils quantum workers n_requests seed
@@ -821,7 +836,7 @@ let hedge_study_cmd =
   in
   let util_arg =
     Arg.(
-      value & opt float 0.7
+      value & opt positive_float 0.7
       & info [ "util" ] ~docv:"U" ~doc:"Utilization fraction of ideal rack capacity.")
   in
   let action s rtts hedges policies steal stragglers instances util jobs csv =

@@ -2,13 +2,10 @@ type queue_model = Single_queue | Jbsq of int
 
 type lock_model = Fine_grained | Whole_request
 
-type adaptive = { min_quantum_ns : int; backlog_window : int }
-
 type t = {
   name : string;
   n_workers : int;
   quantum_ns : int;
-  adaptive_quantum : adaptive option;
   mechanism : Repro_hw.Mechanism.t;
   queue_model : queue_model;
   dispatcher_steals : bool;
@@ -22,13 +19,6 @@ let validate t =
   if t.n_workers < 1 then invalid_arg "Config: need at least one worker";
   if t.quantum_ns < 1 then invalid_arg "Config: quantum must be positive";
   if t.ingress_batch < 1 then invalid_arg "Config: ingress batch must be >= 1";
-  (match t.adaptive_quantum with
-  | None -> ()
-  | Some { min_quantum_ns; backlog_window } ->
-    if min_quantum_ns < 1 then invalid_arg "Config: adaptive min quantum must be positive";
-    if min_quantum_ns > t.quantum_ns then
-      invalid_arg "Config: adaptive min quantum exceeds the base quantum";
-    if backlog_window < 1 then invalid_arg "Config: adaptive backlog window must be >= 1");
   (match t.policy with
   | Policy.Srpt_noisy { sigma } ->
     if not (Float.is_finite sigma) || sigma < 0.0 then
@@ -50,16 +40,8 @@ let describe t =
   let queue =
     match t.queue_model with Single_queue -> "SQ" | Jbsq k -> Printf.sprintf "JBSQ(%d)" k
   in
-  let quantum =
-    match t.adaptive_quantum with
-    | None -> Printf.sprintf "q=%.1fus" (float_of_int t.quantum_ns /. 1e3)
-    | Some { min_quantum_ns; backlog_window } ->
-      Printf.sprintf "q=%.1f..%.1fus/w%d"
-        (float_of_int min_quantum_ns /. 1e3)
-        (float_of_int t.quantum_ns /. 1e3)
-        backlog_window
-  in
-  Printf.sprintf "%s: %d workers, %s, %s, %s%s, policy=%s" t.name t.n_workers quantum
+  Printf.sprintf "%s: %d workers, q=%.1fus, %s, %s%s, policy=%s" t.name t.n_workers
+    (float_of_int t.quantum_ns /. 1e3)
     (Repro_hw.Mechanism.name t.mechanism)
     queue
     (if t.dispatcher_steals then "+steal" else "")

@@ -21,27 +21,10 @@ type lock_model =
       (** preemption disabled for the whole handler invocation (the
           Shinjuku prototype's LevelDB integration, §3.1) *)
 
-type adaptive = {
-  min_quantum_ns : int;  (** floor the shrinking quantum never crosses *)
-  backlog_window : int;
-      (** central-queue backlog at which the quantum has halved: the
-          effective quantum is [quantum_ns * w / (w + backlog)] *)
-}
-(** LibPreemptible-style adaptive preemption quanta: under load the
-    quantum shrinks so long requests yield sooner and shorts overtake
-    them; when idle it stays at the configured base so preemption overhead
-    is not paid for nothing. The server additionally caps each class's
-    quantum at twice its observed (EWMA) mean service time, so a straggler
-    of a usually-short class is preempted early even when the queue is
-    shallow. *)
-
 type t = {
   name : string;
   n_workers : int;
   quantum_ns : int;
-  adaptive_quantum : adaptive option;
-      (** [None] = fixed quantum (every preset's default; bit-identical to
-          the pre-adaptive behaviour) *)
   mechanism : Repro_hw.Mechanism.t;  (** worker preemption mechanism *)
   queue_model : queue_model;
   dispatcher_steals : bool;  (** work-conserving dispatcher (§3.3) *)
@@ -56,8 +39,8 @@ type t = {
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on nonsensical combinations (no workers,
-    non-positive quantum, JBSQ depth < 1, batch < 1, adaptive floor above
-    the base quantum, negative or non-finite estimate-noise sigma). *)
+    non-positive quantum, JBSQ depth < 1, batch < 1, negative or
+    non-finite estimate-noise sigma). *)
 
 val jbsq_depth : t -> int
 (** Outstanding-requests bound per worker: k for [Jbsq k], 1 for

@@ -115,8 +115,6 @@ type 'e t = {
   estimate_means : int array;
       (* per-class mean estimates when the policy is Srpt_kv; [||]
          otherwise (no draws, no stream perturbation either way) *)
-  adaptive : Config.adaptive option;
-  class_ewma : float array; (* per-class EWMA of completed service (ns); [||] unless adaptive *)
   (* cached cost-model conversions (ns), pre-scaled by [speed]; the
      dispatcher ops' are what [op_cost_ns] charges *)
   ingress_ns : int;
@@ -177,33 +175,6 @@ let resolve_stop t req ~seg_start_ns ~seg_start_progress ~mult ~completion_at ~c
     Request.stop_point req ~seg_start_ns ~seg_start_progress ~mult ~completion_at ~candidate
 
 let probe_spacing t req = Request.probe_spacing req ~default:t.default_spacing_ns
-
-(* Adaptive preemption quantum (LibPreemptible-style): the base quantum is
-   shrunk by central-queue backlog — q * w / (w + backlog), so the quantum
-   has halved once [backlog_window] requests queue — and capped per class
-   at twice the class's observed mean service time, then clamped to the
-   configured floor. With [adaptive_quantum = None] this is exactly the
-   fixed [quantum_ns], preserving bit-identical behaviour. *)
-let effective_quantum_ns t (req : Request.t) =
-  match t.adaptive with
-  | None -> t.quantum_ns
-  | Some { Config.min_quantum_ns; backlog_window } ->
-    let backlog = Policy.length t.central in
-    let q =
-      if backlog = 0 then t.quantum_ns
-      else
-        int_of_float
-          (float_of_int t.quantum_ns
-          *. float_of_int backlog_window
-          /. float_of_int (backlog_window + backlog))
-    in
-    let c = req.Request.class_id in
-    let q =
-      if c >= 0 && c < Array.length t.class_ewma && t.class_ewma.(c) > 0.0 then
-        Int.min q (int_of_float (2.0 *. t.class_ewma.(c)))
-      else q
-    in
-    Int.max min_quantum_ns q
 
 (* ------------------------------------------------------------------ *)
 (* Dispatcher                                                          *)
@@ -401,7 +372,7 @@ and try_steal t =
     let stop =
       resolve_stop t req ~seg_start_ns:now ~seg_start_progress ~mult
         ~completion_at:(now + remaining_wall)
-        ~candidate:(now + effective_quantum_ns t req + lateness)
+        ~candidate:(now + t.quantum_ns + lateness)
     in
     let ends_at, sstop_progress =
       match stop with
@@ -425,13 +396,6 @@ let complete_request t (req : Request.t) ~worker =
   if t.tracing then trace t ~request:req.Request.id (Tracing.Completed { worker });
   req.Request.completion_ns <- Sim.now t.sim;
   req.Request.done_ns <- req.Request.service_ns;
-  (let c = req.Request.class_id in
-   if c >= 0 && c < Array.length t.class_ewma then begin
-     (* per-class service EWMA feeding the adaptive quantum cap *)
-     let s = float_of_int req.Request.service_ns in
-     let prev = t.class_ewma.(c) in
-     t.class_ewma.(c) <- (if prev = 0.0 then s else prev +. (0.05 *. (s -. prev)))
-   end);
   Hashtbl.remove t.live req.Request.id;
   Metrics.record_completion t.metrics req;
   t.finished <- t.finished + 1;
@@ -497,12 +461,10 @@ let begin_exec t (w : worker) =
     w.complete_timer <-
       Sim.arm_at t.sim ~time:w.completion_at
         (t.lift (Ev_worker_complete { w = w.wid; epoch = w.epoch }));
-    if Mechanism.preemptive t.config.mechanism then begin
-      let q = effective_quantum_ns t req in
-      if w.completion_at > now + q then
-        w.quantum_timer <-
-          Sim.arm_after t.sim ~delay:q (t.lift (Ev_quantum { w = w.wid; epoch = w.epoch }))
-    end;
+    if Mechanism.preemptive t.config.mechanism && w.completion_at > now + t.quantum_ns then
+      w.quantum_timer <-
+        Sim.arm_after t.sim ~delay:t.quantum_ns
+          (t.lift (Ev_quantum { w = w.wid; epoch = w.epoch }));
     if w.gap_open_ns >= 0 then begin
       (* cnext measurement: idle time excluding the context switch itself *)
       Metrics.record_idle_gap t.metrics (now - w.gap_open_ns - t.cswitch_ns);
@@ -530,13 +492,13 @@ let fetch_next t (w : worker) ~switch_paid ~open_gap =
     else w.gap_open_ns <- -1
 
 (* A segment arms its completion, and its quantum only when the quantum
-   can fire: when the segment outlives [now + q] for its effective quantum
-   [q]. A segment that completes at or before the deadline would pop its
-   completion first (armed first, so it wins a tie) and cancel the quantum
-   unseen. Whatever ends the segment cancels what is still armed: a
-   completion the quantum, a preemption decision both ([stop_segment]).
-   None is left to pop as a no-op, so one that fires for a superseded
-   segment is a bookkeeping bug. *)
+   can fire: when the segment outlives [now + quantum_ns]. A segment that
+   completes at or before the deadline would pop its completion first
+   (armed first, so it wins a tie) and cancel the quantum unseen. Whatever
+   ends the segment cancels what is still armed: a completion the quantum,
+   a preemption decision both ([stop_segment]). None is left to pop as a
+   no-op, so one that fires for a superseded segment is a bookkeeping
+   bug. *)
 let expect_current (w : worker) ~epoch what =
   if epoch <> w.epoch then failwith ("Server: stale " ^ what ^ " fired")
 
@@ -809,11 +771,6 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
     estimate_sigma;
     est_rng;
     estimate_means;
-    adaptive = config.Config.adaptive_quantum;
-    class_ewma =
-      (match config.Config.adaptive_quantum with
-      | Some _ -> Array.make (max 1 n_classes) 0.0
-      | None -> [||]);
     central = Policy.create config.Config.policy;
     workers =
       Array.init n_workers (fun wid ->

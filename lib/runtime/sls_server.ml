@@ -10,13 +10,12 @@ type config = {
   quantum_ns : int;
   mechanism : Mechanism.t;
   steal : bool;
-  scan_interval_ns : int;
   costs : Costs.t;
 }
 
 let make ~name ~mechanism ~steal ?(n_workers = 14) ?(quantum_ns = 5_000)
     ?(costs = Costs.default) () =
-  { name; n_workers; quantum_ns; mechanism; steal; scan_interval_ns = 1_000; costs }
+  { name; n_workers; quantum_ns; mechanism; steal; costs }
 
 let concord_sls ?n_workers ?quantum_ns ?costs () =
   make ~name:"Concord-SLS" ~mechanism:Mechanism.Cache_line ~steal:true ?n_workers ?quantum_ns
@@ -153,6 +152,10 @@ let on_complete t (w : worker) ~epoch =
       fetch_next t w ~switch_paid:false
   end
 
+(* How often the scheduler hyperthread examines each core's elapsed
+   quantum; it bounds the signal delay (Caladan polls at ~µs scale). *)
+let scan_interval_ns = 1_000
+
 (* The scheduler hyperthread notices the elapsed quantum during its next
    per-core scan and writes the flag; the worker stops at its next probe,
    deferred past lock windows. *)
@@ -163,10 +166,7 @@ let on_quantum t (w : worker) ~epoch =
     | Some req ->
       let now = Sim.now t.sim in
       if w.completion_at > now then begin
-        let scan_delay =
-          if t.config.scan_interval_ns <= 0 then 0
-          else Rng.int t.mech_rng ~bound:(max 1 t.config.scan_interval_ns)
-        in
+        let scan_delay = Rng.int t.mech_rng ~bound:scan_interval_ns in
         let lateness =
           Mechanism.yield_lateness_ns t.config.mechanism ~costs:t.config.costs ~rng:t.mech_rng
             ~probe_spacing_ns:(Request.probe_spacing req ~default:t.default_spacing_ns)

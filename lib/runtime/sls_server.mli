@@ -4,10 +4,10 @@
     Shenango/Caladan/ZygOS-style runtimes keep no dedicated dispatcher:
     arrivals are steered round-robin to per-worker queues and idle workers
     *steal* from loaded ones, forming one logical queue. A dedicated
-    scheduler hyperthread (Caladan's model) only monitors elapsed quanta
-    and — in the Concord extension — writes the per-core preemption cache
-    line; it never touches the queues, so the single-dispatcher throughput
-    bottleneck disappears.
+    scheduler hyperthread (Caladan's model) only monitors elapsed quanta,
+    scanning each core every 1 µs, and — in the Concord extension — writes
+    the per-core preemption cache line; it never touches the queues, so the
+    single-dispatcher throughput bottleneck disappears.
 
     This module exists to demonstrate the paper's claim that
     compiler-enforced cooperation composes with logical queues: compare
@@ -22,9 +22,6 @@ type config = {
       (** [Cache_line] = Concord-on-SLS; [No_preempt] = Shenango-like
           run-to-completion; [Ipi] = interrupt-based preemption. *)
   steal : bool;  (** false degenerates to d-FCFS (partitioned queues) *)
-  scan_interval_ns : int;
-      (** how often the scheduler thread examines each core's elapsed
-          quantum; bounds signal delay (Caladan polls at ~µs scale) *)
   costs : Repro_hw.Costs.t;
 }
 

@@ -5,12 +5,11 @@ type args = ?n_workers:int -> ?quantum_ns:int -> ?costs:Repro_hw.Costs.t -> unit
 
 let base ~name ~mechanism ~queue_model ~dispatcher_steals ?(policy = Policy.Fcfs)
     ?(lock_model = Config.Fine_grained) ?(ingress_batch = 1) ?(n_workers = 14)
-    ?(quantum_ns = 5_000) ?adaptive_quantum ?(costs = Costs.default) () =
+    ?(quantum_ns = 5_000) ?(costs = Costs.default) () =
   {
     Config.name;
     n_workers;
     quantum_ns;
-    adaptive_quantum;
     mechanism;
     queue_model;
     dispatcher_steals;
@@ -92,16 +91,6 @@ let srpt_noisy ?(sigma = 1.0) ?n_workers ?quantum_ns ?costs () =
     ~mechanism:Mechanism.Cache_line ~queue_model:(Config.Jbsq 2) ~dispatcher_steals:true
     ~policy:(Policy.Srpt_noisy { sigma }) ?n_workers ?quantum_ns ?costs ()
 
-(* Defaults: quantum floor 1us (below it the preemption tax outruns the
-   tail benefit at Concord's cost model), halving once the central queue
-   backs up past ~2 requests per worker. *)
-let default_adaptive = { Config.min_quantum_ns = 1_000; backlog_window = 28 }
-
-let concord_adaptive ?n_workers ?quantum_ns ?costs () =
-  base ~name:"Concord-adaptive-q" ~mechanism:Mechanism.Cache_line
-    ~queue_model:(Config.Jbsq 2) ~dispatcher_steals:true ~adaptive_quantum:default_adaptive
-    ?n_workers ?quantum_ns ?costs ()
-
 let table : (string * args) list =
   [
     ("shinjuku", shinjuku);
@@ -117,7 +106,6 @@ let table : (string * args) list =
     ("srpt", srpt);
     ( "srpt-noisy",
       fun ?n_workers ?quantum_ns ?costs () -> srpt_noisy ?n_workers ?quantum_ns ?costs () );
-    ("concord-adaptive", concord_adaptive);
     ("locality", locality);
   ]
 

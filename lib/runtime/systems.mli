@@ -63,14 +63,6 @@ val srpt_noisy : ?sigma:float -> args
 (** Concord with SRPT over log-normal size estimates of noise [sigma]
     (default 1.0); see {!Policy.Srpt_noisy}. *)
 
-val concord_adaptive : args
-(** Concord with {!default_adaptive} preemption quanta: the quantum
-    shrinks under central-queue backlog and is capped per class at twice
-    the class's observed mean service time. *)
-
-val default_adaptive : Config.adaptive
-(** 1 µs floor, backlog window 28 (~2 requests per default worker). *)
-
 val locality : args
 (** Extension (§3.1): Concord preferring to re-dispatch preempted requests
     to the core that last ran them. *)
@@ -78,7 +70,7 @@ val locality : args
 val by_name : string -> args option
 (** CLI lookup: "shinjuku", "persephone", "concord", "concord-no-steal",
     "coop-sq", "coop-jbsq", "concord-uipi", "concord-batched", "srpt",
-    "srpt-noisy", "concord-adaptive", "locality". *)
+    "srpt-noisy", "locality". *)
 
 val all_names : string list
 

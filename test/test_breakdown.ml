@@ -21,10 +21,10 @@ let eps = 1e-9
 let cswitch_cost_ns (config : Config.t) =
   Costs.ns_of config.Config.costs config.Config.costs.Costs.context_switch_cycles
 
-(* Capacity must cover the chattiest system end to end: concord-adaptive's
-   1 us quantum floor emits ~5x Concord's preemption events per long ycsb-a
-   request, and a wrapped ring drops the Arrived entries that anchor every
-   lifecycle. *)
+(* Capacity must cover the chattiest system end to end: a 5 us quantum
+   preempts a long ycsb-a request about 20 times, each preemption records
+   several events, and a wrapped ring drops the Arrived entries that anchor
+   every lifecycle. *)
 let traced_run ?(n = 800) ?(rate = 150_000.0) config =
   let tracer = Tracing.create ~capacity:(n * 320) () in
   let s =

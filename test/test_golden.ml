@@ -284,12 +284,11 @@ let test_golden_policies () =
 
 (* The quantum-timer paths, each pinned with its event count: 10 us
    requests on an ideal worker at a 2 us quantum, whose last segment
-   completes exactly at its quantum deadline (the tie); the adaptive
-   quantum, which shrinks below the configured one under backlog; a
-   worker that self-preempts at rdtsc probes, drawing its lateness when
-   the quantum fires; and Shinjuku's whole-call locks, where the quantum
-   fires and signals but never stops the request. Captured before workers
-   stopped arming quanta that cannot fire. *)
+   completes exactly at its quantum deadline (the tie); a worker that
+   self-preempts at rdtsc probes, drawing its lateness when the quantum
+   fires; and Shinjuku's whole-call locks, where the quantum fires and
+   signals but never stops the request. Captured before workers stopped
+   arming quanta that cannot fire. *)
 let test_golden_quantum_paths () =
   let module Systems = Repro_runtime.Systems in
   let module Presets = Repro_workload.Presets in
@@ -310,10 +309,6 @@ let test_golden_quantum_paths () =
             (fixed 10_000) 150e3),
         "p50=1.7613000000000001 p99=11.221500000000001 goodput=155783.20482228644 \
          events=67999 preemptions=8000" );
-      ( "concord-adaptive/ycsb-a",
-        (fun () -> standalone_row (config_of "concord-adaptive") Presets.ycsb_a 250e3),
-        "p50=3.3647200000000002 p99=16.718 goodput=258039.43358624063 events=216735 \
-         preemptions=28180" );
       ( "rdtsc-probe/tpcc",
         (fun () -> standalone_row rdtsc Presets.tpcc 450e3),
         "p50=1.3589800000000001 p99=3.044561403508772 goodput=462561.71130015986 \

@@ -83,6 +83,18 @@ let test_srpt_order () =
   Policy.push_preempted q started;
   Alcotest.(check (list int)) "least remaining first" [ 3; 2; 1 ] (ids q ~worker:0)
 
+(* A rank tie between the two heaps goes to the fresh request, whichever
+   was pushed first. No golden run produces such a tie, so this test is
+   what pins the rule. *)
+let test_rank_tie_pops_fresh_first () =
+  let q = Policy.create Policy.Srpt in
+  let started = request ~id:1 ~service_ns:2_000 () in
+  started.Request.started <- true;
+  started.Request.done_ns <- 1_000;
+  Policy.push_preempted q started;
+  Policy.push_new q (request ~id:2 ~service_ns:1_000 ());
+  Alcotest.(check (list int)) "fresh wins the tie" [ 2; 1 ] (ids q ~worker:0)
+
 let test_locality_prefers_last_worker () =
   let q = Policy.create Policy.Locality_fcfs in
   let a = request ~id:1 () and b = request ~id:2 () in
@@ -405,6 +417,8 @@ let suite =
     Alcotest.test_case "FCFS order" `Quick test_fcfs_order;
     Alcotest.test_case "FCFS re-enqueues preempted at tail" `Quick test_fcfs_preempted_to_tail;
     Alcotest.test_case "SRPT least-remaining order" `Quick test_srpt_order;
+    Alcotest.test_case "a rank tie pops the fresh request first" `Quick
+      test_rank_tie_pops_fresh_first;
     Alcotest.test_case "locality prefers last worker" `Quick test_locality_prefers_last_worker;
     Alcotest.test_case "dispatcher steals only fresh requests" `Quick test_pop_not_started;
     Alcotest.test_case "rank queues refuse a max_int rank" `Quick test_rank_max_int_refused;
