@@ -23,10 +23,12 @@ trace-smoke:
 # Rack-scale smoke test: three instances behind a Po2c balancer; --check
 # verifies the conservation invariants (per-instance completions sum to the
 # cluster count, goodput does not exceed offered load) and exits non-zero
-# on any violation.
+# on any violation. Then a two-point load sweep of a two-instance rack runs
+# the one load sweep end to end and reports its SLO crossing.
 cluster-smoke:
 	dune exec bin/concord_sim.exe -- cluster --instances 3 --policy po2c \
 		-n 4000 --check
+	dune exec bin/concord_sim.exe -- cluster --instances 2 -n 2000 --sweep --points 2
 
 # Bad-input smoke test: every command line below must fail loudly -- exit
 # non-zero with a message on stderr that is neither cmdliner's "internal
@@ -46,7 +48,8 @@ cluster-smoke:
 # rejections that already worked (rate, system, workload, a zipf alpha
 # that is NaN or 0, an unknown workload option, :zipf= on a workload
 # without keys, figure, SLS variant, policy, engine, hedge, arrival, write
-# ratio).
+# ratio), and the removed --cancel-cost-cycles option of cluster and raft
+# (a revocation always costs one requeue op).
 CLI_SMOKE_LINES = \
 	'run -r 150 -n 0' 'run -r 150 --workers 0' 'sweep -n 0 --points 2' 'trace -n 0' \
 	'overheads -n 0' 'sls -r 100 -n 0' 'cluster -n 0' 'raft -n 0' 'raft-study -n 0' \
@@ -71,7 +74,8 @@ CLI_SMOKE_LINES = \
 	'overheads --systems=' 'check-model --only=' \
 	'frontier --util=-0.5' 'frontier --util=0.5,,0.7' 'hedge-study --util=-0.5' \
 	'hedge-study --rtts=-5' 'raft-study --rtts=-5' 'raft-study --write-ratios=-0.5' \
-	'raft-study --write-ratios 1.5'
+	'raft-study --write-ratios 1.5' \
+	'cluster --cancel-cost-cycles 5' 'raft --cancel-cost-cycles 5'
 # bench/main.exe must refuse an unknown figure id, a --jobs that is not a
 # positive integer and an unknown flag before any table or figure runs;
 # --json, --quick and --no-micro, the flags of the retired events/s suite

@@ -30,6 +30,12 @@ let ok = function Ok v -> v | Error e -> invalid_arg e
 (* Thousandths: rps to kRps, ns to us. *)
 let k x = x /. 1e3
 
+(* A latency of a request class with no sample is nan: a table prints "-"
+   in its [w] columns, a CSV an empty field. *)
+let cell w text x = if Float.is_nan x then Printf.sprintf "%*s" w "-" else text x
+let us_cell w = cell w (fun ns -> Printf.sprintf "%*.1f" w (k ns))
+let csv_field text x = if Float.is_nan x then "" else text x
+
 (* ---- shared options -------------------------------------------------- *)
 
 let system_arg =
@@ -145,9 +151,6 @@ let hedge_arg ~what ~how =
     value & opt string "off"
     & info [ "hedge" ] ~docv:"SPEC"
         ~doc:(Printf.sprintf "%s (%s): %s" what (String.concat ", " Hedge.all_names) how))
-
-let cancel_cost_arg doc =
-  Arg.(value & opt (some int) None & info [ "cancel-cost-cycles" ] ~docv:"CYCLES" ~doc)
 
 let instances_arg default doc =
   Arg.(value & opt int default & info [ "instances" ] ~docv:"K" ~doc)
@@ -416,8 +419,8 @@ let raft_cmd =
       & info [ "kill-leader-at" ] ~docv:"US"
           ~doc:"Crash the current leader at this simulated time (us) and fail over.")
   in
-  let action s policies nodes rtt leases write_ratio hedge_spec kill_us stragglers cancel_cost
-      rate obs check sweep =
+  let action s policies nodes rtt leases write_ratio hedge_spec kill_us stragglers rate obs check
+      sweep =
     let config, mix = resolve s in
     let read_lb, config = split_policies config mix policies in
     let hedge = ok (Hedge.of_string hedge_spec) in
@@ -431,7 +434,7 @@ let raft_cmd =
     in
     let raft =
       Raft.homogeneous ~read_lb ?rtt_cycles:rtt ~read_leases:leases ~write_ratio ~hedge
-        ?kill_leader_at_ns ?cancel_cost_cycles:cancel_cost ~stragglers ~nodes config
+        ?kill_leader_at_ns ~stragglers ~nodes config
     in
     let capacity_rps = Raft.capacity_rps raft mix in
     let describe () =
@@ -446,9 +449,8 @@ let raft_cmd =
         | None -> "")
         (stragglers_suffix stragglers)
     in
-    let run_at ?tracer rate_rps =
-      Raft.run ~raft ~mix ~arrival:(Concord.Arrival.Poisson { rate_rps })
-        ~n_requests:s.n_requests ~seed:s.seed ?tracer ()
+    let run_at ?tracer arrival =
+      Raft.run ~raft ~mix ~arrival ~n_requests:s.n_requests ~seed:s.seed ?tracer ()
     in
     match sweep with
     | Some points ->
@@ -456,27 +458,30 @@ let raft_cmd =
       Printf.printf "workload: %s\n" mix.Concord.Mix.name;
       Printf.printf "%9s %9s %9s %9s %9s %9s %9s\n" "kRps" "w_p50us" "w_p99us" "r_p50us"
         "r_p99us" "censored" "parked";
-      for i = 1 to points do
-        let rate_rps = 0.9 *. capacity_rps *. float_of_int i /. float_of_int points in
-        let (s : Raft.summary) = run_at rate_rps in
-        Printf.printf "%9.1f %9.1f %9.1f %9.1f %9.1f %9d %9d\n" (k rate_rps) (k s.write_p50_ns)
-          (k s.write_p99_ns) (k s.read_p50_ns) (k s.read_p99_ns)
-          s.client.Concord.Metrics.censored s.parked;
-        if check then begin
-          match Raft.check_invariants s with
-          | Ok () -> ()
-          | Error msg ->
-            Printf.eprintf "check (%.1f kRps): %s\n" (k rate_rps) msg;
-            exit 1
-        end
-      done;
+      let rates =
+        List.init points (fun i ->
+            0.9 *. capacity_rps *. float_of_int (i + 1) /. float_of_int points)
+      in
+      List.iter
+        (fun (rate_rps, (s : Raft.summary)) ->
+          Printf.printf "%9.1f %s %s %s %s %9d %9d\n" (k rate_rps) (us_cell 9 s.write_p50_ns)
+            (us_cell 9 s.write_p99_ns) (us_cell 9 s.read_p50_ns) (us_cell 9 s.read_p99_ns)
+            s.client.Concord.Metrics.censored s.parked;
+          if check then begin
+            match Raft.check_invariants s with
+            | Ok () -> ()
+            | Error msg ->
+              Printf.eprintf "check (%.1f kRps): %s\n" (k rate_rps) msg;
+              exit 1
+          end)
+        (Concord.Sweep.at_rates ~mix ~rates run_at);
       if check then print_endline "check: invariants hold at every sweep point"
     | None ->
       let tracer = tracer_if obs s.n_requests in
       let rate_rps =
         match rate with Some krps -> rate_rps_of_krps krps | None -> 0.4 *. capacity_rps
       in
-      let s = run_at ?tracer rate_rps in
+      let s = run_at ?tracer (Concord.Arrival.Poisson { rate_rps }) in
       describe ();
       Printf.printf "workload: %s, offered %.1f kRps (%.0f%% of direct capacity)\n"
         mix.Concord.Mix.name (k rate_rps)
@@ -509,7 +514,6 @@ let raft_cmd =
              are never hedged."
       $ kill_arg
       $ straggler_arg "Make member IDX execute everything FACTOR times slower (repeatable)."
-      $ cancel_cost_arg "Dispatcher cost of revoking a cancelled hedge duplicate."
       $ derived_rate_arg
           "Offered load in kRps (default: 40% of the group's ideal direct capacity)."
       $ observe_arg ~trace_doc:"Export the all-member trace as Chrome trace-event JSON (Perfetto)."
@@ -552,10 +556,11 @@ let raft_study_cmd =
         ~mix ~arrival ~n_requests ~seed ()
     in
     let direct_p50 = direct.Raft.read_p50_ns in
-    if direct_p50 <= 0.0 then begin
+    if not (direct_p50 > 0.0) then begin
       prerr_endline "raft-study: direct baseline produced no read samples";
       exit 1
     end;
+    let us_csv = csv_field (fun ns -> Printf.sprintf "%.3f" (k ns)) in
     if csv then
       print_endline "nodes,rtt_cycles,write_ratio,direct_p50_us,write_p50_us,write_overhead,read_p50_us,read_ratio,write_p99_us,read_p99_us"
     else begin
@@ -581,15 +586,20 @@ let raft_study_cmd =
                 let w_over = s.write_p50_ns /. direct_p50 in
                 let r_over = s.read_p50_ns /. direct_p50 in
                 if csv then
-                  Printf.printf "%d,%d,%g,%.3f,%.3f,%.2f,%.3f,%.3f,%.3f,%.3f\n" nodes rtt_cycles
-                    write_ratio (k direct_p50) (k s.write_p50_ns) w_over (k s.read_p50_ns) r_over
-                    (k s.write_p99_ns) (k s.read_p99_ns)
+                  Printf.printf "%d,%d,%g,%.3f,%s,%s,%s,%s,%s,%s\n" nodes rtt_cycles write_ratio
+                    (k direct_p50) (us_csv s.write_p50_ns)
+                    (csv_field (Printf.sprintf "%.2f") w_over)
+                    (us_csv s.read_p50_ns)
+                    (csv_field (Printf.sprintf "%.3f") r_over)
+                    (us_csv s.write_p99_ns) (us_csv s.read_p99_ns)
                 else
-                  Printf.printf "%5d %8.0f %7.2f | %11.1f %8.1fx | %11.1f %8.2fx | %11.1f %11.1f\n"
-                    nodes
+                  Printf.printf "%5d %8.0f %7.2f | %s %s | %s %s | %s %s\n" nodes
                     (k (float_of_int rtt_cycles /. 2.0))
-                    write_ratio (k s.write_p50_ns) w_over (k s.read_p50_ns) r_over
-                    (k s.write_p99_ns) (k s.read_p99_ns))
+                    write_ratio (us_cell 11 s.write_p50_ns)
+                    (cell 9 (Printf.sprintf "%8.1fx") w_over)
+                    (us_cell 11 s.read_p50_ns)
+                    (cell 9 (Printf.sprintf "%8.2fx") r_over)
+                    (us_cell 11 s.write_p99_ns) (us_cell 11 s.read_p99_ns))
               wratios)
           rtts)
       nodes_list
@@ -645,15 +655,14 @@ let cluster_cmd =
             "Arrival process: poisson | uniform | burst:N | diurnal:AMP:PERIOD_S | \
              mmpp:FACTOR:CYCLE:DUTY (single-point runs only).")
   in
-  let action s policies instances rtt stragglers hedge_spec cancel_cost steal arrival_spec rate
-      obs check sweep jobs engine_spec =
+  let action s policies instances rtt stragglers hedge_spec steal arrival_spec rate obs check
+      sweep jobs engine_spec =
     let engine = ok (Par_sim.of_string engine_spec) in
     let config, mix = resolve s in
     let policy, config = split_policies config mix policies in
     let hedge = ok (Hedge.of_string hedge_spec) in
     let cluster =
-      Cluster.homogeneous ~policy ~rtt_cycles:rtt ~hedge ?cancel_cost_cycles:cancel_cost
-        ~steal ~stragglers ~instances config
+      Cluster.homogeneous ~policy ~rtt_cycles:rtt ~hedge ~steal ~stragglers ~instances config
     in
     let capacity_rps =
       float_of_int (instances * config.Concord.Config.n_workers)
@@ -676,7 +685,8 @@ let cluster_cmd =
             0.95 *. capacity_rps *. float_of_int (i + 1) /. float_of_int points)
       in
       let sw =
-        Concord.Sweep.run_cluster ~cluster ~mix ~rates ~n_requests ~seed ?domains:jobs ()
+        Concord.Sweep.of_runner ?domains:jobs ~system:config.Concord.Config.name ~mix ~rates
+          (fun arrival -> (Cluster.run ~cluster ~mix ~arrival ~n_requests ~seed ()).cluster)
       in
       describe ();
       Printf.printf "workload: %s\n" sw.Concord.Sweep.workload;
@@ -737,9 +747,6 @@ let cluster_cmd =
           ~how:
             "duplicate a slow request onto the shortest-view other server; first completion \
              wins, the loser is cancelled."
-      $ cancel_cost_arg
-          "Dispatcher cost of revoking a cancelled duplicate at the server (default: one \
-           requeue op)."
       $ steal_arg
           "Rack-level work stealing: a server whose balancer view drains to zero probes the \
            fullest peer for one not-yet-started request."

@@ -23,23 +23,19 @@ type t = {
   policy : Lb_policy.t;
   rtt_cycles : int;
   hedge : Hedge.t;
-  cancel_cost_cycles : int option;
   steal : bool;
   specs : instance_spec array;
 }
 
-let make ?(policy = Lb_policy.Po2c) ?(rtt_cycles = 0) ?(hedge = Hedge.Off)
-    ?cancel_cost_cycles ?(steal = false) specs =
+let make ?(policy = Lb_policy.Po2c) ?(rtt_cycles = 0) ?(hedge = Hedge.Off) ?(steal = false)
+    specs =
   if Array.length specs < 1 then invalid_arg "Cluster.make: need at least one instance";
   if rtt_cycles < 0 then invalid_arg "Cluster.make: rtt_cycles must be >= 0";
-  (match cancel_cost_cycles with
-  | Some c when c < 0 -> invalid_arg "Cluster.make: cancel_cost_cycles must be >= 0"
-  | _ -> ());
   Array.iter (fun s -> ignore (spec ~speed_factor:s.speed_factor s.config)) specs;
   let valid = function Ok () -> () | Error e -> invalid_arg ("Cluster.make: " ^ e) in
   valid (Lb_policy.validate policy);
   valid (Hedge.validate hedge);
-  { policy; rtt_cycles; hedge; cancel_cost_cycles; steal; specs }
+  { policy; rtt_cycles; hedge; steal; specs }
 
 let homogeneous_specs ~who ~stragglers n config =
   let specs = Array.make n { config; speed_factor = 1.0 } in
@@ -52,11 +48,10 @@ let homogeneous_specs ~who ~stragglers n config =
     stragglers;
   specs
 
-let homogeneous ?policy ?rtt_cycles ?hedge ?cancel_cost_cycles ?steal ?(stragglers = [])
-    ~instances config =
+let homogeneous ?policy ?rtt_cycles ?hedge ?steal ?(stragglers = []) ~instances config =
   if instances < 1 then invalid_arg "Cluster.homogeneous: need at least one instance";
   (* [make] validates every spec's config. *)
-  make ?policy ?rtt_cycles ?hedge ?cancel_cost_cycles ?steal
+  make ?policy ?rtt_cycles ?hedge ?steal
     (homogeneous_specs ~who:"Cluster.homogeneous" ~stragglers instances config)
 
 type summary = {
@@ -539,8 +534,7 @@ let run_seq run ~tracer ~events_out =
         Server.Instance.create ~sim
           ~lift:(fun e -> Inst { inst = i; ev = e })
           ~config:s.config ~warmup_before:B.warmup_before ~n_classes:B.n_classes
-          ~rng:B.mech_rngs.(i) ~speed_factor:s.speed_factor
-          ?cancel_cost_cycles:run.cluster.cancel_cost_cycles ?tracer ~on_complete:(B.complete i)
+          ~rng:B.mech_rngs.(i) ~speed_factor:s.speed_factor ?tracer ~on_complete:(B.complete i)
           ?on_cancelled:(if B.hedge_on then Some (B.cancelled i) else None)
           ());
   let handler _ = function
@@ -669,7 +663,7 @@ let run_par run ~events_out ~domains =
         Server.Instance.create ~sim:shard_sims.(i)
           ~lift:(fun e -> S_inst e)
           ~config:s.config ~warmup_before ~n_classes ~rng:B.mech_rngs.(i)
-          ~speed_factor:s.speed_factor ?cancel_cost_cycles:run.cluster.cancel_cost_cycles
+          ~speed_factor:s.speed_factor
           ~on_complete:(fun req ->
             Mailbox.push outbox.(i) (Sim.now shard_sims.(i), P_complete { inst = i; req }))
           ())

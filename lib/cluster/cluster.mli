@@ -46,9 +46,6 @@ type t = {
           the shortest-view other server; the first completion wins and the
           loser is revoked through {!Repro_runtime.Server.Instance.cancel}
           (duplicate-and-cancel, Tail at Scale §"Hedged requests") *)
-  cancel_cost_cycles : int option;
-      (** dispatcher cost of executing one revocation at the server;
-          [None] = the server default (one requeue op) *)
   steal : bool;
       (** rack-level work stealing: a server whose view drains to zero
           probes the fullest-view peer for one not-yet-started request *)
@@ -56,17 +53,16 @@ type t = {
 }
 
 val make :
-  ?policy:Lb_policy.t -> ?rtt_cycles:int -> ?hedge:Hedge.t ->
-  ?cancel_cost_cycles:int -> ?steal:bool -> instance_spec array -> t
+  ?policy:Lb_policy.t -> ?rtt_cycles:int -> ?hedge:Hedge.t -> ?steal:bool ->
+  instance_spec array -> t
 (** Defaults: [Po2c], [rtt_cycles = 0], hedging {!Hedge.Off}, no stealing.
     Validates every spec eagerly, [policy] and [hedge] with
     {!Lb_policy.validate} and {!Hedge.validate}; raises [Invalid_argument]
     naming the bad value. *)
 
 val homogeneous :
-  ?policy:Lb_policy.t -> ?rtt_cycles:int -> ?hedge:Hedge.t ->
-  ?cancel_cost_cycles:int -> ?steal:bool -> ?stragglers:(int * float) list ->
-  instances:int -> Config.t -> t
+  ?policy:Lb_policy.t -> ?rtt_cycles:int -> ?hedge:Hedge.t -> ?steal:bool ->
+  ?stragglers:(int * float) list -> instances:int -> Config.t -> t
 (** [instances] identical servers; [stragglers] then overrides the listed
     indices' speed factors, e.g. [[ (2, 3.0) ]] makes server 2 a 3x
     straggler. Raises [Invalid_argument] as {!homogeneous_specs}. *)

@@ -78,10 +78,8 @@ let run ~config ~mix ~rate_rps ?(n_requests = 60_000) ?(seed = 42) ?tracer () =
     ~arrival:(Arrival.Poisson { rate_rps })
     ~n_requests ~seed ?tracer ()
 
-let sweep ~config ~mix ?(points = 10) ?(max_util = 0.95) ?n_requests ?seed () =
-  let rates =
-    Sweep.default_rates ~mix ~n_workers:config.Config.n_workers ~points ~max_util ()
-  in
+let sweep ~config ~mix ?(points = 10) ?n_requests ?seed () =
+  let rates = Sweep.default_rates ~mix ~n_workers:config.Config.n_workers ~points () in
   Sweep.run ~config ~mix ~rates ?n_requests ?seed ()
 
 let max_load_under_slo = Slo.max_load_under_slo

@@ -74,13 +74,14 @@ val sweep :
   config:Config.t ->
   mix:Mix.t ->
   ?points:int ->
-  ?max_util:float ->
   ?n_requests:int ->
   ?seed:int ->
   unit ->
   Sweep.t
-(** Load sweep over an automatic rate grid sized from the workload's mean
-    service time and the configuration's worker count. *)
+(** Load sweep ({!Sweep.run}) over [points] (default 10) evenly spaced
+    loads up to 95 % of the ideal worker capacity ({!Sweep.default_rates}),
+    sized from the workload's mean service time and the configuration's
+    worker count. *)
 
 val max_load_under_slo : ?slo:float -> Sweep.t -> float option
 (** See {!Slo.max_load_under_slo}. *)

@@ -19,20 +19,17 @@ let quanta_us = [ 1; 5; 10; 25; 50; 100 ]
 (* Shared sweep machinery                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Fan independent series across the domain pool; a mix whose generators
-   share mutable state (kvstore-backed) is also shared *between* configs,
-   so those figures run fully sequentially. *)
-let pmap_if_safe ~(mix : Mix.t) f xs =
-  if mix.Mix.parallel_safe then Pool.parallel_map f xs else List.map f xs
+(* A sweep as a figure series: offered load in kRps against p99.9
+   slowdown. *)
+let load_series label sweep =
+  { Figure.label; points = List.map (fun (r, p) -> (r /. 1e3, p)) (Sweep.p999_series sweep) }
 
-let sweep_series ?(seed = 42) ?(burst = 1) ~configs ~mix ~rates ~n () =
-  pmap_if_safe ~mix
-    (fun (label, config) ->
-      let sweep = Sweep.run ~config ~mix ~rates ~n_requests:n ~seed ~burst () in
-      {
-        Figure.label;
-        points = List.map (fun (r, p) -> (r /. 1e3, p)) (Sweep.p999_series sweep);
-      })
+(* Independent series fan out over the configs; a mix whose generators
+   share mutable state (kvstore-backed) is also shared *between* configs,
+   so those figures run config-major, rates ascending, sequentially. *)
+let sweep_series ~configs ~mix ~rates ~n () =
+  Sweep.fan_out ~mixes:[ mix ]
+    (fun (label, config) -> load_series label (Sweep.run ~config ~mix ~rates ~n_requests:n ()))
     configs
 
 let slowdown_figure ~id ~title ~configs ~mix ~rates ~n ?(notes = []) scale =
@@ -497,11 +494,9 @@ let ablation_probe_spacing ?(scale = Quick) () =
       (fun spacing ->
         let mix = with_spacing spacing in
         let config = Systems.concord ~quantum_ns () in
-        let sweep = Sweep.run ~config ~mix ~rates ~n_requests:(n_req scale 60_000) () in
-        {
-          Figure.label = Printf.sprintf "probes every %gus" (spacing /. 1e3);
-          points = List.map (fun (r, p) -> (r /. 1e3, p)) (Sweep.p999_series sweep);
-        })
+        load_series
+          (Printf.sprintf "probes every %gus" (spacing /. 1e3))
+          (Sweep.run ~config ~mix ~rates ~n_requests:(n_req scale 60_000) ()))
       spacing_variants
   in
   {
@@ -519,27 +514,13 @@ let ablation_sls ?(scale = Quick) () =
   let rates = range 500e3 4.5e6 500e3 in
   let n = n_req scale 40_000 in
   let physical =
-    let sweep =
-      Sweep.run ~config:(Systems.concord ~quantum_ns ()) ~mix ~rates ~n_requests:n ()
-    in
-    {
-      Figure.label = "Concord (physical queue)";
-      points = List.map (fun (r, p) -> (r /. 1e3, p)) (Sweep.p999_series sweep);
-    }
+    load_series "Concord (physical queue)"
+      (Sweep.run ~config:(Systems.concord ~quantum_ns ()) ~mix ~rates ~n_requests:n ())
   in
   let sls_series (label, config) =
-    let points =
-      Pool.parallel_map
-        (fun rate_rps ->
-          let s =
-            Repro_runtime.Sls_server.run ~config ~mix
-              ~arrival:(Repro_workload.Arrival.Poisson { rate_rps })
-              ~n_requests:n ()
-          in
-          (rate_rps /. 1e3, s.Metrics.p999_slowdown))
-        rates
-    in
-    { Figure.label; points }
+    load_series label
+      (Sweep.of_runner ~system:label ~mix ~rates (fun arrival ->
+           Repro_runtime.Sls_server.run ~config ~mix ~arrival ~n_requests:n ()))
   in
   let series =
     physical
@@ -574,18 +555,10 @@ let ablation_replication ?(scale = Quick) () =
           Repro_cluster.Cluster.homogeneous ~policy:Repro_cluster.Lb_policy.Random ~instances
             (Systems.concord ~n_workers:workers ())
         in
-        let points =
-          Pool.parallel_map
-            (fun rate ->
-              let s =
-                Repro_cluster.Cluster.run ~cluster ~mix
-                  ~arrival:(Repro_workload.Arrival.Poisson { rate_rps = rate })
-                  ~n_requests:n ()
-              in
-              (rate /. 1e3, s.Repro_cluster.Cluster.cluster.Metrics.p999_slowdown))
-            rates
-        in
-        { Figure.label; points })
+        load_series label
+          (Sweep.of_runner ~system:label ~mix ~rates (fun arrival ->
+               (Repro_cluster.Cluster.run ~cluster ~mix ~arrival ~n_requests:n ())
+                 .Repro_cluster.Cluster.cluster)))
       [ ("1x14 workers", 1, 14); ("2x7 workers", 2, 7); ("4x4 workers", 4, 4) ]
   in
   {
@@ -612,28 +585,18 @@ let ablation_classes ?(scale = Quick) () =
   let series =
     List.concat_map
       (fun (label, config) ->
-        let points =
-          (* kv-backed mix: generators share the store, so stay sequential *)
-          pmap_if_safe ~mix
-            (fun rate_rps ->
-              let s =
-                Repro_runtime.Server.run ~config ~mix
-                  ~arrival:(Repro_workload.Arrival.Poisson { rate_rps })
-                  ~n_requests:n ()
-              in
-              (rate_rps /. 1e3, s))
-            rates
+        (* kv-backed mix: runs stay config-major, rates ascending, sequential *)
+        let points = (Sweep.run ~config ~mix ~rates ~n_requests:n ()).Sweep.points in
+        let class_series cls =
+          {
+            Figure.label = label ^ " " ^ cls;
+            points =
+              List.map
+                (fun (p : Sweep.point) -> (p.rate_rps /. 1e3, class_p999 p.summary cls))
+                points;
+          }
         in
-        [
-          {
-            Figure.label = label ^ " GET";
-            points = List.map (fun (x, s) -> (x, class_p999 s "GET")) points;
-          };
-          {
-            Figure.label = label ^ " SCAN";
-            points = List.map (fun (x, s) -> (x, class_p999 s "SCAN")) points;
-          };
-        ])
+        [ class_series "GET"; class_series "SCAN" ])
       [
         ("Persephone", Systems.persephone_fcfs ~quantum_ns ());
         ("Concord", Systems.concord ~quantum_ns ());
@@ -660,26 +623,16 @@ let ablation_scaling ?(scale = Quick) () =
     (* Sweep up to the nominal worker capacity and interpolate the 50x
        crossing; report it in MRps. *)
     let rates = List.init 8 (fun i -> capacity *. 0.95 *. float_of_int (i + 1) /. 8.0) in
-    let sweep =
-      {
-        Sweep.system = "scaling";
-        workload = mix.Mix.name;
-        points =
-          List.map (fun rate_rps -> { Sweep.rate_rps; summary = run rate_rps }) rates;
-      }
-    in
-    match Slo.max_load_under_slo sweep with Some r -> r /. 1e6 | None -> 0.0
+    match Slo.max_load_under_slo (Sweep.of_runner ~system:"scaling" ~mix ~rates run) with
+    | Some r -> r /. 1e6
+    | None -> 0.0
   in
   let capacity workers = float_of_int workers /. Mix.mean_service_ns mix *. 1e9 in
   let physical =
     Pool.parallel_map
       (fun workers ->
         let config = Systems.concord ~n_workers:workers ~quantum_ns () in
-        let run rate_rps =
-          Repro_runtime.Server.run ~config ~mix
-            ~arrival:(Repro_workload.Arrival.Poisson { rate_rps })
-            ~n_requests:n ()
-        in
+        let run arrival = Repro_runtime.Server.run ~config ~mix ~arrival ~n_requests:n () in
         (float_of_int workers, crossing_of ~run ~capacity:(capacity workers)))
       worker_counts
   in
@@ -687,11 +640,7 @@ let ablation_scaling ?(scale = Quick) () =
     Pool.parallel_map
       (fun workers ->
         let config = Repro_runtime.Sls_server.concord_sls ~n_workers:workers ~quantum_ns () in
-        let run rate_rps =
-          Repro_runtime.Sls_server.run ~config ~mix
-            ~arrival:(Repro_workload.Arrival.Poisson { rate_rps })
-            ~n_requests:n ()
-        in
+        let run arrival = Repro_runtime.Sls_server.run ~config ~mix ~arrival ~n_requests:n () in
         (float_of_int workers, crossing_of ~run ~capacity:(capacity workers)))
       worker_counts
   in

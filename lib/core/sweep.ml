@@ -9,62 +9,40 @@ type t = {
   points : point list;
 }
 
-let run ~config ~mix ~rates ?(n_requests = 60_000) ?(seed = 42) ?(burst = 1) ?domains () =
-  let run_one rate_rps =
-    let arrival =
-      if burst > 1 then Arrival.Burst_poisson { rate_rps; burst } else Arrival.Poisson { rate_rps }
-    in
-    let summary =
-      Repro_runtime.Server.run ~config ~mix ~arrival ~n_requests ~seed ()
-    in
-    { rate_rps; summary }
-  in
-  (* Each point derives all randomness from the explicit seed and shares no
-     state with its siblings, so fanning points across domains is
-     bit-identical to the sequential map — unless the mix itself closes
-     over shared mutable state (kvstore-backed mixes), which forces the
-     sequential path. *)
-  let map_points =
-    if mix.Mix.parallel_safe then Repro_engine.Pool.parallel_map ?domains else List.map
-  in
+(* The one fan-out rule of every sweep and study. Each point or cell
+   derives all randomness from its explicit seed and shares no state with
+   its siblings, so fanning them across domains is bit-identical to the
+   sequential map -- unless a mix closes over shared mutable state (the
+   kvstore-backed mixes), which keeps the work on this domain, in order. *)
+let fan_out ?domains ~mixes f xs =
+  if List.for_all (fun (m : Mix.t) -> m.Mix.parallel_safe) mixes then
+    Repro_engine.Pool.parallel_map ?domains f xs
+  else List.map f xs
+
+let at_rates ?domains ~mix ~rates run =
+  fan_out ?domains ~mixes:[ mix ]
+    (fun rate_rps -> (rate_rps, run (Arrival.Poisson { rate_rps })))
+    (List.sort_uniq compare rates)
+
+let of_runner ?domains ~system ~mix ~rates run =
   {
-    system = config.Repro_runtime.Config.name;
+    system;
     workload = mix.Mix.name;
-    points = map_points run_one (List.sort_uniq compare rates);
+    points =
+      List.map
+        (fun (rate_rps, summary) -> { rate_rps; summary })
+        (at_rates ?domains ~mix ~rates run);
   }
 
-let run_cluster ~cluster ~mix ~rates ?(n_requests = 60_000) ?(seed = 42) ?(burst = 1) ?domains
-    () =
-  let module Cluster = Repro_cluster.Cluster in
-  let run_one rate_rps =
-    let arrival =
-      if burst > 1 then Arrival.Burst_poisson { rate_rps; burst } else Arrival.Poisson { rate_rps }
-    in
-    let s = Cluster.run ~cluster ~mix ~arrival ~n_requests ~seed () in
-    { rate_rps; summary = s.Cluster.cluster }
-  in
-  (* Same determinism argument as [run]: every point reseeds from [seed]
-     and owns its whole rack simulation, so the domain fan-out is
-     bit-identical to the sequential map. *)
-  let map_points =
-    if mix.Mix.parallel_safe then Repro_engine.Pool.parallel_map ?domains else List.map
-  in
-  let spec0 = cluster.Cluster.specs.(0) in
-  {
-    system =
-      Printf.sprintf "rack-%dx%s/%s"
-        (Array.length cluster.Cluster.specs)
-        spec0.Cluster.config.Repro_runtime.Config.name
-        (Repro_cluster.Lb_policy.name cluster.Cluster.policy);
-    workload = mix.Mix.name;
-    points = map_points run_one (List.sort_uniq compare rates);
-  }
+let run ~config ~mix ~rates ?(n_requests = 60_000) ?(seed = 42) ?domains () =
+  of_runner ?domains ~system:config.Repro_runtime.Config.name ~mix ~rates (fun arrival ->
+      Repro_runtime.Server.run ~config ~mix ~arrival ~n_requests ~seed ())
 
-let default_rates ~mix ~n_workers ?(points = 10) ?(max_util = 0.95) () =
+let default_rates ~mix ~n_workers ?(points = 10) () =
   let mean_ns = Mix.mean_service_ns mix in
   let capacity = float_of_int n_workers /. mean_ns *. 1e9 in
   List.init points (fun i ->
-      let frac = max_util *. float_of_int (i + 1) /. float_of_int points in
+      let frac = 0.95 *. float_of_int (i + 1) /. float_of_int points in
       frac *. capacity)
 
 let p999_series t =
@@ -148,16 +126,9 @@ let run_frontier ~configs ~policies ~workloads ?(utils = [ 0.7 ]) ?(n_requests =
       summary;
     }
   in
-  (* Same argument as [run]: each cell is a self-seeded independent
-     simulation (and ["gittins"] refits its index table inside the cell
-     from the cell's own mix), so the fan-out is bit-identical to the
-     sequential map for pure synthetic mixes. *)
-  let map_cells =
-    if List.for_all (fun (_, m) -> m.Mix.parallel_safe) workloads then
-      Repro_engine.Pool.parallel_map ?domains
-    else List.map
-  in
-  map_cells run_cell cells
+  (* A cell resolves its policy against its own mix (["gittins"] refits
+     its index table there), so cells stay independent for [fan_out]. *)
+  fan_out ?domains ~mixes:(List.map snd workloads) run_cell cells
 
 let frontier_csv points =
   let b = Buffer.create 4096 in
@@ -175,50 +146,51 @@ let frontier_csv points =
     points;
   Buffer.contents b
 
-(* One block per utilization: rows are config x policy, columns the CV^2
-   axis, each cell "p99 (p99.9)" slowdown. *)
-let render_frontier (points : frontier_point list) =
+(* The one pivot table of both studies: a block per [block] value titled
+   [title], a row per [row] value led by its [row_label] (the header row's
+   by [row_label row_head]), a column per [col] value headed [col_label],
+   each cell [cell] of the first point at that block, row and column, or
+   "-" where there is none. Every axis is in ascending order. *)
+let pivot ~block ~title ~row ~row_head ~row_label ~col ~col_label ~cell points =
+  let axis f = List.sort_uniq compare (List.map f points) in
+  let cols = axis col in
   let b = Buffer.create 4096 in
-  let utils = List.sort_uniq compare (List.map (fun p -> p.util) points) in
-  let cvs = List.sort_uniq compare (List.map (fun p -> p.squared_cv) points) in
-  let rows =
-    List.sort_uniq compare (List.map (fun p -> (p.config_name, p.policy_spec)) points)
-  in
-  let col_w = 18 in
+  let add_cell text = Buffer.add_string b (Printf.sprintf "%18s" text) in
   List.iter
-    (fun util ->
-      Buffer.add_string b
-        (Printf.sprintf "p99 (p99.9) slowdown at %.0f%% utilization\n" (100.0 *. util));
-      Buffer.add_string b (Printf.sprintf "%-22s %-16s" "config" "policy");
-      List.iter
-        (fun cv -> Buffer.add_string b (Printf.sprintf "%*s" col_w (Printf.sprintf "CV2=%.1f" cv)))
-        cvs;
+    (fun bv ->
+      Buffer.add_string b (title bv);
+      Buffer.add_string b (row_label row_head);
+      List.iter (fun c -> add_cell (col_label c)) cols;
       Buffer.add_char b '\n';
       List.iter
-        (fun (config_name, policy_spec) ->
-          Buffer.add_string b (Printf.sprintf "%-22s %-16s" config_name policy_spec);
+        (fun r ->
+          Buffer.add_string b (row_label r);
           List.iter
-            (fun cv ->
-              match
-                List.find_opt
-                  (fun p ->
-                    p.util = util && p.squared_cv = cv
-                    && p.config_name = config_name
-                    && p.policy_spec = policy_spec)
-                  points
-              with
-              | Some p ->
-                Buffer.add_string b
-                  (Printf.sprintf "%*s" col_w
-                     (Printf.sprintf "%.1f (%.1f)" p.summary.Repro_runtime.Metrics.p99_slowdown
-                        p.summary.Repro_runtime.Metrics.p999_slowdown))
-              | None -> Buffer.add_string b (Printf.sprintf "%*s" col_w "-"))
-            cvs;
+            (fun c ->
+              match List.find_opt (fun p -> block p = bv && row p = r && col p = c) points with
+              | Some p -> add_cell (cell p)
+              | None -> add_cell "-")
+            cols;
           Buffer.add_char b '\n')
-        rows;
+        (axis row);
       Buffer.add_char b '\n')
-    utils;
+    (axis block);
   Buffer.contents b
+
+let render_frontier (points : frontier_point list) =
+  pivot points
+    ~block:(fun p -> p.util)
+    ~title:(fun util ->
+      Printf.sprintf "p99 (p99.9) slowdown at %.0f%% utilization\n" (100.0 *. util))
+    ~row:(fun p -> (p.config_name, p.policy_spec))
+    ~row_head:("config", "policy")
+    ~row_label:(fun (config_name, policy_spec) ->
+      Printf.sprintf "%-22s %-16s" config_name policy_spec)
+    ~col:(fun p -> p.squared_cv)
+    ~col_label:(Printf.sprintf "CV2=%.1f")
+    ~cell:(fun p ->
+      Printf.sprintf "%.1f (%.1f)" p.summary.Repro_runtime.Metrics.p99_slowdown
+        p.summary.Repro_runtime.Metrics.p999_slowdown)
 
 (* ---- tail-tolerance (hedge) study ------------------------------------ *)
 
@@ -286,12 +258,7 @@ let run_hedge_study ~config ~mix ~rtts ~hedges ~policies ?(steal = false)
       summary = s.Cluster.cluster;
     }
   in
-  (* Same determinism argument as [run_frontier]: each cell owns a whole
-     self-seeded rack simulation. *)
-  let map_cells =
-    if mix.Mix.parallel_safe then Repro_engine.Pool.parallel_map ?domains else List.map
-  in
-  map_cells run_cell cells
+  fan_out ?domains ~mixes:[ mix ] run_cell cells
 
 let hedge_csv points =
   let b = Buffer.create 4096 in
@@ -309,44 +276,15 @@ let hedge_csv points =
     points;
   Buffer.contents b
 
-(* One block per LB policy: rows are hedge specs, columns the RTT axis,
-   each cell "p99 (dup%)". *)
 let render_hedge points =
-  let b = Buffer.create 4096 in
-  let policies = List.sort_uniq compare (List.map (fun p -> p.lb_policy) points) in
-  let rtts = List.sort_uniq compare (List.map (fun p -> p.rtt_cycles) points) in
-  let hedges = List.sort_uniq compare (List.map (fun p -> p.hedge_spec) points) in
-  let col_w = 18 in
-  List.iter
-    (fun pol ->
-      Buffer.add_string b
-        (Printf.sprintf "p99 slowdown (duplicate %%) under %s routing\n" pol);
-      Buffer.add_string b (Printf.sprintf "%-16s" "hedge");
-      List.iter
-        (fun rtt ->
-          Buffer.add_string b (Printf.sprintf "%*s" col_w (Printf.sprintf "rtt=%d" rtt)))
-        rtts;
-      Buffer.add_char b '\n';
-      List.iter
-        (fun h ->
-          Buffer.add_string b (Printf.sprintf "%-16s" h);
-          List.iter
-            (fun rtt ->
-              match
-                List.find_opt
-                  (fun p -> p.lb_policy = pol && p.rtt_cycles = rtt && p.hedge_spec = h)
-                  points
-              with
-              | Some p ->
-                Buffer.add_string b
-                  (Printf.sprintf "%*s" col_w
-                     (Printf.sprintf "%.1f (%.1f%%)"
-                        p.summary.Repro_runtime.Metrics.p99_slowdown
-                        (100.0 *. p.dup_frac)))
-              | None -> Buffer.add_string b (Printf.sprintf "%*s" col_w "-"))
-            rtts;
-          Buffer.add_char b '\n')
-        hedges;
-      Buffer.add_char b '\n')
-    policies;
-  Buffer.contents b
+  pivot points
+    ~block:(fun p -> p.lb_policy)
+    ~title:(Printf.sprintf "p99 slowdown (duplicate %%) under %s routing\n")
+    ~row:(fun p -> p.hedge_spec)
+    ~row_head:"hedge"
+    ~row_label:(Printf.sprintf "%-16s")
+    ~col:(fun p -> p.rtt_cycles)
+    ~col_label:(Printf.sprintf "rtt=%d")
+    ~cell:(fun p ->
+      Printf.sprintf "%.1f (%.1f%%)" p.summary.Repro_runtime.Metrics.p99_slowdown
+        (100.0 *. p.dup_frac))

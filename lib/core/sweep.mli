@@ -13,49 +13,59 @@ type t = {
   points : point list;  (** ascending offered load *)
 }
 
+val fan_out :
+  ?domains:int -> mixes:Repro_workload.Mix.t list -> ('a -> 'b) -> 'a list -> 'b list
+(** The one fan-out rule of every sweep and study: [List.map f xs],
+    computed across [domains] domains (default
+    {!Repro_engine.Pool.default_jobs}) when every mix in [mixes] is
+    [parallel_safe], and on the calling domain in input order otherwise
+    (kvstore-backed mixes, whose generators share mutable state). Each
+    element must be an independent simulation seeded from its own explicit
+    seed; the result is then bit-identical for any [domains], and
+    [~domains:1] recovers strictly sequential execution. *)
+
+val at_rates :
+  ?domains:int ->
+  mix:Repro_workload.Mix.t ->
+  rates:float list ->
+  (Repro_workload.Arrival.t -> 'a) ->
+  (float * 'a) list
+(** The one load sweep: a tier's point runner, applied to a Poisson
+    open-loop arrival at each of [rates] (sorted ascending, duplicates
+    dropped), fanned out by {!fan_out} on [mix]. Returns (rate, result)
+    pairs in ascending rate order. *)
+
+val of_runner :
+  ?domains:int ->
+  system:string ->
+  mix:Repro_workload.Mix.t ->
+  rates:float list ->
+  (Repro_workload.Arrival.t -> Repro_runtime.Metrics.summary) ->
+  t
+(** {!at_rates} as a sweep record, for any tier whose runner reports a
+    {!Repro_runtime.Metrics.summary}: a rack passes
+    [fun arrival -> (Cluster.run ~cluster ~mix ~arrival ...).cluster], so
+    [rates] are total offered loads and each summary the rack-level merged
+    view. *)
+
 val run :
   config:Repro_runtime.Config.t ->
   mix:Repro_workload.Mix.t ->
   rates:float list ->
   ?n_requests:int ->
   ?seed:int ->
-  ?burst:int ->
   ?domains:int ->
   unit ->
   t
-(** Simulate each offered load with a Poisson open-loop client ([burst] > 1
-    switches to batched Poisson). [n_requests] (default 60 000) arrivals per
-    point; the warm-up tenth is discarded.
-
-    Points run fanned across [domains] domains (default
-    {!Repro_engine.Pool.default_jobs}); because every point is an
-    independent simulation seeded from [seed], the result is bit-identical
-    for any [domains], and [~domains:1] recovers strictly sequential
-    execution. Mixes whose generators share mutable state
-    ([Mix.parallel_safe = false], e.g. kvstore-backed ones) always run
-    sequentially. *)
-
-val run_cluster :
-  cluster:Repro_cluster.Cluster.t ->
-  mix:Repro_workload.Mix.t ->
-  rates:float list ->
-  ?n_requests:int ->
-  ?seed:int ->
-  ?burst:int ->
-  ?domains:int ->
-  unit ->
-  t
-(** Like {!run} but each point simulates the whole rack through
-    {!Repro_cluster.Cluster.run}; [rates] are total offered loads across the
-    cluster and each point's [summary] is the rack-level merged view, so the
-    result plugs into {!Slo} and {!p999_series} unchanged. The same
-    determinism contract holds: points fan across [domains] with
-    bit-identical results for any domain count. *)
+(** {!of_runner} with one standalone server ({!Repro_runtime.Server.run})
+    as the runner: [n_requests] (default 60 000) arrivals per point, the
+    warm-up tenth discarded, every point seeded from [seed] (default 42). *)
 
 val default_rates :
-  mix:Repro_workload.Mix.t -> n_workers:int -> ?points:int -> ?max_util:float -> unit -> float list
-(** Evenly spaced offered loads from ~5 % to [max_util] (default 0.95) of
-    the ideal worker capacity [n_workers / mean service time]. *)
+  mix:Repro_workload.Mix.t -> n_workers:int -> ?points:int -> unit -> float list
+(** [points] (default 10) evenly spaced offered loads up to 95 % of the
+    ideal worker capacity [n_workers / mean service time]; the lowest is
+    [1 / points] of the highest. *)
 
 val p999_series : t -> (float * float) list
 (** (offered load, p99.9 slowdown) pairs. *)
@@ -103,8 +113,7 @@ val run_frontier :
     default [0.7]). Each cell resolves its policy spec against the cell's
     own mix (["gittins"] fits there), derives the offered rate from the
     configuration's worker count and the mix's mean service time, and runs
-    one standalone load point. Cells fan across [domains] with
-    bit-identical results when every mix is [parallel_safe].
+    one standalone load point. Cells fan out by {!fan_out} on every mix.
 
     Raises [Invalid_argument] on a malformed policy spec. *)
 
@@ -153,9 +162,8 @@ val run_hedge_study :
   hedge_point list
 (** Run every cell of rtts x hedges x policies on a homogeneous
     [instances]-server rack (default 3) at [util] (default 0.7) of ideal
-    rack capacity. Cells fan across [domains] with bit-identical results
-    when the mix is [parallel_safe]. Raises [Invalid_argument] on a
-    malformed hedge or policy spec. *)
+    rack capacity. Cells fan out by {!fan_out} on [mix]. Raises
+    [Invalid_argument] on a malformed hedge or policy spec. *)
 
 val hedge_csv : hedge_point list -> string
 

@@ -27,7 +27,6 @@ type t = {
   write_ratio : float;
   hedge : Hedge.t;
   kill_leader_at_ns : int option;
-  cancel_cost_cycles : int option;
   specs : Cluster.instance_spec array;
 }
 
@@ -56,7 +55,7 @@ let () = assert (lease_cycles <= election_timeout_cycles)
 
 let homogeneous ?(read_lb = Lb_policy.Po2c) ?(rtt_cycles = default_rtt_cycles)
     ?(read_leases = true) ?(write_ratio = 0.5) ?(hedge = Hedge.Off) ?kill_leader_at_ns
-    ?cancel_cost_cycles ?(stragglers = []) ~nodes config =
+    ?(stragglers = []) ~nodes config =
   let fail msg = invalid_arg ("Raft.homogeneous: " ^ msg) in
   if nodes < 1 then fail "need at least one member";
   let specs = Cluster.homogeneous_specs ~who:"Raft.homogeneous" ~stragglers nodes config in
@@ -70,8 +69,7 @@ let homogeneous ?(read_lb = Lb_policy.Po2c) ?(rtt_cycles = default_rtt_cycles)
   let valid = function Ok () -> () | Error e -> fail e in
   valid (Lb_policy.validate read_lb);
   valid (Hedge.validate hedge);
-  { read_lb; rtt_cycles; read_leases; write_ratio; hedge; kill_leader_at_ns; cancel_cost_cycles;
-    specs }
+  { read_lb; rtt_cycles; read_leases; write_ratio; hedge; kill_leader_at_ns; specs }
 
 (* Each write adds a durable append at the leader and an AppendEntries
    mini at every follower to its own service time. Capacity is aggregate
@@ -723,8 +721,7 @@ module Group (R : sig val run : run end) = struct
           Server.Instance.create ~sim
             ~lift:(fun e -> Inst { node = i; ev = e })
             ~config:s.Cluster.config ~warmup_before ~n_classes:(n_classes + 1)
-            ~rng:mech_rngs.(i) ~speed_factor:s.Cluster.speed_factor
-            ?cancel_cost_cycles:raft.cancel_cost_cycles ?tracer
+            ~rng:mech_rngs.(i) ~speed_factor:s.Cluster.speed_factor ?tracer
             ~on_complete:(on_complete i)
             ~on_cancelled:(on_cancelled i) ())
 
@@ -1009,7 +1006,9 @@ module Group (R : sig val run : run end) = struct
       Driver.summarize driver client_metrics ~n_workers:total_workers
     in
     let pct s p = if Stats.is_empty s then 0.0 else Stats.percentile s p in
-    let mean s = if Stats.is_empty s then 0.0 else Stats.mean s in
+    (* A request class with no post-warm-up sample has no latency: nan. *)
+    let class_pct s p = if Stats.is_empty s then Float.nan else Stats.percentile s p in
+    let class_mean s = if Stats.is_empty s then Float.nan else Stats.mean s in
     let leader_p99 =
       match !leader with
       | Some l ->
@@ -1035,12 +1034,12 @@ module Group (R : sig val run : run end) = struct
         writes = !writes_n;
         reads = !reads_n;
         client;
-        write_mean_ns = mean write_soj;
-        write_p50_ns = pct write_soj 50.0;
-        write_p99_ns = pct write_soj 99.0;
-        read_mean_ns = mean read_soj;
-        read_p50_ns = pct read_soj 50.0;
-        read_p99_ns = pct read_soj 99.0;
+        write_mean_ns = class_mean write_soj;
+        write_p50_ns = class_pct write_soj 50.0;
+        write_p99_ns = class_pct write_soj 99.0;
+        read_mean_ns = class_mean read_soj;
+        read_p50_ns = class_pct read_soj 50.0;
+        read_p99_ns = class_pct read_soj 99.0;
         per_node;
         roles = Array.map (fun nd -> nd.role) nodes;
         alive = Array.map (fun nd -> nd.alive) nodes;
@@ -1124,7 +1123,10 @@ let check_invariants s =
 
 let summary_to_string s =
   let buf = Buffer.create 1024 in
-  let us f = f /. 1e3 in
+  (* a class with no sample (nan) prints "-" *)
+  let us ns =
+    if Float.is_nan ns then Printf.sprintf "%10s" "-" else Printf.sprintf "%8.1fus" (ns /. 1e3)
+  in
   Buffer.add_string buf
     (Printf.sprintf "raft group: %d member%s, leases %s, term %d, %d election%s (%d change%s)\n"
        s.nodes
@@ -1140,10 +1142,10 @@ let summary_to_string s =
        s.requests s.writes s.reads s.client.Metrics.completed s.client.Metrics.censored
        s.resubmissions);
   Buffer.add_string buf
-    (Printf.sprintf "  writes: mean %8.1fus  p50 %8.1fus  p99 %8.1fus\n" (us s.write_mean_ns)
+    (Printf.sprintf "  writes: mean %s  p50 %s  p99 %s\n" (us s.write_mean_ns)
        (us s.write_p50_ns) (us s.write_p99_ns));
   Buffer.add_string buf
-    (Printf.sprintf "  reads:  mean %8.1fus  p50 %8.1fus  p99 %8.1fus\n" (us s.read_mean_ns)
+    (Printf.sprintf "  reads:  mean %s  p50 %s  p99 %s\n" (us s.read_mean_ns)
        (us s.read_p50_ns) (us s.read_p99_ns));
   if s.hedges > 0 || s.hedge_cancels > 0 then
     Buffer.add_string buf

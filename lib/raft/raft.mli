@@ -74,7 +74,6 @@ type t = {
   kill_leader_at_ns : int option;
       (** crash the current leader at this simulated time: it stops
           heartbeating, voting and acking; survivors elect a replacement *)
-  cancel_cost_cycles : int option;  (** as {!Cluster.t.cancel_cost_cycles} *)
   specs : Cluster.instance_spec array;
 }
 
@@ -85,7 +84,6 @@ val homogeneous :
   ?write_ratio:float ->
   ?hedge:Hedge.t ->
   ?kill_leader_at_ns:int ->
-  ?cancel_cost_cycles:int ->
   ?stragglers:(int * float) list ->
   nodes:int ->
   Config.t ->
@@ -124,6 +122,10 @@ type summary = {
       (** end-to-end client view: every arrival completes or is censored
           exactly once here, whatever legs/replays it took *)
   write_mean_ns : float;
+      (** client sojourn of writes and of reads after the warm-up cut;
+          each of these six is [nan] when its class has no post-warm-up
+          sample (a write-only group has no read latency, a read-only one
+          no write latency) *)
   write_p50_ns : float;
   write_p99_ns : float;
   read_mean_ns : float;
@@ -201,4 +203,4 @@ val check_invariants : summary -> (unit, string) result
 
 val summary_to_string : summary -> string
 (** Multi-line human-readable report (roles, terms, per-node and
-    read/write latency split). *)
+    read/write latency split; a [nan] latency prints as [-]). *)

@@ -732,13 +732,10 @@ let on_disp_op_done t =
 (* ------------------------------------------------------------------ *)
 
 let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
-    ?(speed_factor = 1.0) ?cancel_cost_cycles ?tracer ?on_complete ?on_cancelled () =
+    ?(speed_factor = 1.0) ?tracer ?on_complete ?on_cancelled () =
   Config.validate config;
   if not (speed_factor > 0.0 && Float.is_finite speed_factor) then
     invalid_arg "Server.Instance.create: speed_factor must be positive and finite";
-  (match cancel_cost_cycles with
-  | Some c when c < 0 -> invalid_arg "Server.Instance.create: cancel_cost_cycles must be >= 0"
-  | _ -> ());
   let costs = config.Config.costs in
   let ns = scaled_ns costs ~speed:speed_factor in
   let estimate_sigma =
@@ -823,13 +820,9 @@ let create_instance ~sim ~lift ~config ~warmup_before ~n_classes ~rng
          else costs.Costs.disp_flag_write_cycles);
     send_ns = ns costs.Costs.disp_send_cycles;
     push_ns = ns (costs.Costs.disp_send_cycles + costs.Costs.disp_jbsq_pick_cycles);
-    (* Default: killing a queued duplicate costs what a requeue costs — one
+    (* Killing a queued duplicate costs what a requeue costs: one
        dispatcher queue operation. *)
-    cancel_ns =
-      ns
-        (match cancel_cost_cycles with
-        | Some c -> c
-        | None -> costs.Costs.disp_requeue_cycles);
+    cancel_ns = ns costs.Costs.disp_requeue_cycles;
     quantum_ns = config.Config.quantum_ns;
     cswitch_ns = ns costs.Costs.context_switch_cycles;
     receive_ns = ns costs.Costs.worker_receive_cycles;

@@ -36,7 +36,6 @@ module Instance : sig
     n_classes:int ->
     rng:Repro_engine.Rng.t ->
     ?speed_factor:float ->
-    ?cancel_cost_cycles:int ->
     ?tracer:Tracing.t ->
     ?on_complete:(Request.t -> unit) ->
     ?on_cancelled:(Request.t -> unit) ->
@@ -49,8 +48,6 @@ module Instance : sig
       dispatcher micro-ops and application execution take proportionally
       more wall time (1.0, the default, is the exact fast path). It must be
       finite, and one that scales an op cost past the int range raises.
-      [cancel_cost_cycles] is the dispatcher cost of executing one
-      {!cancel} (default: the requeue cost — one queue operation).
       [on_complete] fires after each completion is recorded; [on_cancelled]
       fires exactly once per revoked request, when the instance actually
       discards it (its [done_ns] is the partial work wasted). *)
@@ -66,8 +63,8 @@ module Instance : sig
 
   val cancel : 'e t -> Request.t -> unit
   (** Revoke a request previously injected here (the losing hedge leg).
-      The cancel is queued through the dispatcher and charged
-      [cancel_cost_cycles]; a queued or preempted-and-saved leg is
+      The cancel is queued through the dispatcher and charged one queue
+      operation (the requeue cost); a queued or preempted-and-saved leg is
       discarded, an executing leg is stopped through the preemption
       mechanism where one exists (it runs out and is discarded at
       completion otherwise). No-op when the request is no longer live

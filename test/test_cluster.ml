@@ -386,9 +386,10 @@ let test_sweep_cluster_bit_identical_across_domains () =
   let cluster =
     Cluster.homogeneous ~policy:Lb_policy.Po2c ~instances:3 (small_config ())
   in
+  let mix = fixed_mix 5_000 in
   let sweep domains =
-    Concord.Sweep.run_cluster ~cluster ~mix:(fixed_mix 5_000)
-      ~rates:[ 0.6e6; 1.2e6; 1.8e6 ] ~n_requests:6_000 ~domains ()
+    Concord.Sweep.of_runner ~domains ~system:"rack" ~mix ~rates:[ 0.6e6; 1.2e6; 1.8e6 ]
+      (fun arrival -> (Cluster.run ~cluster ~mix ~arrival ~n_requests:6_000 ()).Cluster.cluster)
   in
   let series t = Concord.Sweep.p999_series t in
   Alcotest.(check bool) "domains 1 vs 4 identical" true (series (sweep 1) = series (sweep 4))

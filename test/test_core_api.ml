@@ -71,15 +71,137 @@ let test_improvement () =
   | Some frac -> Alcotest.(check bool) "candidate better" true (frac > 0.0)
   | None -> Alcotest.fail "expected improvement"
 
+(* --- study tables --------------------------------------------------------- *)
+
+(* Synthetic study points: two blocks each, listed out of order, and one
+   missing cell per study; every figure derives from the cell's place. *)
+let study_summary ~p99 ~p999 =
+  {
+    (dummy_summary ~p999) with
+    Metrics.p50_slowdown = p99 /. 4.0;
+    p99_slowdown = p99;
+    mean_slowdown = p99 /. 2.0;
+    goodput_rps = 1e3 *. p999;
+    preemptions = int_of_float p999;
+  }
+
+let frontier_points () =
+  List.concat_map
+    (fun util ->
+      List.concat_map
+        (fun (config_name, policy_spec) ->
+          List.filter_map
+            (fun squared_cv ->
+              if util = 0.5 && config_name = "concord" && squared_cv > 10.0 then None
+              else
+                let p99 =
+                  (10.0 *. util) +. squared_cv +. float_of_int (String.length policy_spec)
+                in
+                Some
+                  {
+                    Concord.Sweep.config_name;
+                    policy_spec;
+                    workload = Printf.sprintf "Bimodal(cv2=%g)" squared_cv;
+                    squared_cv;
+                    util;
+                    rate_rps = util *. 1e6;
+                    summary = study_summary ~p99 ~p999:(3.0 *. p99);
+                  })
+            [ 78.9; 1.0 ])
+        [ ("shinjuku", "srpt-noisy:1"); ("concord", "fcfs") ])
+    [ 0.85; 0.5 ]
+
+let hedge_points () =
+  List.concat_map
+    (fun lb_policy ->
+      List.concat_map
+        (fun hedge_spec ->
+          List.filter_map
+            (fun rtt_cycles ->
+              if lb_policy = "random" && hedge_spec = "pct:99" && rtt_cycles = 5_000 then None
+              else
+                let hedges = (rtt_cycles / 100) + String.length hedge_spec in
+                let p99 =
+                  2.0 +. (float_of_int rtt_cycles /. 1e3) +. float_of_int (String.length lb_policy)
+                in
+                Some
+                  {
+                    Concord.Sweep.lb_policy;
+                    rtt_cycles;
+                    hedge_spec;
+                    steal = lb_policy = "random";
+                    util = 0.7;
+                    rate_rps = 1.2e6;
+                    hedges;
+                    hedge_wins = hedges / 2;
+                    hedge_cancels = hedges / 3;
+                    hedge_wasted_ns = 1_000 * hedges;
+                    steals = rtt_cycles / 1_000;
+                    dup_frac = float_of_int hedges /. 4_000.0;
+                    summary = study_summary ~p99 ~p999:(2.0 *. p99);
+                  })
+            [ 5_000; 0 ])
+        [ "pct:99"; "off" ])
+    [ "random"; "po2c" ]
+
+(* The exact tables and CSV files of both studies for these points: a
+   writer change that moves one byte fails here. *)
+let test_study_tables () =
+  let frontier = frontier_points () and hedge = hedge_points () in
+  Alcotest.(check string) "render_frontier" {|p99 (p99.9) slowdown at 50% utilization
+config                 policy                     CV2=1.0          CV2=78.9
+concord                fcfs                   10.0 (30.0)                 -
+shinjuku               srpt-noisy:1           18.0 (54.0)      95.9 (287.7)
+
+p99 (p99.9) slowdown at 85% utilization
+config                 policy                     CV2=1.0          CV2=78.9
+concord                fcfs                   13.5 (40.5)      91.4 (274.2)
+shinjuku               srpt-noisy:1           21.5 (64.5)      99.4 (298.2)
+
+|}
+    (Concord.Sweep.render_frontier frontier);
+  Alcotest.(check string) "frontier_csv" {|config,policy,workload,squared_cv,util,rate_rps,p50,p99,p999,mean,goodput_rps,preemptions
+shinjuku,srpt-noisy:1,Bimodal(cv2=78.9),78.9000,0.850,850000.0,24.8500,99.4000,298.2000,49.7000,298200.0,298
+shinjuku,srpt-noisy:1,Bimodal(cv2=1),1.0000,0.850,850000.0,5.3750,21.5000,64.5000,10.7500,64500.0,64
+concord,fcfs,Bimodal(cv2=78.9),78.9000,0.850,850000.0,22.8500,91.4000,274.2000,45.7000,274200.0,274
+concord,fcfs,Bimodal(cv2=1),1.0000,0.850,850000.0,3.3750,13.5000,40.5000,6.7500,40500.0,40
+shinjuku,srpt-noisy:1,Bimodal(cv2=78.9),78.9000,0.500,500000.0,23.9750,95.9000,287.7000,47.9500,287700.0,287
+shinjuku,srpt-noisy:1,Bimodal(cv2=1),1.0000,0.500,500000.0,4.5000,18.0000,54.0000,9.0000,54000.0,54
+concord,fcfs,Bimodal(cv2=1),1.0000,0.500,500000.0,2.5000,10.0000,30.0000,5.0000,30000.0,30
+|}
+    (Concord.Sweep.frontier_csv frontier);
+  Alcotest.(check string) "render_hedge" {|p99 slowdown (duplicate %) under po2c routing
+hedge                        rtt=0          rtt=5000
+off                     6.0 (0.1%)       11.0 (1.3%)
+pct:99                  6.0 (0.1%)       11.0 (1.4%)
+
+p99 slowdown (duplicate %) under random routing
+hedge                        rtt=0          rtt=5000
+off                     8.0 (0.1%)       13.0 (1.3%)
+pct:99                  8.0 (0.1%)                 -
+
+|}
+    (Concord.Sweep.render_hedge hedge);
+  Alcotest.(check string) "hedge_csv" {|lb_policy,rtt_cycles,hedge,steal,util,rate_rps,p50,p99,p999,hedges,hedge_wins,hedge_cancels,hedge_wasted_ns,steals,dup_frac
+random,0,pct:99,true,0.700,1200000.0,2.0000,8.0000,16.0000,6,3,2,6000,0,0.0015
+random,5000,off,true,0.700,1200000.0,3.2500,13.0000,26.0000,53,26,17,53000,5,0.0132
+random,0,off,true,0.700,1200000.0,2.0000,8.0000,16.0000,3,1,1,3000,0,0.0008
+po2c,5000,pct:99,false,0.700,1200000.0,2.7500,11.0000,22.0000,56,28,18,56000,5,0.0140
+po2c,0,pct:99,false,0.700,1200000.0,1.5000,6.0000,12.0000,6,3,2,6000,0,0.0015
+po2c,5000,off,false,0.700,1200000.0,2.7500,11.0000,22.0000,53,26,17,53000,5,0.0132
+po2c,0,off,false,0.700,1200000.0,1.5000,6.0000,12.0000,3,1,1,3000,0,0.0008
+|}
+    (Concord.Sweep.hedge_csv hedge)
+
 (* --- sweep machinery ----------------------------------------------------- *)
 
 let test_default_rates () =
   let mix = Concord.Presets.fixed_1us in
-  let rates = Concord.Sweep.default_rates ~mix ~n_workers:4 ~points:4 ~max_util:0.8 () in
+  let rates = Concord.Sweep.default_rates ~mix ~n_workers:4 ~points:4 () in
   Alcotest.(check int) "points" 4 (List.length rates);
-  (* capacity = 4 / 1us = 4M; max = 0.8 * 4M *)
-  Alcotest.(check (float 1.0)) "top rate" 3.2e6 (List.nth rates 3);
-  Alcotest.(check (float 1.0)) "bottom rate" 0.8e6 (List.nth rates 0)
+  (* capacity = 4 / 1us = 4M; max = 0.95 * 4M *)
+  Alcotest.(check (float 1.0)) "top rate" 3.8e6 (List.nth rates 3);
+  Alcotest.(check (float 1.0)) "bottom rate" 0.95e6 (List.nth rates 0)
 
 let test_sweep_runs_points () =
   let config = Concord.Systems.concord ~n_workers:2 () in
@@ -197,6 +319,7 @@ let suite =
     Alcotest.test_case "custom SLO threshold" `Quick test_slo_custom_threshold;
     Alcotest.test_case "improvement" `Quick test_improvement;
     Alcotest.test_case "default rate grid" `Quick test_default_rates;
+    Alcotest.test_case "study tables render as before" `Quick test_study_tables;
     Alcotest.test_case "sweep runs every point" `Quick test_sweep_runs_points;
     Alcotest.test_case "dispersion axis refuses bad sizes and probabilities" `Quick
       test_dispersion_axis_refusals;

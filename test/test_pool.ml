@@ -1,7 +1,7 @@
 (* Tests for the domain pool: order preservation, equivalence with the
    sequential map, exception propagation, and the headline determinism
-   guarantee — Sweep.run produces bit-identical summaries for any domain
-   count. *)
+   guarantee — the one load sweep produces bit-identical summaries for any
+   domain count, whatever tier's runner it drives. *)
 
 module Pool = Repro_engine.Pool
 
@@ -58,19 +58,41 @@ let test_default_jobs_override () =
 (* --- Sweep bit-identity across domain counts ----------------------------- *)
 
 let test_sweep_bit_identical () =
-  let config = Concord.Systems.concord ~n_workers:2 () in
+  (* One sweep per tier's runner: a standalone server, the single logical
+     queue, a rack and a Raft group. *)
   let mix = Concord.Presets.ycsb_a in
   let rates = [ 50e3; 100e3; 150e3; 200e3 ] in
-  let sweep domains =
-    Concord.Sweep.run ~config ~mix ~rates ~n_requests:4_000 ~seed:42 ~domains ()
+  let n_requests = 4_000 and seed = 42 in
+  let server =
+    let config = Concord.Systems.concord ~n_workers:2 () in
+    fun domains -> Concord.Sweep.run ~config ~mix ~rates ~n_requests ~seed ~domains ()
   in
-  let a = sweep 1 and b = sweep 4 in
-  Alcotest.(check int) "same point count" (List.length a.Concord.Sweep.points)
-    (List.length b.Concord.Sweep.points);
-  (* Summaries are plain data (ints, floats, string arrays): structural
-     equality means bit-identical results. *)
-  Alcotest.(check bool) "bit-identical summaries" true
-    (a.Concord.Sweep.points = b.Concord.Sweep.points)
+  let runner run domains = Concord.Sweep.of_runner ~domains ~system:"test" ~mix ~rates run in
+  let sls =
+    let config = Repro_runtime.Sls_server.concord_sls ~n_workers:2 () in
+    runner (fun arrival -> Repro_runtime.Sls_server.run ~config ~mix ~arrival ~n_requests ~seed ())
+  in
+  let rack =
+    let module Cluster = Repro_cluster.Cluster in
+    let cluster = Cluster.homogeneous ~instances:2 (Concord.Systems.concord ~n_workers:1 ()) in
+    runner (fun arrival ->
+        (Cluster.run ~cluster ~mix ~arrival ~n_requests ~seed ()).Cluster.cluster)
+  in
+  let raft =
+    let module Raft = Repro_raft.Raft in
+    let raft = Raft.homogeneous ~nodes:3 (Concord.Systems.concord ~n_workers:2 ()) in
+    runner (fun arrival ->
+        (Raft.run ~raft ~mix ~arrival ~n_requests:1_000 ~seed ()).Raft.client)
+  in
+  List.iter
+    (fun (tier, sweep) ->
+      let a = sweep 1 and b = sweep 4 in
+      Alcotest.(check int) (tier ^ ": every point") 4 (List.length a.Concord.Sweep.points);
+      (* Summaries are plain data (ints, floats, string arrays): structural
+         equality means bit-identical results. *)
+      Alcotest.(check bool) (tier ^ ": bit-identical summaries") true
+        (a.Concord.Sweep.points = b.Concord.Sweep.points))
+    [ ("server", server); ("sls", sls); ("rack", rack); ("raft", raft) ]
 
 let test_sweep_kv_mix_still_works () =
   (* kvstore-backed mixes are not parallel-safe; the sweep must fall back

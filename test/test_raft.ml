@@ -92,6 +92,24 @@ let test_replication_reaches_followers () =
   Alcotest.(check (float 1e-9)) "no followers, no follower p99" 0.0
     solo.Raft.follower_p99_slowdown
 
+let test_empty_class_has_no_latency () =
+  (* A class with no post-warm-up sample reports nan, not a 0.0 latency;
+     the other class still reports a positive one. *)
+  let absent what ns = Alcotest.(check bool) (what ^ " is nan") true (Float.is_nan ns) in
+  let present what ns = Alcotest.(check bool) (what ^ " > 0") true (ns > 0.0) in
+  let writes = run_group ~write_ratio:1.0 ~n:1_500 () in
+  Alcotest.(check int) "write-only: no reads" 0 writes.Raft.reads;
+  absent "write-only read mean" writes.Raft.read_mean_ns;
+  absent "write-only read p50" writes.Raft.read_p50_ns;
+  absent "write-only read p99" writes.Raft.read_p99_ns;
+  present "write-only write p50" writes.Raft.write_p50_ns;
+  let reads = run_group ~write_ratio:0.0 ~n:1_500 () in
+  Alcotest.(check int) "read-only: no writes" 0 reads.Raft.writes;
+  absent "read-only write mean" reads.Raft.write_mean_ns;
+  absent "read-only write p50" reads.Raft.write_p50_ns;
+  absent "read-only write p99" reads.Raft.write_p99_ns;
+  present "read-only read p50" reads.Raft.read_p50_ns
+
 (* --- determinism --------------------------------------------------------- *)
 
 let fingerprint (s : Raft.summary) =
@@ -212,6 +230,8 @@ let suite =
       test_reads_through_consensus_when_leases_off;
     Alcotest.test_case "replication reaches every follower" `Quick
       test_replication_reaches_followers;
+    Alcotest.test_case "an empty class reports no latency" `Quick
+      test_empty_class_has_no_latency;
     Alcotest.test_case "same seed, same history" `Quick test_determinism;
     Alcotest.test_case "killing the leader elects a replacement" `Quick
       test_failover_elects_new_leader;
