@@ -142,15 +142,19 @@ hedge-smoke:
 # kill + re-election; --check exits non-zero on any violation. The
 # 5-node failover with a straggler truncates logs, so it also checks the
 # truncation-below-commit and committed-entry-loss invariants on a run
-# that truncates.
+# that truncates. The last two run IPI-signalled (shinjuku) members, and
+# a 1 us quantum that preempts the ~1.8 us CPU part of every consensus
+# mini-request, whose device wait must start only when that part is done.
 raft-smoke:
 	dune exec bin/concord_sim.exe -- raft --nodes 3 -n 4000 --check
 	dune exec bin/concord_sim.exe -- raft --nodes 3 -n 4000 \
-		--kill-leader-at 60000 --check
+		--kill-leader-at 10000 --check
 	dune exec bin/concord_sim.exe -- raft --nodes 3 -n 4000 \
 		--hedge fixed:150000 --straggler 1:3 --check
 	dune exec bin/concord_sim.exe -- raft --nodes 5 -n 8000 \
-		--kill-leader-at 100000 --straggler 2:4 --check
+		--kill-leader-at 18000 --straggler 2:16 --check
+	dune exec bin/concord_sim.exe -- raft --system shinjuku --nodes 3 -n 4000 --check
+	dune exec bin/concord_sim.exe -- raft -q 1 --nodes 3 -n 4000 --check
 
 # Parallel-engine smoke test: the rack under the conservative time-window
 # engine with 2 domains must keep the same conservation invariants as the

@@ -685,7 +685,7 @@ let cluster_cmd =
             0.95 *. capacity_rps *. float_of_int (i + 1) /. float_of_int points)
       in
       let sw =
-        Concord.Sweep.of_runner ?domains:jobs ~system:config.Concord.Config.name ~mix ~rates
+        Concord.Sweep.of_runner ?domains:jobs ~mix ~rates
           (fun arrival -> (Cluster.run ~cluster ~mix ~arrival ~n_requests ~seed ()).cluster)
       in
       describe ();

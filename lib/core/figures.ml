@@ -519,7 +519,7 @@ let ablation_sls ?(scale = Quick) () =
   in
   let sls_series (label, config) =
     load_series label
-      (Sweep.of_runner ~system:label ~mix ~rates (fun arrival ->
+      (Sweep.of_runner ~mix ~rates (fun arrival ->
            Repro_runtime.Sls_server.run ~config ~mix ~arrival ~n_requests:n ()))
   in
   let series =
@@ -556,7 +556,7 @@ let ablation_replication ?(scale = Quick) () =
             (Systems.concord ~n_workers:workers ())
         in
         load_series label
-          (Sweep.of_runner ~system:label ~mix ~rates (fun arrival ->
+          (Sweep.of_runner ~mix ~rates (fun arrival ->
                (Repro_cluster.Cluster.run ~cluster ~mix ~arrival ~n_requests:n ())
                  .Repro_cluster.Cluster.cluster)))
       [ ("1x14 workers", 1, 14); ("2x7 workers", 2, 7); ("4x4 workers", 4, 4) ]
@@ -623,7 +623,7 @@ let ablation_scaling ?(scale = Quick) () =
     (* Sweep up to the nominal worker capacity and interpolate the 50x
        crossing; report it in MRps. *)
     let rates = List.init 8 (fun i -> capacity *. 0.95 *. float_of_int (i + 1) /. 8.0) in
-    match Slo.max_load_under_slo (Sweep.of_runner ~system:"scaling" ~mix ~rates run) with
+    match Slo.max_load_under_slo (Sweep.of_runner ~mix ~rates run) with
     | Some r -> r /. 1e6
     | None -> 0.0
   in

@@ -3,11 +3,7 @@ module Arrival = Repro_workload.Arrival
 
 type point = { rate_rps : float; summary : Repro_runtime.Metrics.summary }
 
-type t = {
-  system : string;
-  workload : string;
-  points : point list;
-}
+type t = { workload : string; points : point list }
 
 (* The one fan-out rule of every sweep and study. Each point or cell
    derives all randomness from its explicit seed and shares no state with
@@ -24,9 +20,8 @@ let at_rates ?domains ~mix ~rates run =
     (fun rate_rps -> (rate_rps, run (Arrival.Poisson { rate_rps })))
     (List.sort_uniq compare rates)
 
-let of_runner ?domains ~system ~mix ~rates run =
+let of_runner ?domains ~mix ~rates run =
   {
-    system;
     workload = mix.Mix.name;
     points =
       List.map
@@ -35,7 +30,7 @@ let of_runner ?domains ~system ~mix ~rates run =
   }
 
 let run ~config ~mix ~rates ?(n_requests = 60_000) ?(seed = 42) ?domains () =
-  of_runner ?domains ~system:config.Repro_runtime.Config.name ~mix ~rates (fun arrival ->
+  of_runner ?domains ~mix ~rates (fun arrival ->
       Repro_runtime.Server.run ~config ~mix ~arrival ~n_requests ~seed ())
 
 let default_rates ~mix ~n_workers ?(points = 10) () =

@@ -8,7 +8,6 @@
 type point = { rate_rps : float; summary : Repro_runtime.Metrics.summary }
 
 type t = {
-  system : string;  (** configuration name *)
   workload : string;
   points : point list;  (** ascending offered load *)
 }
@@ -37,7 +36,6 @@ val at_rates :
 
 val of_runner :
   ?domains:int ->
-  system:string ->
   mix:Repro_workload.Mix.t ->
   rates:float list ->
   (Repro_workload.Arrival.t -> Repro_runtime.Metrics.summary) ->

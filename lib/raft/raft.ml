@@ -45,8 +45,24 @@ let election_timeout_cycles = 1_000_000 (* 500 us minimum *)
    full RTT after the grant instant, so a useful lease must outlive the
    RTT by at least a heartbeat period. *)
 let lease_cycles = 1_000_000 (* 500 us *)
+
+(* The device waits of the two consensus mini-requests. Concord's probes
+   are compiled into application code, so a thread blocked in fsync holds
+   no core it could be preempted from: these run as timers, not as
+   service on a worker. *)
 let log_write_cycles = 280_000 (* 140 us: fsync-class durability *)
 let follower_ae_cycles = 360_000 (* 180 us: decode + append + fsync *)
+
+(* The CPU part of each mini-request: one representative record through
+   the real WAL encoder prices the byte-proportional part of an append
+   (checksum + copy, the kvstore cost model). *)
+let wal_record_ns =
+  let scratch = Wal.create () in
+  Wal.append scratch ~key:"e00000000" ~entry:(Skiplist.Value (String.make 48 'v'));
+  let calib = Cost_meter.Calibration.default in
+  int_of_float
+    (calib.Cost_meter.Calibration.wal_append_ns
+    +. (float_of_int (Wal.byte_size scratch) *. calib.Cost_meter.Calibration.wal_byte_ns))
 
 (* Lease safety: a member only grants its vote after its election timeout
    elapsed without leader contact, so no new leader can exist while a
@@ -71,18 +87,20 @@ let homogeneous ?(read_lb = Lb_policy.Po2c) ?(rtt_cycles = default_rtt_cycles)
   valid (Hedge.validate hedge);
   { read_lb; rtt_cycles; read_leases; write_ratio; hedge; kill_leader_at_ns; specs }
 
-(* Each write adds a durable append at the leader and an AppendEntries
-   mini at every follower to its own service time. Capacity is aggregate
-   work, so fold that in or a load point derived from it melts the leader. *)
+(* Only CPU parts hold a worker: each request through the log costs one
+   WAL encode at every member, and its client leg then runs at the
+   leader. Capacity is the lower of what every member's workers carry
+   together and what the leader's carry alone. *)
 let capacity_rps raft mix =
   let config = raft.specs.(0).Cluster.config in
-  let nodes = Array.length raft.specs in
-  let ns_of = Costs.ns_of config.Config.costs in
-  let consensus_ns =
-    float_of_int (ns_of log_write_cycles + ((nodes - 1) * ns_of follower_ae_cycles))
-  in
-  let eff_service_ns = Mix.mean_service_ns mix +. (raft.write_ratio *. consensus_ns) in
-  float_of_int (nodes * config.Config.n_workers) /. eff_service_ns *. 1e9
+  let nodes = float_of_int (Array.length raft.specs) in
+  let workers = float_of_int config.Config.n_workers in
+  let service_ns = Mix.mean_service_ns mix in
+  let wal_ns = float_of_int wal_record_ns in
+  let logged = if raft.read_leases then raft.write_ratio else 1.0 in
+  let group = nodes *. workers /. (service_ns +. (logged *. nodes *. wal_ns)) in
+  let leader = workers /. (logged *. (service_ns +. wal_ns)) in
+  Float.min group leader *. 1e9
 
 (* ------------------------------------------------------------------ *)
 (* Summary                                                             *)
@@ -165,7 +183,8 @@ type node = {
   elect_rng : Rng.t;
 }
 
-(* What a consensus mini-request was doing, keyed by its request id. *)
+(* What a consensus mini-request was doing: keyed by its request id while
+   its CPU part runs, then carried by its device wait. *)
 type mini =
   | Mini_append of { node : int; index : int; term : int }
   | Mini_ae of { node : int; index : int; entry_term : int; req_id : int; msg_term : int; leader : int }
@@ -212,6 +231,7 @@ type ev =
   | Cancel of { node : int; req : Request.t }
   | Kill_leader
   | End_of_run
+  | Synced of mini (* a mini's device wait is over *)
   | Inst of { node : int; ev : Server.event }
 
 let new_node ~id ~elect_rng =
@@ -279,19 +299,8 @@ module Group (R : sig val run : run end) = struct
   let election_timeout_ns = max 1 (cyc election_timeout_cycles)
   let lease_ns = max 1 (cyc lease_cycles)
 
-  (* One representative record through the real WAL encoder prices the
-     byte-proportional part of an append (checksum + copy, the kvstore
-     cost model); the cycle constants carry the fsync-class latency. *)
-  let wal_record_ns =
-    let scratch = Wal.create () in
-    Wal.append scratch ~key:"e00000000" ~entry:(Skiplist.Value (String.make 48 'v'));
-    let calib = Cost_meter.Calibration.default in
-    int_of_float
-      (calib.Cost_meter.Calibration.wal_append_ns
-      +. (float_of_int (Wal.byte_size scratch) *. calib.Cost_meter.Calibration.wal_byte_ns))
-
-  let log_write_ns = cyc log_write_cycles + wal_record_ns
-  let follower_ae_ns = cyc follower_ae_cycles + wal_record_ns
+  let log_sync_ns = cyc log_write_cycles
+  let ae_sync_ns = cyc follower_ae_cycles
 
   let total_workers =
     Array.fold_left (fun acc (s : Cluster.instance_spec) -> acc + s.config.Config.n_workers) 0
@@ -390,11 +399,16 @@ module Group (R : sig val run : run end) = struct
     let value = Printf.sprintf "term:%d;req:%d;%s" term req_id (String.make 24 'v') in
     Wal.append nd.wal ~key ~entry:(Skiplist.Value value)
 
-  let mk_mini ~service_ns =
+  (* The CPU part of consensus work at member [i]: a WAL encode through
+     its own instance, its device wait armed when it completes. *)
+  let start_mini i mini =
     let profile =
-      { Mix.class_id = raft_class; service_ns; lock_windows = [||]; probe_spacing_ns = 0.0 }
+      { Mix.class_id = raft_class; service_ns = wal_record_ns; lock_windows = [||];
+        probe_spacing_ns = 0.0 }
     in
-    Request.create ~id:(fresh_id ()) ~arrival_ns:(Sim.now sim) ~profile
+    let req = Request.create ~id:(fresh_id ()) ~arrival_ns:(Sim.now sim) ~profile in
+    Hashtbl.replace aux req.Request.id mini;
+    Server.Instance.inject (inst i) req
 
   (* AppendEntries from leader [nd] to member [j], carrying entry [index]
      of the leader's log. *)
@@ -449,9 +463,9 @@ module Group (R : sig val run : run end) = struct
 
   (* Leader-side start of replication for one log entry. [client = None]
      is a leadership no-op. The local durable append runs as a mini-request
-     through the leader's own instance; AppendEntries only fan out once it
-     completes (log-then-network, the sequential breakdown the SNIPPETS
-     table reports). *)
+     through the leader's own instance; AppendEntries only fan out once its
+     fsync completes (log-then-network, the sequential breakdown the
+     SNIPPETS table reports). *)
   let start_entry l client leg =
     let nd = nodes.(l) in
     let index = nd.log_len + 1 in
@@ -467,9 +481,7 @@ module Group (R : sig val run : run end) = struct
       c.phase <- Consensus;
       c.node <- l
     | None -> ());
-    let mreq = mk_mini ~service_ns:log_write_ns in
-    Hashtbl.replace aux mreq.Request.id (Mini_append { node = l; index; term = nd.term });
-    Server.Instance.inject (inst l) mreq
+    start_mini l (Mini_append { node = l; index; term = nd.term })
 
   (* Leader [l]'s durable append of entry [index] completed: the entry
      counts the leader's own ack and may fan out and commit. *)
@@ -519,7 +531,7 @@ module Group (R : sig val run : run end) = struct
            survives a full round trip. *)
         if Hashtbl.length nd.pending_ae > 0 then
           Sim.schedule_after sim
-            ~delay:((2 * one_way_ns) + follower_ae_ns)
+            ~delay:((2 * one_way_ns) + wal_record_ns + ae_sync_ns)
             (Backfill_check { node = f; leader = ldr; term = msg_term; len = nd.log_len })
       end
     end
@@ -691,13 +703,11 @@ module Group (R : sig val run : run end) = struct
 
   let on_complete i (req : Request.t) =
     match Hashtbl.find_opt aux req.Request.id with
-    | Some m -> (
+    | Some m ->
       Hashtbl.remove aux req.Request.id;
-      (* consensus work finished at member [i] *)
-      match m with
-      | Mini_append { node = l; index; term } -> leader_appended l ~index ~term
-      | Mini_ae { node = f; index; entry_term; req_id; msg_term; leader = ldr } ->
-        follower_appended f ~index ~entry_term ~req_id ~msg_term ~ldr)
+      (* the CPU part is done at member [i]; its fsync holds no worker *)
+      let delay = match m with Mini_append _ -> log_sync_ns | Mini_ae _ -> ae_sync_ns in
+      Sim.schedule_after sim ~delay (Synced m)
     | None ->
       (* a client leg *)
       views.(i) <- views.(i) - 1;
@@ -888,12 +898,10 @@ module Group (R : sig val run : run end) = struct
       let nd = nodes.(f) in
       if nd.alive && term >= nd.term then begin
         hear_leader nd term;
-        (* decoding + appending + fsync is real follower work: it queues in
-           the follower's own dispatcher against its lease reads *)
-        let mreq = mk_mini ~service_ns:follower_ae_ns in
-        Hashtbl.replace aux mreq.Request.id
-          (Mini_ae { node = f; index; entry_term; req_id; msg_term = term; leader = from });
-        Server.Instance.inject (inst f) mreq
+        (* decoding and appending is real follower work: it queues in the
+           follower's own dispatcher against its lease reads *)
+        start_mini f
+          (Mini_ae { node = f; index; entry_term; req_id; msg_term = term; leader = from })
       end
     | Ae_ack { node = l; from; term; index } ->
       let nd = nodes.(l) in
@@ -959,6 +967,9 @@ module Group (R : sig val run : run end) = struct
       | _ -> ()
     end
     | End_of_run -> Driver.end_run driver
+    | Synced (Mini_append { node = l; index; term }) -> leader_appended l ~index ~term
+    | Synced (Mini_ae { node = f; index; entry_term; req_id; msg_term; leader = ldr }) ->
+      follower_appended f ~index ~entry_term ~req_id ~msg_term ~ldr
     | Inst { node; ev } -> Server.Instance.handle (inst node) ev
 
   (* ---- start and summary -------------------------------------------- *)
@@ -1077,7 +1088,7 @@ let run_detailed ~raft ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?see
   in
   let module G = Group (struct let run = { raft; inputs; tracer } end) in
   (* The first arrival is the first event at time 0, ahead of the first
-     heartbeat. Drawing ahead does not pay: consensus work dwarfs a draw. *)
+     heartbeat. The group draws inline (DESIGN.md's draw-ahead table). *)
   Driver.run G.driver ~draw_ahead:false ~censor:G.censor (fun () ->
       G.start ();
       Sim.run G.sim ~handler:G.handler ());

@@ -7,18 +7,21 @@
     shared {!Repro_engine.Sim} clock, so consensus work competes with
     client work in the same dispatchers the paper models:
 
-    - {b Writes} go to the leader, which appends to a replicated log: the
-      durability cost of the local append is a consensus mini-request
-      executed by the leader's own dispatcher/workers (metered in
-      {!Repro_hw.Costs} cycles, plus the real {!Repro_kvstore.Wal} encode
-      cost for the record's bytes), then AppendEntries fan out to the
-      followers over per-link one-way delays ([rtt_cycles / 2]). Each
-      follower's AppendEntries processing is another mini-request through
-      that follower's instance. When a majority (including the leader) has
-      acknowledged, the entry commits and the {e actual} client request is
-      injected into the leader — its sojourn therefore contains the whole
-      consensus round, attributed to the [consensus] component of
-      {!Repro_runtime.Breakdown} via the [Replicated] trace event.
+    - {b Writes} go to the leader, which appends to a replicated log. The
+      local append is a consensus mini-request in two parts: a CPU part,
+      the real {!Repro_kvstore.Wal} encode cost of the record's bytes,
+      executed by the leader's own dispatcher/workers, then a device part,
+      the fsync, a timer that holds no worker (Concord's probes are
+      compiled into application code, so nothing can preempt a thread
+      blocked in fsync). AppendEntries fan out to the followers over
+      per-link one-way delays ([rtt_cycles / 2]) once the fsync completes.
+      Each follower's AppendEntries processing is another such
+      mini-request through that follower's instance. When a majority
+      (including the leader) has acknowledged, the entry commits and the
+      {e actual} client request is injected into the leader — its sojourn
+      therefore contains the whole consensus round, attributed to the
+      [consensus] component of {!Repro_runtime.Breakdown} via the
+      [Replicated] trace event.
     - {b Reads} bypass consensus under leases: a quorum-acknowledged
       heartbeat extends every reachable member's lease, and any alive
       member holding an unexpired lease may serve a read locally (checked
@@ -100,17 +103,22 @@ val homogeneous :
     lease 500 us, extended by each quorum-acknowledged heartbeat (a lease
     must outlive the RTT, or the leader's own lease expires before the
     quorum ack that would renew it arrives, and it never exceeds the
-    election timeout); durable log append 140 us at the leader and
-    AppendEntries processing (decode + append + fsync) 180 us at each
-    follower, each a mini-request through that member's own instance —
-    calibrated so a 50 us direct operation lands near the Concord/Ra
-    consensus table: ~3.8x at one member, ~15x+ at three. *)
+    election timeout); a durable log append at the leader and
+    AppendEntries processing (decode + append + fsync) at each follower,
+    each a mini-request whose WAL encode (~1.8 us) runs through that
+    member's own instance and whose fsync wait (140 us at the leader,
+    180 us at a follower) holds no worker — calibrated so a 50 us direct
+    operation lands near the Concord/Ra consensus table: ~3.6x at one
+    member, ~15x at three. *)
 
 val capacity_rps : t -> Repro_workload.Mix.t -> float
 (** Ideal direct capacity of the group, every member running the first
-    member's config: all members' workers over the mean service time,
-    with each write also paying the leader's durable append and one
-    AppendEntries mini per follower. *)
+    member's config, from the work that holds a worker: each client leg,
+    plus one WAL encode at every member for each request through the log
+    (the writes; every request when [read_leases] is off). It is the lower
+    of all members' workers over that work and the leader's workers over
+    the logged requests' encodes and client legs, which all run at the
+    leader. The fsync waits hold no worker and do not count. *)
 
 type summary = {
   nodes : int;

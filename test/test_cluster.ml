@@ -388,7 +388,7 @@ let test_sweep_cluster_bit_identical_across_domains () =
   in
   let mix = fixed_mix 5_000 in
   let sweep domains =
-    Concord.Sweep.of_runner ~domains ~system:"rack" ~mix ~rates:[ 0.6e6; 1.2e6; 1.8e6 ]
+    Concord.Sweep.of_runner ~domains ~mix ~rates:[ 0.6e6; 1.2e6; 1.8e6 ]
       (fun arrival -> (Cluster.run ~cluster ~mix ~arrival ~n_requests:6_000 ()).Cluster.cluster)
   in
   let series t = Concord.Sweep.p999_series t in

@@ -29,8 +29,7 @@ let dummy_summary ~p999 =
 
 let sweep_of points =
   {
-    Concord.Sweep.system = "test";
-    workload = "test";
+    Concord.Sweep.workload = "test";
     points =
       List.map
         (fun (rate_rps, p999) ->

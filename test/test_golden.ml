@@ -129,8 +129,8 @@ let test_golden_paths () =
         "p50=2.14222 p99=13.557 goodput=257867.29232275588 events=187038 preemptions=24017" );
       ( "raft-3node",
         raft_3node,
-        "p50=1.77 p99=1599.05 goodput=20588.869579325245 events=721057 committed=965 \
-         writes=965 member_preemptions=97985" );
+        "p50=1.71 p99=1530.386 goodput=20596.883730396814 events=48448 committed=965 \
+         writes=965 member_preemptions=1485" );
     ]
 
 (* A YCSB-A Raft group of concord members: the client fingerprint, the
@@ -158,46 +158,49 @@ let raft_row ?(nodes = 3) ?read_leases ?hedge ?(stragglers = []) ?kill_leader_at
     (match Raft.check_invariants s with Ok () -> "ok" | Error e -> e)
 
 (* Protocol paths the steady 3-member row never reaches. The failovers
-   elect under refused votes, nack and backfill a lagging follower, and
-   replay legs stranded at the dead leader; the 5-member one (the CLI's
-   [raft --nodes 5 -n 8000 --kill-leader-at 100000 --straggler 2:4] at its
-   default 40% of capacity) also truncates conflicting suffixes and
-   replays consensus legs from a live deposed leader. The hedged row
-   pins duplicate and primary wins; the last two pin consensus reads and
-   a one-member group's lease renewal without messages. *)
+   elect under refused votes and replay legs stranded at the dead leader;
+   the 5-member one (the CLI's [raft --nodes 5 -n 8000 --kill-leader-at
+   18000 --straggler 2:16] at its default 40% of capacity) also nacks and
+   backfills a lagging follower, truncates conflicting suffixes and
+   replays consensus legs from a live deposed leader. A 16x straggler
+   lags because its 29 us WAL encodes are preempted and finish out of
+   order; a 4x one does not. In the hedged row, at 84% of capacity,
+   queueing decides each race, so it pins duplicate and primary wins;
+   the last two pin consensus reads and a one-member group's lease
+   renewal without messages. *)
 let test_golden_raft_paths () =
   List.iter
     (fun (name, run, expected) -> Alcotest.(check string) name expected (run ()))
     [
       ( "raft/failover-3",
         (fun () -> raft_row ~kill_leader_at_ns:60_000_000 ~rate:55e3 ~n:4_000 ()),
-        "p50=9.08765 p99=4012.5120000000002 goodput=56585.208120474061 events=1604644 term=3 \
-         elections=2 changes=1 committed=1947 resubmissions=18 parked=131 hedges=0 wins=0 \
-         cancels=0 wasted_ns=0 log=5536 wal=5536 check=ok" );
+        "p50=1.47 p99=1337.453 goodput=56615.452747485018 events=331129 term=3 elections=2 \
+         changes=1 committed=1947 resubmissions=18 parked=129 hedges=0 wins=0 cancels=0 \
+         wasted_ns=0 log=5536 wal=5536 check=ok" );
       ( "raft/failover-5-straggler",
         (fun () ->
-          raft_row ~nodes:5 ~stragglers:[ (2, 4.0) ] ~kill_leader_at_ns:100_000_000
-            ~rate:58_272.63267429761 ~n:8_000 ()),
-        "p50=9.0906500000000001 p99=23384.076000000001 goodput=21672.90270327199 \
-         events=8160863 term=16 elections=3 changes=2 committed=3991 resubmissions=427 \
-         parked=397 hedges=0 wins=0 cancels=0 wasted_ns=0 log=15215 wal=15608 check=ok" );
+          raft_row ~nodes:5 ~stragglers:[ (2, 16.0) ] ~kill_leader_at_ns:18_000_000
+            ~rate:214_157.32915216644 ~n:8_000 ()),
+        "p50=8.7492900000000002 p99=19956.883000000002 goodput=40478.248481901239 \
+         events=1169563 term=6 elections=3 changes=2 committed=4043 resubmissions=547 \
+         parked=621 hedges=0 wins=0 cancels=0 wasted_ns=0 log=18038 wal=18503 check=ok" );
       ( "raft/hedged-3",
         (fun () ->
-          raft_row ~stragglers:[ (1, 3.0) ]
+          raft_row ~stragglers:[ (1, 2.0) ]
             ~hedge:(Repro_cluster.Hedge.Fixed { delay_ns = 150_000 })
-            ~rate:50e3 ~n:3_000 ()),
-        "p50=9.0891699999999993 p99=800.61599999999999 goodput=51491.111060891388 \
-         events=1775818 term=1 elections=1 changes=0 committed=1446 resubmissions=0 parked=0 \
-         hedges=329 wins=327 cancels=329 wasted_ns=1701543 log=3868 wal=3868 check=ok" );
+            ~rate:450e3 ~n:3_000 ()),
+        "p50=6.1109999999999998 p99=787.76700000000005 goodput=408783.51627405029 \
+         events=325553 term=1 elections=1 changes=0 committed=1446 resubmissions=0 parked=0 \
+         hedges=331 wins=143 cancels=331 wasted_ns=28470801 log=4338 wal=4338 check=ok" );
       ( "raft/leases-off-3",
         (fun () -> raft_row ~read_leases:false ~rate:40e3 ~n:2_000 ()),
-        "p50=10.084379999999999 p99=903.11500000000001 goodput=41502.790209528684 \
-         events=1583100 term=1 elections=1 changes=0 committed=2000 resubmissions=0 parked=0 \
+        "p50=8.7523199999999992 p99=765.83100000000002 goodput=41502.802649677265 \
+         events=192098 term=1 elections=1 changes=0 committed=2000 resubmissions=0 parked=0 \
          hedges=0 wins=0 cancels=0 wasted_ns=0 log=6000 wal=6000 check=ok" );
       ( "raft/one-member",
         (fun () -> raft_row ~nodes:1 ~rate:20e3 ~n:2_000 ()),
-        "p50=1.3799999999999999 p99=158.84899999999999 goodput=20741.011585917549 \
-         events=340604 term=1 elections=1 changes=0 committed=965 resubmissions=0 parked=0 \
+        "p50=1.3600000000000001 p99=143.58500000000001 goodput=20744.596879583907 \
+         events=152425 term=1 elections=1 changes=0 committed=965 resubmissions=0 parked=0 \
          hedges=0 wins=0 cancels=0 wasted_ns=0 log=965 wal=965 check=ok" );
     ]
 

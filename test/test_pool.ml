@@ -67,7 +67,7 @@ let test_sweep_bit_identical () =
     let config = Concord.Systems.concord ~n_workers:2 () in
     fun domains -> Concord.Sweep.run ~config ~mix ~rates ~n_requests ~seed ~domains ()
   in
-  let runner run domains = Concord.Sweep.of_runner ~domains ~system:"test" ~mix ~rates run in
+  let runner run domains = Concord.Sweep.of_runner ~domains ~mix ~rates run in
   let sls =
     let config = Repro_runtime.Sls_server.concord_sls ~n_workers:2 () in
     runner (fun arrival -> Repro_runtime.Sls_server.run ~config ~mix ~arrival ~n_requests ~seed ())

@@ -1,6 +1,7 @@
 (* Tests for the replicated tier: consensus overhead shape, lease reads,
-   determinism, leader failover, the write-hedging guard, and the
-   Instance.cancel-after-completion no-op. *)
+   the device wait of consensus persistence, determinism, leader failover,
+   the write-hedging guard, and the Instance.cancel-after-completion
+   no-op. *)
 
 module Raft = Repro_raft.Raft
 module Server = Repro_runtime.Server
@@ -110,6 +111,53 @@ let test_empty_class_has_no_latency () =
   absent "read-only write p99" reads.Raft.write_p99_ns;
   present "read-only read p50" reads.Raft.read_p50_ns
 
+(* --- consensus persistence is a device wait ------------------------------ *)
+
+let fixed_1us_group ?(nodes = 3) config =
+  let raft = Raft.homogeneous ~write_ratio:1.0 ~nodes config in
+  let s =
+    Raft.run ~raft ~mix:Repro_workload.Presets.fixed_1us
+      ~arrival:(Arrival.Poisson { rate_rps = 20e3 })
+      ~n_requests:2_000 ()
+  in
+  Alcotest.(check (result unit string)) "invariants" (Ok ()) (Raft.check_invariants s);
+  s
+
+let member_preemptions (s : Raft.summary) =
+  Array.fold_left (fun acc (m : Metrics.summary) -> acc + m.Metrics.preemptions) 0 s.Raft.per_node
+
+(* Only the WAL encode of a mini-request runs on a worker, well inside one
+   quantum; the fsync it waits for holds no core a probe or an IPI could
+   preempt. With 1 us client legs, no member preempts anything. *)
+let test_consensus_never_preempted () =
+  List.iter
+    (fun (name, config) ->
+      let s = fixed_1us_group config in
+      Alcotest.(check int) (name ^ " members: no preemption") 0 (member_preemptions s))
+    [ ("concord", Systems.concord ()); ("shinjuku", Systems.shinjuku ()) ]
+
+(* One worker, writes only: if the 140 us durable append held the worker,
+   20 kRps of writes would ask for 2.8 workers and the queue would grow
+   for the whole run. A device wait leaves it ~6% busy. *)
+let test_device_wait_frees_worker () =
+  let s = fixed_1us_group ~nodes:1 (Systems.concord ~n_workers:1 ()) in
+  if s.Raft.write_p50_ns >= 1.5 *. 140e3 then
+    Alcotest.failf "write p50 %.1f us: the durable append holds the worker"
+      (s.Raft.write_p50_ns /. 1e3)
+
+(* The raft-3node benchmark's group (3 x concord, USR, 20 kRps): consensus
+   costs a few events per request, not a preemption every quantum. *)
+let test_events_per_request () =
+  let raft = Raft.homogeneous ~nodes:3 (Systems.concord ()) in
+  let events = ref 0 in
+  let n = 2_000 in
+  ignore
+    (Raft.run_detailed ~raft ~mix:Repro_workload.Presets.usr
+       ~arrival:(Arrival.Poisson { rate_rps = 20e3 })
+       ~n_requests:n ~events_out:events ());
+  let per_req = float_of_int !events /. float_of_int n in
+  if per_req > 40.0 then Alcotest.failf "%.1f events per request (want <= 40)" per_req
+
 (* --- determinism --------------------------------------------------------- *)
 
 let fingerprint (s : Raft.summary) =
@@ -173,9 +221,10 @@ let test_hedge_reads_never_writes () =
 (* --- capacity -------------------------------------------------------------- *)
 
 (* With no writes, capacity is every member's workers over the mean service
-   time; each write adds the leader's durable append and one AppendEntries
-   mini per follower. The CLI's default load point is 40% of it, the rate of
-   the 5-member straggler failover golden row. *)
+   time. Each write adds one WAL encode at every member and runs its client
+   leg at the leader, which then bounds the group. The CLI's default load
+   point is 40% of it, the rate of the 5-member straggler failover golden
+   row. *)
 let test_capacity_rps () =
   let mix = Repro_workload.Presets.ycsb_a in
   let config = Systems.concord () in
@@ -184,8 +233,12 @@ let test_capacity_rps () =
     (float_of_int (5 * config.Repro_runtime.Config.n_workers) /. Mix.mean_service_ns mix *. 1e9)
     (Raft.capacity_rps reads_only mix);
   let raft = Raft.homogeneous ~nodes:5 ~stragglers:[ (2, 4.0) ] config in
-  Alcotest.(check string) "40% of a 5-member group's capacity" "58272.632674297609"
-    (Printf.sprintf "%.17g" (0.4 *. Raft.capacity_rps raft mix))
+  Alcotest.(check string) "40% of a 5-member group's capacity" "214157.32915216644"
+    (Printf.sprintf "%.17g" (0.4 *. Raft.capacity_rps raft mix));
+  (* without leases every read is logged and served at the leader too *)
+  Alcotest.(check (float 0.0)) "leases off: every request through the log"
+    (Raft.capacity_rps (Raft.homogeneous ~write_ratio:1.0 ~nodes:3 config) mix)
+    (Raft.capacity_rps (Raft.homogeneous ~read_leases:false ~write_ratio:0.2 ~nodes:3 config) mix)
 
 (* --- Instance.cancel after completion (documented no-op) ------------------ *)
 
@@ -232,6 +285,11 @@ let suite =
       test_replication_reaches_followers;
     Alcotest.test_case "an empty class reports no latency" `Quick
       test_empty_class_has_no_latency;
+    Alcotest.test_case "consensus work is never preempted" `Quick
+      test_consensus_never_preempted;
+    Alcotest.test_case "a device wait frees the worker" `Quick test_device_wait_frees_worker;
+    Alcotest.test_case "the raft-3node group runs at <= 40 events per request" `Quick
+      test_events_per_request;
     Alcotest.test_case "same seed, same history" `Quick test_determinism;
     Alcotest.test_case "killing the leader elects a replacement" `Quick
       test_failover_elects_new_leader;
