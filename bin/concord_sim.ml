@@ -223,10 +223,15 @@ let observe_arg ~trace_doc
     $ Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc:trace_doc)
     $ Arg.(value & flag & info [ "breakdown" ] ~doc:breakdown_doc))
 
-let tracer n_requests = Tracing.create ~capacity:(max 65_536 (n_requests * 64)) ()
+let tracer ?(per_request = 64) n_requests =
+  Tracing.create ~capacity:(max 65_536 (n_requests * per_request)) ()
 
-let tracer_if obs n_requests =
-  if obs.trace_file <> None || obs.breakdown then Some (tracer n_requests) else None
+let tracer_if ?per_request obs n_requests =
+  if obs.trace_file <> None || obs.breakdown then Some (tracer ?per_request n_requests) else None
+
+let report_dropped tracer =
+  let dropped = Tracing.dropped tracer in
+  if dropped > 0 then Printf.printf "(%d earlier events dropped from the ring)\n" dropped
 
 let breakdowns (config : Concord.Config.t) tracer =
   let cswitch_cost_ns = Repro_hw.Costs.ns_of config.costs config.costs.context_switch_cycles in
@@ -477,7 +482,10 @@ let raft_cmd =
         (Concord.Sweep.at_rates ~mix ~rates run_at);
       if check then print_endline "check: invariants hold at every sweep point"
     | None ->
-      let tracer = tracer_if obs s.n_requests in
+      (* Each logged request adds a consensus mini-request's lifecycle at
+         every member: a run records 59-91 entries per arrival at one to
+         five members, past a lone server's 64. *)
+      let tracer = tracer_if ~per_request:(64 + (16 * nodes)) obs s.n_requests in
       let rate_rps =
         match rate with Some krps -> rate_rps_of_krps krps | None -> 0.4 *. capacity_rps
       in
@@ -487,7 +495,19 @@ let raft_cmd =
         mix.Concord.Mix.name (k rate_rps)
         (100. *. rate_rps /. capacity_rps);
       print_string (Raft.summary_to_string s);
-      Option.iter (report_trace obs config) tracer;
+      Option.iter
+        (fun tracer ->
+          if obs.breakdown then begin
+            let clients, left_out = Raft.client_breakdowns s (breakdowns config tracer) in
+            print_string (Breakdown.render clients);
+            Printf.printf
+              "(client arrivals only: %d of %d have a complete lifecycle in the trace; %d \
+               lifecycles of consensus mini-requests and hedge duplicates left out)\n"
+              (List.length clients) s.Raft.requests left_out
+          end;
+          report_dropped tracer;
+          report_trace { obs with breakdown = false } config tracer)
+        tracer;
       if check then begin
         match Raft.check_invariants s with
         | Ok () ->
@@ -518,8 +538,9 @@ let raft_cmd =
           "Offered load in kRps (default: 40% of the group's ideal direct capacity)."
       $ observe_arg ~trace_doc:"Export the all-member trace as Chrome trace-event JSON (Perfetto)."
           ~breakdown_doc:
-            "Print the latency-breakdown percentile table; consensus time shows up as its \
-             own component."
+            "Print the latency-breakdown percentile table of the client arrivals (the \
+             consensus mini-requests and hedge duplicates are left out); consensus time \
+             shows up as its own component."
           ()
       $ check_arg
           "Validate conservation and the Raft invariants (monotone commit indexes, one \
@@ -946,8 +967,7 @@ let trace_cmd =
         List.filteri (fun i _ -> i >= n - last) all
     in
     List.iter (fun e -> print_endline (Tracing.entry_to_string e)) entries;
-    let dropped = Tracing.dropped tracer in
-    if dropped > 0 then Printf.printf "(%d earlier events dropped from the ring)\n" dropped;
+    report_dropped tracer;
     report_trace obs config tracer;
     Option.iter
       (fun path ->

@@ -212,17 +212,20 @@ let run_windows ~domains ~n_shards ~window_ns ~shard_step ~shard_next ~host_step
   let window_start = Atomic.make 0 in
   let finished = Atomic.make false in
   let windows = ref 0 in
-  (* Static shard ownership: shard [s] belongs to participant
-     [s mod parties]. Fixed assignment keeps every mailbox single-consumer
-     and makes the results independent of the domain count — ownership
-     only decides who does the work, never what order it merges in. *)
+  (* Static shard ownership: participant [p] owns the contiguous block
+     of shards [p * n_shards / parties, (p + 1) * n_shards / parties),
+     at least one each. A model allocates its per-shard state in shard
+     order, so neighbouring shards' hot fields sit side by side in memory:
+     a block keeps such neighbours on one core, where interleaved
+     ownership would have two cores write to the same cache lines. Fixed
+     assignment keeps every mailbox single-consumer and makes the results
+     independent of the domain count — ownership only decides who does the
+     work, never what order it merges in. *)
   let run_shards participant t =
     let until = t + window_ns - 1 in
-    let s = ref participant in
-    while !s < n_shards do
-      shard_step ~shard:!s ~until;
-      Atomic.set shard_nexts.(!s) (shard_next ~shard:!s);
-      s := !s + parties
+    for s = participant * n_shards / parties to ((participant + 1) * n_shards / parties) - 1 do
+      shard_step ~shard:s ~until;
+      Atomic.set shard_nexts.(s) (shard_next ~shard:s)
     done
   in
   let t0 =

@@ -14,8 +14,10 @@
     executed, the conservative-PDES safety condition.
 
     Results are deterministic and {b independent of the domain count}:
-    shard ownership is the static map [shard mod domains], which decides
-    which OS thread does the work but never the merge order. Relative to
+    shard ownership is a static map, each domain a contiguous block of
+    shards (domain [p] of [d] owns shards [p * n_shards / d] to
+    [(p + 1) * n_shards / d - 1]), which decides which OS thread does the
+    work but never the merge order. Relative to
     the sequential engine, the event {e dynamics} are identical; the only
     admissible divergence is tie-breaking among events on {e different}
     shards scheduled for the same integer nanosecond, where the

@@ -7,28 +7,15 @@ let scan_probe_spacing_ns = 230.0
    ninth digit. *)
 let max_keys = 100_000_000
 
-(* "00" "01" ... "99": the two digits of each pair [p] at [2p]. *)
-let digit_pairs =
-  String.init 200 (fun k -> Char.chr (48 + if k land 1 = 0 then k / 20 else k / 2 mod 10))
-
-(* [Printf.sprintf "user%08d" i] without the format interpreter for the
-   indices that fit in eight digits, which is every key a generator draws:
-   the key is written in place, two digits per division. *)
+(* [Printf.sprintf "user%08d" i], written in place by {!Digits}: twelve
+   bytes for every index below [max_keys], which is every key a generator
+   draws. *)
 let key_of_index i =
-  if i < 0 || i >= max_keys then Printf.sprintf "user%08d" i
-  else begin
-    let b = Bytes.create 12 in
-    Bytes.set_int32_le b 0 0x72657375l (* "user" *);
-    let n = ref i in
-    for k = 5 downto 2 do
-      let q = !n / 100 in
-      let p = 2 * (!n - (100 * q)) in
-      Bytes.unsafe_set b (2 * k) (String.unsafe_get digit_pairs p);
-      Bytes.unsafe_set b ((2 * k) + 1) (String.unsafe_get digit_pairs (p + 1));
-      n := q
-    done;
-    Bytes.unsafe_to_string b
-  end
+  let width = if i >= 0 && i < max_keys then 8 else Int.max 8 (Digits.width i) in
+  let b = Bytes.create (4 + width) in
+  Bytes.set_int32_le b 0 0x72657375l (* "user" *);
+  Digits.write b ~pos:4 ~width i;
+  Bytes.unsafe_to_string b
 
 (* Value [i] of [n] bytes has byte [j] = [33 + ((i + 7j) mod 94)], a
    printable payload that varies with the key. As 27 is the inverse of 7

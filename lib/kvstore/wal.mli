@@ -9,9 +9,18 @@
 
     Record layout (little-endian lengths):
     [crc32 (4B) | key_len (4B) | key | tag (1B: 0=value, 1=tombstone) |
-    val_len (4B) | value], where the CRC covers everything after itself. *)
+    val_len (4B) | value], where the CRC covers everything after itself.
+    The layout is fixed: [test_wal.ml] compares every byte of the log
+    with a reference encoder that assembles each record in a payload
+    buffer and checksums it a byte at a time. {!append} writes each piece
+    straight into the log instead, and the CRC reads the payload where it
+    lies, with no copy. The log holds its records in 4 KiB chunks
+    (a larger record gets a chunk of its own size), and a record never
+    spans two, so a growing log is never copied into a larger buffer;
+    {!contents} joins the chunks. *)
 
-(** CRC-32 (IEEE 802.3, reflected), implemented from scratch. *)
+(** CRC-32 (IEEE 802.3, reflected), written here with no library: a byte
+    at a time through one 256-entry table, built when the module loads. *)
 module Crc32 : sig
   val digest : string -> int32
   (** Checksum of a whole string. *)

@@ -9,10 +9,12 @@ module Request = Repro_runtime.Request
 module Server = Repro_runtime.Server
 module Driver = Repro_runtime.Driver
 module Tracing = Repro_runtime.Tracing
+module Breakdown = Repro_runtime.Breakdown
 module Cluster = Repro_cluster.Cluster
 module Lb_policy = Repro_cluster.Lb_policy
 module Hedge = Repro_cluster.Hedge
 module Wal = Repro_kvstore.Wal
+module Digits = Repro_kvstore.Digits
 module Cost_meter = Repro_kvstore.Cost_meter
 module Skiplist = Repro_kvstore.Skiplist
 
@@ -63,6 +65,39 @@ let wal_record_ns =
   int_of_float
     (calib.Cost_meter.Calibration.wal_append_ns
     +. (float_of_int (Wal.byte_size scratch) *. calib.Cost_meter.Calibration.wal_byte_ns))
+
+(* The record each log entry appends to a member's WAL: the key
+   [Printf.sprintf "e%08d" index] and the value
+   [Printf.sprintf "term:%d;req:%d;%s" term req_id (String.make 24 'v')],
+   written in place by the store's digit writer. *)
+let wal_key index =
+  let width = Int.max 8 (Digits.width index) in
+  let b = Bytes.create (1 + width) in
+  Bytes.set b 0 'e';
+  Digits.write b ~pos:1 ~width index;
+  Bytes.unsafe_to_string b
+
+let wal_value_tail = ";" ^ String.make 24 'v'
+
+let wal_value ~term ~req_id =
+  let wt = Digits.width term and wr = Digits.width req_id in
+  let b = Bytes.create (10 + wt + wr + String.length wal_value_tail) in
+  Bytes.blit_string "term:" 0 b 0 5;
+  Digits.write b ~pos:5 ~width:wt term;
+  Bytes.blit_string ";req:" 0 b (5 + wt) 5;
+  Digits.write b ~pos:(10 + wt) ~width:wr req_id;
+  Bytes.blit_string wal_value_tail 0 b (10 + wt + wr) (String.length wal_value_tail);
+  Bytes.unsafe_to_string b
+
+(* Tables keyed by request id or log index, hashed by the key itself: the
+   keys are dense ints, and nothing iterates these tables, so no output
+   sees the order that hash gives. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (i : int) = i
+end)
 
 (* Lease safety: a member only grants its vote after its election timeout
    elapsed without leader contact, so no new leader can exist while a
@@ -169,8 +204,12 @@ type node = {
   mutable election_timer : Sim.timer; (* pending Election_timeout, or Sim.no_timer *)
   mutable hb_epoch : int; (* stale-heartbeat-chain guard *)
   mutable next_round : int; (* heartbeat round counter (as leader) *)
-  hb_rounds : (int, int * int) Hashtbl.t; (* round -> (sent_ns, acks) *)
-  pending_ae : (int, int * int * int * int) Hashtbl.t;
+  hb_round : int array;
+      (* as leader, ring slot [r land hb_mask]: round [r] while it awaits
+         its quorum, else -1; a round 16 behind the newest is dropped *)
+  hb_sent_ns : int array;
+  hb_acks : int array;
+  pending_ae : (int * int * int * int) Int_tbl.t;
       (* index -> (entry_term, req_id, msg_term, leader): processed
          AppendEntries waiting for their predecessor (out-of-order instance
          completion or a log gap being backfilled) *)
@@ -182,6 +221,8 @@ type node = {
          links see gaps only around failover/truncation. *)
   elect_rng : Rng.t;
 }
+
+let hb_mask = 15
 
 (* What a consensus mini-request was doing: keyed by its request id while
    its CPU part runs, then carried by its device wait. *)
@@ -200,6 +241,9 @@ type entry = {
          double-count toward the quorum *)
   mutable e_durable : bool;
 }
+
+let no_entry =
+  { e_term = -1; e_req_id = -1; e_client = None; e_leg = None; e_acked = [||]; e_durable = false }
 
 type phase = Parked | Consensus | Served | Done
 
@@ -251,8 +295,10 @@ let new_node ~id ~elect_rng =
     election_timer = Sim.no_timer;
     hb_epoch = 0;
     next_round = 0;
-    hb_rounds = Hashtbl.create 16;
-    pending_ae = Hashtbl.create 16;
+    hb_round = Array.make (hb_mask + 1) (-1);
+    hb_sent_ns = Array.make (hb_mask + 1) 0;
+    hb_acks = Array.make (hb_mask + 1) 0;
+    pending_ae = Int_tbl.create 16;
     last_nack_len = -1;
     sent_upto = 0;
     elect_rng;
@@ -323,8 +369,25 @@ module Group (R : sig val run : run end) = struct
   let pending_writes : int Queue.t = Queue.create ()
   let pending_reads : int Queue.t = Queue.create ()
   let lb_state = Lb_policy.make_state ~rng:lb_rng
-  let entries : (int, entry) Hashtbl.t = Hashtbl.create 256
-  let aux : (int, mini) Hashtbl.t = Hashtbl.create 256
+  (* The current leader's replicating entries, entry [index] at
+     [index - 1] like the mirror log; a committed or absent entry's slot
+     holds [no_entry]. *)
+  let entries = ref (Array.make 256 no_entry)
+
+  let entry_at index =
+    let a = !entries in
+    if index <= Array.length a then a.(index - 1) else no_entry
+
+  let set_entry index e =
+    let a = !entries in
+    if index > Array.length a then begin
+      let grown = Array.make (Int.max (2 * Array.length a) index) no_entry in
+      Array.blit a 0 grown 0 (Array.length a);
+      entries := grown
+    end;
+    !entries.(index - 1) <- e
+
+  let aux : mini Int_tbl.t = Int_tbl.create 256
   let committed_log : (int * int * int) list ref = ref []
   let leaders_of_term : (int, int) Hashtbl.t = Hashtbl.create 8
   let violations : string list ref = ref []
@@ -395,19 +458,17 @@ module Group (R : sig val run : run end) = struct
     else nd.commit_index <- v
 
   let wal_append nd ~index ~term ~req_id =
-    let key = Printf.sprintf "e%08d" index in
-    let value = Printf.sprintf "term:%d;req:%d;%s" term req_id (String.make 24 'v') in
-    Wal.append nd.wal ~key ~entry:(Skiplist.Value value)
+    Wal.append nd.wal ~key:(wal_key index) ~entry:(Skiplist.Value (wal_value ~term ~req_id))
+
+  let mini_profile =
+    { Mix.class_id = raft_class; service_ns = wal_record_ns; lock_windows = [||];
+      probe_spacing_ns = 0.0 }
 
   (* The CPU part of consensus work at member [i]: a WAL encode through
      its own instance, its device wait armed when it completes. *)
   let start_mini i mini =
-    let profile =
-      { Mix.class_id = raft_class; service_ns = wal_record_ns; lock_windows = [||];
-        probe_spacing_ns = 0.0 }
-    in
-    let req = Request.create ~id:(fresh_id ()) ~arrival_ns:(Sim.now sim) ~profile in
-    Hashtbl.replace aux req.Request.id mini;
+    let req = Request.create ~id:(fresh_id ()) ~arrival_ns:(Sim.now sim) ~profile:mini_profile in
+    Int_tbl.replace aux req.Request.id mini;
     Server.Instance.inject (inst i) req
 
   (* AppendEntries from leader [nd] to member [j], carrying entry [index]
@@ -425,11 +486,11 @@ module Group (R : sig val run : run end) = struct
     let nd = nodes.(l) in
     let continue = ref true in
     while !continue do
-      match Hashtbl.find_opt entries (nd.sent_upto + 1) with
-      | Some e when e.e_durable ->
+      if (entry_at (nd.sent_upto + 1)).e_durable then begin
         nd.sent_upto <- nd.sent_upto + 1;
         broadcast_ae l nd.sent_upto
-      | _ -> continue := false
+      end
+      else continue := false
     done
 
   let acks e = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 e.e_acked
@@ -451,14 +512,15 @@ module Group (R : sig val run : run end) = struct
     let continue = ref true in
     while !continue do
       let next = nd.commit_index + 1 in
-      match Hashtbl.find_opt entries next with
-      | Some e when e.e_durable && acks e >= quorum ->
-        Hashtbl.remove entries next;
+      let e = entry_at next in
+      if e.e_durable && acks e >= quorum then begin
+        !entries.(next - 1) <- no_entry;
         set_commit nd next;
         committed_log := (next, e.e_term, e.e_req_id) :: !committed_log;
         incr committed;
         apply_entry l e
-      | _ -> continue := false
+      end
+      else continue := false
     done
 
   (* Leader-side start of replication for one log entry. [client = None]
@@ -472,7 +534,7 @@ module Group (R : sig val run : run end) = struct
     let req_id = match (leg : Request.t option) with Some r -> r.Request.id | None -> -1 in
     push_log nd ~term:nd.term ~req_id;
     wal_append nd ~index ~term:nd.term ~req_id;
-    Hashtbl.replace entries index
+    set_entry index
       { e_term = nd.term; e_req_id = req_id; e_client = client; e_leg = leg;
         e_acked = Array.make n false; e_durable = false };
     (match client with
@@ -488,13 +550,13 @@ module Group (R : sig val run : run end) = struct
   let leader_appended l ~index ~term =
     let nd = nodes.(l) in
     if nd.alive && nd.role = Leader && nd.term = term then begin
-      match Hashtbl.find_opt entries index with
-      | Some e when e.e_term = term ->
+      let e = entry_at index in
+      if e.e_term = term then begin
         e.e_durable <- true;
         e.e_acked.(l) <- true;
         advance_sends l;
         try_commit l
-      | _ -> ()
+      end
     end
 
   (* Follower [f] finished processing the AppendEntries for [index] that
@@ -513,12 +575,12 @@ module Group (R : sig val run : run end) = struct
           if nd.commit_index > nd.log_len then
             violate "member %d: truncation below commit index %d" f nd.commit_index
         end;
-        Hashtbl.replace nd.pending_ae index (entry_term, req_id, msg_term, ldr);
+        Int_tbl.replace nd.pending_ae index (entry_term, req_id, msg_term, ldr);
         let progressed = ref true in
         while !progressed do
-          match Hashtbl.find_opt nd.pending_ae (nd.log_len + 1) with
+          match Int_tbl.find_opt nd.pending_ae (nd.log_len + 1) with
           | Some (et, rid, mt, l2) ->
-            Hashtbl.remove nd.pending_ae (nd.log_len + 1);
+            Int_tbl.remove nd.pending_ae (nd.log_len + 1);
             push_log nd ~term:et ~req_id:rid;
             wal_append nd ~index:nd.log_len ~term:et ~req_id:rid;
             nd.last_nack_len <- -1;
@@ -529,7 +591,7 @@ module Group (R : sig val run : run end) = struct
            missing entries are usually already in flight (or queued as
            minis here); only ask the leader to backfill if the gap
            survives a full round trip. *)
-        if Hashtbl.length nd.pending_ae > 0 then
+        if Int_tbl.length nd.pending_ae > 0 then
           Sim.schedule_after sim
             ~delay:((2 * one_way_ns) + wal_record_ns + ae_sync_ns)
             (Backfill_check { node = f; leader = ldr; term = msg_term; len = nd.log_len })
@@ -702,9 +764,9 @@ module Group (R : sig val run : run end) = struct
     Driver.complete driver
 
   let on_complete i (req : Request.t) =
-    match Hashtbl.find_opt aux req.Request.id with
+    match Int_tbl.find_opt aux req.Request.id with
     | Some m ->
-      Hashtbl.remove aux req.Request.id;
+      Int_tbl.remove aux req.Request.id;
       (* the CPU part is done at member [i]; its fsync holds no worker *)
       let delay = match m with Mini_append _ -> log_sync_ns | Mini_ae _ -> ae_sync_ns in
       Sim.schedule_after sim ~delay (Synced m)
@@ -748,16 +810,16 @@ module Group (R : sig val run : run end) = struct
     leader := Some i;
     cancel_election nd;
     nd.hb_epoch <- nd.hb_epoch + 1;
-    Hashtbl.reset nd.hb_rounds;
+    Array.fill nd.hb_round 0 (hb_mask + 1) (-1);
     nd.next_round <- 0;
-    Hashtbl.reset entries;
+    Array.fill !entries 0 (Array.length !entries) no_entry;
     (* Re-establish ack state for the uncommitted suffix it inherited, and
        nudge the followers (stragglers answer with nacks and get
        backfilled). *)
     for idx = nd.commit_index + 1 to nd.log_len do
       let acked = Array.make n false in
       acked.(i) <- true;
-      Hashtbl.replace entries idx
+      set_entry idx
         { e_term = nd.log_terms.(idx - 1); e_req_id = nd.log_ids.(idx - 1); e_client = None;
           e_leg = None; e_acked = acked; e_durable = true };
       broadcast_ae i idx
@@ -838,8 +900,11 @@ module Group (R : sig val run : run end) = struct
         else begin
           let round = nd.next_round in
           nd.next_round <- round + 1;
-          Hashtbl.remove nd.hb_rounds (round - 16) (* drop rounds that never reached quorum *);
-          Hashtbl.replace nd.hb_rounds round (now, 0);
+          (* the slot's last round, 16 behind, never reached quorum *)
+          let slot = round land hb_mask in
+          nd.hb_round.(slot) <- round;
+          nd.hb_sent_ns.(slot) <- now;
+          nd.hb_acks.(slot) <- 0;
           broadcast i (fun j ->
               Hb_deliver
                 { node = j; from = i; term = nd.term; sent_ns = now; round;
@@ -859,17 +924,15 @@ module Group (R : sig val run : run end) = struct
       end
     | Hb_ack { node = l; term; round } ->
       let nd = nodes.(l) in
-      if nd.alive && nd.role = Leader && term = nd.term then begin
-        match Hashtbl.find_opt nd.hb_rounds round with
-        | None -> ()
-        | Some (sent_ns, acks) ->
-          let acks = acks + 1 in
-          if acks + 1 >= quorum then begin
-            Hashtbl.remove nd.hb_rounds round;
-            nd.lease_expiry_ns <- Int.max nd.lease_expiry_ns (sent_ns + lease_ns);
-            drain_parked ()
-          end
-          else Hashtbl.replace nd.hb_rounds round (sent_ns, acks)
+      let slot = round land hb_mask in
+      if nd.alive && nd.role = Leader && term = nd.term && nd.hb_round.(slot) = round then begin
+        let acks = nd.hb_acks.(slot) + 1 in
+        if acks + 1 >= quorum then begin
+          nd.hb_round.(slot) <- -1;
+          nd.lease_expiry_ns <- Int.max nd.lease_expiry_ns (nd.hb_sent_ns.(slot) + lease_ns);
+          drain_parked ()
+        end
+        else nd.hb_acks.(slot) <- acks
       end
     | Election_timeout { node = i } ->
       nodes.(i).election_timer <- Sim.no_timer;
@@ -906,16 +969,17 @@ module Group (R : sig val run : run end) = struct
     | Ae_ack { node = l; from; term; index } ->
       let nd = nodes.(l) in
       if nd.alive && nd.role = Leader && term = nd.term then begin
-        match Hashtbl.find_opt entries index with
-        | Some e ->
+        let e = entry_at index in
+        (* [no_entry]: already committed (a late ack) *)
+        if e != no_entry then begin
           e.e_acked.(from) <- true;
           try_commit l
-        | None -> () (* already committed (late ack) *)
+        end
       end
     | Backfill_check { node = f; leader = ldr; term; len } ->
       let nd = nodes.(f) in
       if nd.alive && nd.term = term && nd.log_len = len
-         && Hashtbl.length nd.pending_ae > 0 && nd.last_nack_len <> len
+         && Int_tbl.length nd.pending_ae > 0 && nd.last_nack_len <> len
       then begin
         nd.last_nack_len <- len;
         send (Ae_nack { node = ldr; from = f; term; follower_len = len })
@@ -1097,6 +1161,10 @@ let run_detailed ~raft ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?see
 
 let run ~raft ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ?tracer () =
   fst (run_detailed ~raft ~mix ~arrival ~n_requests ?warmup_frac ?drain_cap_ns ?seed ?tracer ())
+
+let client_breakdowns s bs =
+  let clients = List.filter (fun b -> b.Breakdown.request < s.requests) bs in
+  (clients, List.length bs - List.length clients)
 
 (* ------------------------------------------------------------------ *)
 (* Invariants                                                          *)

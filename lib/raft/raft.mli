@@ -120,6 +120,15 @@ val capacity_rps : t -> Repro_workload.Mix.t -> float
     the logged requests' encodes and client legs, which all run at the
     leader. The fsync waits hold no worker and do not count. *)
 
+val wal_key : int -> string
+(** The key of log entry [index]'s WAL record:
+    [Printf.sprintf "e%08d" index], written in place by
+    {!Repro_kvstore.Digits}. *)
+
+val wal_value : term:int -> req_id:int -> string
+(** Its value: [Printf.sprintf "term:%d;req:%d;%s" term req_id
+    (String.make 24 'v')], [req_id = -1] for a leadership no-op. *)
+
 type summary = {
   nodes : int;
   read_leases : bool;
@@ -202,6 +211,17 @@ val run_detailed :
     front-end [Arrived] and every consensus/routing hand-off records
     [Replicated], so {!Repro_runtime.Breakdown} attributes the gap to its
     [consensus] component. *)
+
+val client_breakdowns :
+  summary ->
+  Repro_runtime.Breakdown.request_breakdown list ->
+  Repro_runtime.Breakdown.request_breakdown list * int
+(** Of a traced run's lifecycles, those of client arrivals (the request
+    ids below [requests]; the group numbers everything else it injects
+    after them), and how many others were left out: the consensus
+    mini-requests and the hedge duplicates. At most one lifecycle per
+    arrival remains. A leg replayed after a failover starts at its
+    hand-off, not at an [Arrived], so the breakdown has none to leave out. *)
 
 val check_invariants : summary -> (unit, string) result
 (** [Ok] iff the run kept the Raft invariants (commit indexes monotone,

@@ -9,6 +9,7 @@ module Plain_table = Repro_kvstore.Plain_table
 module Store = Repro_kvstore.Store
 module Cost_meter = Repro_kvstore.Cost_meter
 module Kv_workload = Repro_kvstore.Kv_workload
+module Digits = Repro_kvstore.Digits
 module Mix = Repro_workload.Mix
 
 (* --- cost meter -------------------------------------------------------- *)
@@ -269,8 +270,9 @@ let test_get_scan_mix_balance () =
   let frac = float_of_int !scans /. float_of_int n in
   Alcotest.(check bool) "about half are scans" true (Float.abs (frac -. 0.5) < 0.05)
 
-(* Keys are built without Printf inside the eight-digit range and with it
-   outside; both must give Printf's form, at and across the boundaries. *)
+(* Keys are twelve bytes inside the eight-digit range and as wide as the
+   index outside it; both must give Printf's form, at and across the
+   boundaries. *)
 let test_key_of_index_matches_printf () =
   List.iter
     (fun i ->
@@ -284,6 +286,41 @@ let prop_key_of_index_matches_printf =
   QCheck.Test.make ~count:1_000 ~name:"keys match the Printf form at random indices"
     QCheck.(int_range 0 99_999_999)
     (fun i -> String.equal (Kv_workload.key_of_index i) (Printf.sprintf "user%08d" i))
+
+(* --- the digit writer ------------------------------------------------------ *)
+
+(* [n] in [%d] form at its own width and in [%0*d] form wider, written
+   between two guard bytes that must stay as they were; a width one short
+   must raise. *)
+let digits_match_printf n =
+  let w = Digits.width n in
+  let at width =
+    let b = Bytes.make (width + 2) '#' in
+    Digits.write b ~pos:1 ~width n;
+    if Bytes.get b 0 <> '#' || Bytes.get b (width + 1) <> '#' then "guard overwritten"
+    else Bytes.sub_string b 1 width
+  in
+  let short_raises =
+    match Digits.write (Bytes.create w) ~pos:0 ~width:(w - 1) n with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  w = String.length (string_of_int n)
+  && String.equal (at w) (Printf.sprintf "%d" n)
+  && List.for_all (fun extra -> String.equal (at (w + extra)) (Printf.sprintf "%0*d" (w + extra) n)) [ 1; 4 ]
+  && short_raises
+
+let test_digits_at_the_boundaries () =
+  let powers = List.init 18 (fun k -> int_of_float (10. ** float_of_int (k + 1))) in
+  List.iter
+    (fun n -> if not (digits_match_printf n) then Alcotest.failf "%d differs from Printf" n)
+    ([ min_int; min_int + 1; max_int; -1; 0; 1; 9 ]
+    @ List.concat_map (fun p -> [ p - 1; p; p + 1; -p + 1; -p; -p - 1 ]) powers)
+
+let prop_digits_match_printf =
+  QCheck.Test.make ~count:2_000 ~name:"the digit writer matches Printf at random ints"
+    QCheck.(oneof [ int; int_range (-1_000) 1_000_000_000 ])
+    digits_match_printf
 
 (* A threshold below 1 flushed the memtable on every write. *)
 let test_store_refuses_bad_threshold () =
@@ -456,6 +493,9 @@ let suite =
     Alcotest.test_case "get/scan mix balance" `Quick test_get_scan_mix_balance;
     Alcotest.test_case "keys match the Printf form" `Quick test_key_of_index_matches_printf;
     QCheck_alcotest.to_alcotest prop_key_of_index_matches_printf;
+    Alcotest.test_case "the digit writer matches Printf at the boundaries" `Quick
+      test_digits_at_the_boundaries;
+    QCheck_alcotest.to_alcotest prop_digits_match_printf;
     Alcotest.test_case "store refuses a flush threshold below 1" `Quick
       test_store_refuses_bad_threshold;
     Alcotest.test_case "mixes refuse a negative or NaN zipf alpha" `Quick

@@ -145,18 +145,96 @@ let test_device_wait_frees_worker () =
     Alcotest.failf "write p50 %.1f us: the durable append holds the worker"
       (s.Raft.write_p50_ns /. 1e3)
 
-(* The raft-3node benchmark's group (3 x concord, USR, 20 kRps): consensus
-   costs a few events per request, not a preemption every quantum. *)
-let test_events_per_request () =
+(* The raft-3node benchmark's group (3 x concord, USR, 20 kRps), at the
+   golden row's 2,000 requests. *)
+let raft_3node_n = 2_000
+
+let run_raft_3node ?events_out () =
   let raft = Raft.homogeneous ~nodes:3 (Systems.concord ()) in
-  let events = ref 0 in
-  let n = 2_000 in
   ignore
     (Raft.run_detailed ~raft ~mix:Repro_workload.Presets.usr
        ~arrival:(Arrival.Poisson { rate_rps = 20e3 })
-       ~n_requests:n ~events_out:events ());
-  let per_req = float_of_int !events /. float_of_int n in
+       ~n_requests:raft_3node_n ?events_out ())
+
+(* Consensus costs a few events per request, not a preemption every
+   quantum. *)
+let test_events_per_request () =
+  let events = ref 0 in
+  run_raft_3node ~events_out:events ();
+  let per_req = float_of_int !events /. float_of_int raft_3node_n in
   if per_req > 40.0 then Alcotest.failf "%.1f events per request (want <= 40)" per_req
+
+(* The same group allocates 2,895 B per request since its WAL records are
+   written in place by the digit writer and checksummed where they lie,
+   and its entries, heartbeat rounds and minis sit in int-indexed tables;
+   with Printf, a payload copy and the polymorphic hash it allocated
+   4,883 B. The bound sits between the two. [Gc.minor_words] counts the
+   words in the current minor heap too, which [Gc.quick_stat]'s field
+   leaves out on OCaml 5.1. *)
+let test_allocation_per_request () =
+  run_raft_3node ();
+  let w0 = Gc.minor_words () in
+  run_raft_3node ();
+  let bytes = (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8) in
+  let per_req = bytes /. float_of_int raft_3node_n in
+  if per_req > 3_800.0 then
+    Alcotest.failf "%.0f B allocated per request (want <= 3,800)" per_req
+
+(* [raft --breakdown]'s table describes the client arrivals: at most one
+   lifecycle each, with the consensus minis and the hedge duplicates
+   counted apart. Unfiltered, the same trace holds more lifecycles than
+   there are arrivals. *)
+let test_breakdown_covers_clients () =
+  let raft =
+    Raft.homogeneous ~hedge:(Hedge.Fixed { delay_ns = 150_000 }) ~stragglers:[ (1, 3.0) ]
+      ~nodes:3 (small_config ())
+  in
+  let n = 3_000 in
+  let tracer = Repro_runtime.Tracing.create ~capacity:(n * 64) () in
+  let s =
+    Raft.run ~raft ~mix:(fixed_mix 50.0) ~arrival:(Arrival.Poisson { rate_rps = 4e3 })
+      ~n_requests:n ~tracer ()
+  in
+  Alcotest.(check bool) "hedges fired" true (s.Raft.hedges > 0);
+  let all = Repro_runtime.Breakdown.of_trace tracer in
+  let clients, left_out = Raft.client_breakdowns s all in
+  let ids = List.map (fun b -> b.Repro_runtime.Breakdown.request) clients in
+  Alcotest.(check bool) "unfiltered: more lifecycles than arrivals" true (List.length all > n);
+  Alcotest.(check bool) "at most one lifecycle per arrival" true
+    (List.length (List.sort_uniq compare ids) = List.length ids && List.length ids <= n);
+  Alcotest.(check bool) "only arrivals' ids" true (List.for_all (fun id -> id >= 0 && id < n) ids);
+  Alcotest.(check int) "the rest counted as left out" (List.length all - List.length clients)
+    left_out
+
+(* --- WAL records --------------------------------------------------------- *)
+
+(* Each log entry's WAL record is written in place by the store's digit
+   writer, and must be Printf's record byte for byte: the [e%08d] key past
+   eight digits too, and the value with a leadership no-op's
+   [req_id = -1]. *)
+let wal_record_matches_printf (index, term, req_id) =
+  String.equal (Raft.wal_key index) (Printf.sprintf "e%08d" index)
+  && String.equal (Raft.wal_value ~term ~req_id)
+       (Printf.sprintf "term:%d;req:%d;%s" term req_id (String.make 24 'v'))
+
+let test_wal_records_at_the_boundaries () =
+  List.iter
+    (fun ((index, term, req_id) as r) ->
+      if not (wal_record_matches_printf r) then
+        Alcotest.failf "index %d, term %d, req %d differs from Printf" index term req_id)
+    [
+      (1, 1, -1); (1, 1, 0); (9, 2, 9); (10, 2, 10); (99_999_999, 3, 99_999);
+      (100_000_000, 4, 100_000); (123_456_789, 16, 2_999); (max_int, max_int, min_int);
+    ]
+
+let prop_wal_records_match_printf =
+  QCheck.Test.make ~count:2_000 ~name:"WAL records match the Printf form at random ints"
+    QCheck.(
+      triple
+        (oneof [ int_range 1 200_000_000; int ])
+        (oneof [ int_range 1 1_000; int ])
+        (oneof [ int_range (-1) 10_000_000; int ]))
+    wal_record_matches_printf
 
 (* --- determinism --------------------------------------------------------- *)
 
@@ -290,6 +368,13 @@ let suite =
     Alcotest.test_case "a device wait frees the worker" `Quick test_device_wait_frees_worker;
     Alcotest.test_case "the raft-3node group runs at <= 40 events per request" `Quick
       test_events_per_request;
+    Alcotest.test_case "the raft-3node group allocates <= 3,800 B per request" `Quick
+      test_allocation_per_request;
+    Alcotest.test_case "the breakdown covers each arrival at most once" `Quick
+      test_breakdown_covers_clients;
+    Alcotest.test_case "WAL records match the Printf form at the boundaries" `Quick
+      test_wal_records_at_the_boundaries;
+    QCheck_alcotest.to_alcotest prop_wal_records_match_printf;
     Alcotest.test_case "same seed, same history" `Quick test_determinism;
     Alcotest.test_case "killing the leader elects a replacement" `Quick
       test_failover_elects_new_leader;

@@ -54,6 +54,20 @@ let test_corrupt_tail_drops_only_last () =
   | [ ("one", Skiplist.Value "1") ] -> ()
   | l -> Alcotest.failf "expected the intact prefix, got %d records" (List.length l)
 
+(* Records past the first 4 KiB go to further chunks of the log; a torn
+   last record still costs only itself. *)
+let test_corrupt_tail_across_chunks () =
+  let w = Wal.create () in
+  let records = List.init 200 (fun i -> (Printf.sprintf "key%03d" i, Skiplist.Value (String.make 100 'x'))) in
+  List.iter (fun (key, entry) -> Wal.append w ~key ~entry) records;
+  Alcotest.(check bool) "spans several chunks" true (Wal.byte_size w > 5 * 4096);
+  Alcotest.(check int) "contents as long as the log" (Wal.byte_size w)
+    (String.length (Wal.contents w));
+  Alcotest.(check bool) "intact log replays whole" true (Wal.replay w = records);
+  Wal.corrupt_tail w;
+  Alcotest.(check bool) "all but the last record" true
+    (Wal.replay w = List.filteri (fun i _ -> i < 199) records)
+
 let test_torn_write_dropped () =
   (* Simulate a crash mid-append by replaying a log whose last record lost
      its final bytes: build a fresh log from a truncated byte prefix. *)
@@ -87,6 +101,89 @@ let prop_roundtrip_random =
           entries
       in
       Wal.replay w = expected)
+
+(* --- the encoder against a reference ---------------------------------------- *)
+
+(* The CRC-32 and the encoder the log was first written with: a payload
+   [Buffer] copied out with [Buffer.contents], checksummed a byte at a
+   time. [Wal]'s in-place encoder, whose CRC reads the payload inside the
+   log, must reproduce them byte for byte. *)
+let ref_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+      done;
+      !c)
+
+let ref_update crc s =
+  let c = ref (lnot (Int32.to_int crc) land 0xFFFF_FFFF) in
+  String.iter (fun ch -> c := ref_table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  Int32.of_int (lnot !c land 0xFFFF_FFFF)
+
+let ref_crc s = ref_update 0l s
+
+let ref_record ~key ~entry =
+  let put_u32 buf v =
+    for k = 0 to 3 do
+      Buffer.add_char buf (Char.chr ((v lsr (8 * k)) land 0xFF))
+    done
+  in
+  let payload = Buffer.create 64 in
+  put_u32 payload (String.length key);
+  Buffer.add_string payload key;
+  (match entry with
+  | Skiplist.Value v ->
+    Buffer.add_char payload '\000';
+    put_u32 payload (String.length v);
+    Buffer.add_string payload v
+  | Skiplist.Tombstone ->
+    Buffer.add_char payload '\001';
+    put_u32 payload 0);
+  let payload = Buffer.contents payload in
+  let record = Buffer.create (String.length payload + 4) in
+  put_u32 record (Int32.to_int (ref_crc payload) land 0xFFFF_FFFF);
+  Buffer.add_string record payload;
+  Buffer.contents record
+
+(* Bytes that favour the two extremes a length or tag mix-up would show. *)
+let gen_bytes max_len =
+  QCheck.Gen.(
+    string_size (int_range 0 max_len)
+      ~gen:(frequency [ (3, char); (1, oneofl [ '\000'; '\255' ]) ]))
+
+let gen_records =
+  QCheck.Gen.(
+    list_size (int_range 0 30)
+      (pair (gen_bytes 40)
+         (frequency
+            [ (4, map (fun v -> Skiplist.Value v) (gen_bytes 300)); (1, return Skiplist.Tombstone) ])))
+
+let prop_matches_reference_encoder =
+  QCheck.Test.make ~count:300 ~name:"WAL bytes equal the reference encoder's, and replay"
+    (QCheck.make gen_records)
+    (fun records ->
+      let w = Wal.create () in
+      List.iter (fun (key, entry) -> Wal.append w ~key ~entry) records;
+      String.equal (Wal.contents w)
+        (String.concat "" (List.map (fun (key, entry) -> ref_record ~key ~entry) records))
+      && Wal.replay w = records)
+
+(* [update] from every offset of every length 0-64 continues a register
+   that has already taken the prefix. *)
+let test_crc_matches_reference () =
+  let src = String.init 64 (fun i -> Char.chr (((i * 167) + 13) land 0xFF)) in
+  for len = 0 to 64 do
+    let s = String.sub src 0 len in
+    let expected = ref_crc s in
+    Alcotest.(check int32) (Printf.sprintf "digest, length %d" len) expected (Wal.Crc32.digest s);
+    for off = 0 to len do
+      Alcotest.(check int32)
+        (Printf.sprintf "update from offset %d of %d" off len)
+        expected
+        (Wal.Crc32.update (Wal.Crc32.digest (String.sub s 0 off)) (String.sub s off (len - off)))
+    done
+  done
 
 (* --- store crash recovery --------------------------------------------------- *)
 
@@ -145,8 +242,13 @@ let suite =
     Alcotest.test_case "truncate" `Quick test_truncate;
     Alcotest.test_case "corrupt tail drops only last record" `Quick
       test_corrupt_tail_drops_only_last;
+    Alcotest.test_case "corrupt tail across chunks drops only last record" `Quick
+      test_corrupt_tail_across_chunks;
     Alcotest.test_case "torn writes" `Quick test_torn_write_dropped;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
+    QCheck_alcotest.to_alcotest prop_matches_reference_encoder;
+    Alcotest.test_case "crc32 equals the reference at every length and offset" `Quick
+      test_crc_matches_reference;
     Alcotest.test_case "recovery preserves unflushed writes" `Quick
       test_recovery_preserves_unflushed_writes;
     Alcotest.test_case "recovery after compaction" `Quick test_recovery_after_compaction;
