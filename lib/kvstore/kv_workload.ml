@@ -11,7 +11,8 @@ let max_keys = 100_000_000
    bytes for every index below [max_keys], which is every key a generator
    draws. *)
 let key_of_index i =
-  let width = if i >= 0 && i < max_keys then 8 else Int.max 8 (Digits.width i) in
+  if i < 0 then invalid_arg (Printf.sprintf "Kv_workload.key_of_index: index %d is negative" i);
+  let width = if i < max_keys then 8 else Digits.width i in
   let b = Bytes.create (4 + width) in
   Bytes.set_int32_le b 0 0x72657375l (* "user" *);
   Digits.write b ~pos:4 ~width i;

@@ -15,7 +15,8 @@
 val scan_probe_spacing_ns : float
 
 val key_of_index : int -> string
-(** The store's key for index [i]: [Printf.sprintf "user%08d" i]. *)
+(** The store's key for index [i]: [Printf.sprintf "user%08d" i]. Raises
+    [Invalid_argument] if [i < 0]. *)
 
 val value_of_index : value_bytes:int -> int -> string
 (** The [value_bytes]-byte value {!populate} and the PUT generator store

@@ -14,7 +14,6 @@ module Cluster = Repro_cluster.Cluster
 module Lb_policy = Repro_cluster.Lb_policy
 module Hedge = Repro_cluster.Hedge
 module Wal = Repro_kvstore.Wal
-module Digits = Repro_kvstore.Digits
 module Cost_meter = Repro_kvstore.Cost_meter
 module Skiplist = Repro_kvstore.Skiplist
 
@@ -56,8 +55,10 @@ let log_write_cycles = 280_000 (* 140 us: fsync-class durability *)
 let follower_ae_cycles = 360_000 (* 180 us: decode + append + fsync *)
 
 (* The CPU part of each mini-request: one representative record through
-   the real WAL encoder prices the byte-proportional part of an append
-   (checksum + copy, the kvstore cost model). *)
+   the real WAL encoder, when the module loads, prices the
+   byte-proportional part of an append (checksum + copy, the kvstore cost
+   model). Members only count their records: durability here is the
+   device wait, and nothing would read the bytes back. *)
 let wal_record_ns =
   let scratch = Wal.create () in
   Wal.append scratch ~key:"e00000000" ~entry:(Skiplist.Value (String.make 48 'v'));
@@ -65,29 +66,6 @@ let wal_record_ns =
   int_of_float
     (calib.Cost_meter.Calibration.wal_append_ns
     +. (float_of_int (Wal.byte_size scratch) *. calib.Cost_meter.Calibration.wal_byte_ns))
-
-(* The record each log entry appends to a member's WAL: the key
-   [Printf.sprintf "e%08d" index] and the value
-   [Printf.sprintf "term:%d;req:%d;%s" term req_id (String.make 24 'v')],
-   written in place by the store's digit writer. *)
-let wal_key index =
-  let width = Int.max 8 (Digits.width index) in
-  let b = Bytes.create (1 + width) in
-  Bytes.set b 0 'e';
-  Digits.write b ~pos:1 ~width index;
-  Bytes.unsafe_to_string b
-
-let wal_value_tail = ";" ^ String.make 24 'v'
-
-let wal_value ~term ~req_id =
-  let wt = Digits.width term and wr = Digits.width req_id in
-  let b = Bytes.create (10 + wt + wr + String.length wal_value_tail) in
-  Bytes.blit_string "term:" 0 b 0 5;
-  Digits.write b ~pos:5 ~width:wt term;
-  Bytes.blit_string ";req:" 0 b (5 + wt) 5;
-  Digits.write b ~pos:(10 + wt) ~width:wr req_id;
-  Bytes.blit_string wal_value_tail 0 b (10 + wt + wr) (String.length wal_value_tail);
-  Bytes.unsafe_to_string b
 
 (* Tables keyed by request id or log index, hashed by the key itself: the
    keys are dense ints, and nothing iterates these tables, so no output
@@ -183,14 +161,14 @@ type summary = {
 (* ------------------------------------------------------------------ *)
 
 (* Per-member protocol state. The mirror log ([log_terms]/[log_ids]) is
-   the semantic Raft log used by elections, conflict truncation and the
-   committed-entry-loss invariant; the {!Wal} alongside it is the real
-   byte-encoded append path whose record count cross-checks it (it is
-   append-only — conflict truncation leaves its superseded records in
-   place, like a real log segment awaiting compaction). *)
+   the Raft log used by elections, conflict truncation and the
+   committed-entry-loss invariant; [wal_records] counts the durable
+   appends that cross-check it. The count only grows: conflict truncation
+   leaves its superseded records in place, like a real log segment
+   awaiting compaction. *)
 type node = {
   id : int;
-  wal : Wal.t;
+  mutable wal_records : int;
   mutable log_terms : int array;
   mutable log_ids : int array;
   mutable log_len : int;
@@ -281,7 +259,7 @@ type ev =
 let new_node ~id ~elect_rng =
   {
     id;
-    wal = Wal.create ();
+    wal_records = 0;
     log_terms = Array.make 64 0;
     log_ids = Array.make 64 0;
     log_len = 0;
@@ -306,6 +284,7 @@ let new_node ~id ~elect_rng =
 
 let node_last_term nd = if nd.log_len = 0 then 0 else nd.log_terms.(nd.log_len - 1)
 
+(* Each append to a member's log writes one WAL record. *)
 let push_log nd ~term ~req_id =
   if nd.log_len = Array.length nd.log_terms then begin
     let cap = 2 * nd.log_len in
@@ -317,7 +296,8 @@ let push_log nd ~term ~req_id =
   end;
   nd.log_terms.(nd.log_len) <- term;
   nd.log_ids.(nd.log_len) <- req_id;
-  nd.log_len <- nd.log_len + 1
+  nd.log_len <- nd.log_len + 1;
+  nd.wal_records <- nd.wal_records + 1
 
 (* What one run needs: [run_detailed]'s arguments. *)
 type run = { raft : t; inputs : Driver.inputs; tracer : Tracing.t option }
@@ -457,9 +437,6 @@ module Group (R : sig val run : run end) = struct
       violate "member %d: commit index regressed %d -> %d" nd.id nd.commit_index v
     else nd.commit_index <- v
 
-  let wal_append nd ~index ~term ~req_id =
-    Wal.append nd.wal ~key:(wal_key index) ~entry:(Skiplist.Value (wal_value ~term ~req_id))
-
   let mini_profile =
     { Mix.class_id = raft_class; service_ns = wal_record_ns; lock_windows = [||];
       probe_spacing_ns = 0.0 }
@@ -533,7 +510,6 @@ module Group (R : sig val run : run end) = struct
     let index = nd.log_len + 1 in
     let req_id = match (leg : Request.t option) with Some r -> r.Request.id | None -> -1 in
     push_log nd ~term:nd.term ~req_id;
-    wal_append nd ~index ~term:nd.term ~req_id;
     set_entry index
       { e_term = nd.term; e_req_id = req_id; e_client = client; e_leg = leg;
         e_acked = Array.make n false; e_durable = false };
@@ -582,7 +558,6 @@ module Group (R : sig val run : run end) = struct
           | Some (et, rid, mt, l2) ->
             Int_tbl.remove nd.pending_ae (nd.log_len + 1);
             push_log nd ~term:et ~req_id:rid;
-            wal_append nd ~index:nd.log_len ~term:et ~req_id:rid;
             nd.last_nack_len <- -1;
             send (Ae_ack { node = l2; from = f; term = mt; index = nd.log_len })
           | None -> progressed := false
@@ -1125,7 +1100,7 @@ module Group (R : sig val run : run end) = struct
         committed = !committed;
         commit_indexes = Array.map (fun nd -> nd.commit_index) nodes;
         log_lengths = Array.map (fun nd -> nd.log_len) nodes;
-        wal_records = Array.map (fun nd -> Wal.record_count nd.wal) nodes;
+        wal_records = Array.map (fun nd -> nd.wal_records) nodes;
         resubmissions = !resubmissions;
         parked = !parked;
         routed;

@@ -9,7 +9,8 @@
 
     - {b Writes} go to the leader, which appends to a replicated log. The
       local append is a consensus mini-request in two parts: a CPU part,
-      the real {!Repro_kvstore.Wal} encode cost of the record's bytes,
+      the encode cost of one record through the real
+      {!Repro_kvstore.Wal} encoder, priced once when the module loads and
       executed by the leader's own dispatcher/workers, then a device part,
       the fsync, a timer that holds no worker (Concord's probes are
       compiled into application code, so nothing can preempt a thread
@@ -120,15 +121,6 @@ val capacity_rps : t -> Repro_workload.Mix.t -> float
     the logged requests' encodes and client legs, which all run at the
     leader. The fsync waits hold no worker and do not count. *)
 
-val wal_key : int -> string
-(** The key of log entry [index]'s WAL record:
-    [Printf.sprintf "e%08d" index], written in place by
-    {!Repro_kvstore.Digits}. *)
-
-val wal_value : term:int -> req_id:int -> string
-(** Its value: [Printf.sprintf "term:%d;req:%d;%s" term req_id
-    (String.make 24 'v')], [req_id = -1] for a leadership no-op. *)
-
 type summary = {
   nodes : int;
   read_leases : bool;
@@ -160,7 +152,10 @@ type summary = {
   committed : int;  (** log entries committed (no-ops included) *)
   commit_indexes : int array;
   log_lengths : int array;
-  wal_records : int array;  (** real {!Repro_kvstore.Wal} records per member *)
+  wal_records : int array;
+      (** WAL records each member appended: one per log append, including
+          appends that a later conflict truncation superseded, so never
+          below the member's log length *)
   resubmissions : int;  (** client legs replayed after a leader death *)
   parked : int;  (** times a request waited for a leader/lease/credit *)
   routed : int array;  (** client legs injected into each member *)

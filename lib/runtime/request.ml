@@ -10,7 +10,6 @@ type t = {
   mutable started : bool;
   mutable dispatcher_owned : bool;
   mutable last_worker : int;
-  mutable preemptions : int;
   mutable completion_ns : int;
   mutable cancelled : bool;
   hedge_of : int;
@@ -29,7 +28,6 @@ let create ~id ~arrival_ns ~(profile : Repro_workload.Mix.profile) =
     started = false;
     dispatcher_owned = false;
     last_worker = -1;
-    preemptions = 0;
     completion_ns = -1;
     cancelled = false;
     hedge_of = -1;
@@ -48,7 +46,6 @@ let hedge_dup (primary : t) ~id =
     started = false;
     dispatcher_owned = false;
     last_worker = -1;
-    preemptions = 0;
     completion_ns = -1;
     cancelled = false;
   }

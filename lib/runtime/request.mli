@@ -26,7 +26,6 @@ type t = {
           under its rdtsc instrumentation (§3.3); it may still hand the
           saved context back to an idle worker via the central queue *)
   mutable last_worker : int;  (** worker that last ran it, or -1 *)
-  mutable preemptions : int;
   mutable completion_ns : int;  (** -1 until completed *)
   mutable cancelled : bool;
       (** the balancer revoked this request (losing hedge leg); the server

@@ -420,7 +420,6 @@ let on_slice_end t ~depoch =
           trace t ~request:sreq.Request.id
             (Tracing.Preempted { worker = -1; progress_ns = sstop_progress });
         sreq.Request.done_ns <- sstop_progress;
-        sreq.Request.preemptions <- sreq.Request.preemptions + 1;
         d.saved <- Some sreq
       end;
       d.slice <- None;
@@ -593,7 +592,6 @@ let on_preempt_stop t (w : worker) ~epoch =
         trace t ~request:req.Request.id
           (Tracing.Preempted { worker = w.wid; progress_ns = w.stop_progress });
       req.Request.done_ns <- w.stop_progress;
-      req.Request.preemptions <- req.Request.preemptions + 1;
       Metrics.add_preemption t.metrics;
       Metrics.add_worker_busy t.metrics (now - w.busy_from);
       w.busy_from <- now;

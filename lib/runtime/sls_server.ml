@@ -192,7 +192,6 @@ let on_preempt_stop t (w : worker) ~epoch =
       trace t ~request:req.Request.id
         (Tracing.Preempted { worker = w.wid; progress_ns = w.stop_progress });
       req.Request.done_ns <- w.stop_progress;
-      req.Request.preemptions <- req.Request.preemptions + 1;
       Metrics.add_preemption t.metrics;
       Sim.schedule_after t.sim ~delay:(t.notif_ns + t.cswitch_ns)
         (Ev_yield_done { w = w.wid; epoch })
